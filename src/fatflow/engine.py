@@ -2,8 +2,11 @@
 
 One engine instance owns one simulation run: it admits flows, asks the
 configured scheduler for paths, re-solves the max-min fair rate allocation on
-every arrival and departure, classifies elephants from polled byte counts,
-and evaluates mice probes against per-link overload and queuing state. Under
+every elephant arrival and departure, classifies elephants from polled byte
+counts, and evaluates mice probes against per-link overload and queuing
+state. Rates only change at those re-solves, so the time integrals of rates
+are brought up to date at arrivals, departures, polls and the horizon, never
+at probes. Under
 `hedera-gff` it also runs Hedera's scheduling round every period and moves
 the flows that round places.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -66,34 +70,32 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
             link_members.setdefault(lid, []).append(fid)
     frozen_sum = {lid: 0.0 for lid in users}
     unfrozen = {fid for fid, d in demands.items() if d > 0}
-    for fid in demands:
-        if fid not in unfrozen:
-            rates[fid] = 0.0
 
     while unfrozen:
-        level = None
-        for lid in users:
-            n = len(users[lid])
-            if n == 0:
-                continue
-            share = (capacities[lid] - frozen_sum[lid]) / n
-            if level is None or share < level:
-                level = share
+        # each link's fair share of what is left, computed once per round;
+        # `users` only holds links that still carry an unfrozen flow
+        shares = {lid: (capacities[lid] - frozen_sum[lid]) / len(members)
+                  for lid, members in users.items()}
+        level = min(shares.values(), default=None)
         min_demand = min(demands[fid] for fid in unfrozen)
         if level is None or min_demand < level:
             level = min_demand
         level = max(level, 0.0)
 
         to_freeze = {fid for fid in unfrozen if demands[fid] <= level}
-        for lid, members in users.items():
-            if members and (capacities[lid] - frozen_sum[lid]) / len(members) <= level:
-                to_freeze |= members
+        for lid, share in shares.items():
+            if share <= level:
+                to_freeze |= users[lid]
         for fid in sorted(to_freeze):
             v = min(level, demands[fid])
             rates[fid] = v
             for lid in paths[fid]:
                 frozen_sum[lid] += v
-                users[lid].discard(fid)
+                members = users.get(lid)
+                if members is not None:
+                    members.discard(fid)
+                    if not members:
+                        del users[lid]
             unfrozen.discard(fid)
 
     # repair float overshoot: reductions only ever shrink link sums, so one
@@ -131,8 +133,11 @@ class Engine:
                  flows: list[Flow], horizon: float,
                  params: EngineParams = EngineParams(), seed: int = 0,
                  probe_interval: Optional[float] = None):
-        if horizon <= 0:
-            raise EngineError(f"horizon must be > 0, got {horizon!r}")
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise EngineError(f"horizon must be finite and > 0, got {horizon!r}")
+        if not (math.isfinite(params.poll_interval) and params.poll_interval > 0):
+            raise EngineError("poll_interval must be finite and > 0, got "
+                              f"{params.poll_interval!r}")
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon
@@ -142,10 +147,19 @@ class Engine:
         self._probe_rng = random.Random(f"{seed}/probe")
 
         self.clock = 0.0
+        # rates are piecewise constant between arrivals, departures and
+        # polls, so the time integrals only catch up at those events
+        self._integrated_to = 0.0
         self.active: dict[int, Flow] = {}
         self._classified: set[int] = set()
         self._bits_since_poll: dict[int, float] = {}
         self._crosses: dict[int, bool] = {}
+        # (flow id, rate) of every flow with a positive rate, and the links
+        # that carry at least one routed elephant
+        self._rated: list[tuple[int, float]] = []
+        self._loaded_links: list[int] = []
+        # flow id -> (path, forward + reverse link ids) for probes
+        self._traversals: dict[int, tuple[Path, tuple[int, ...]]] = {}
 
         nlinks = len(topo.links)
         self._cap = [l.capacity for l in topo.links]
@@ -155,6 +169,10 @@ class Engine:
         self.cumulative_elephants = [0] * nlinks
         self._alloc_integral = [0.0] * nlinks
         self._offered_integral = [0.0] * nlinks
+        # what a probe sees on each link, refreshed whenever `offered` changes:
+        # the chance to survive the traversal and the traversal delay
+        self._probe_keep = [1.0] * nlinks
+        self._probe_delay = [traversal_delay(0.0, params)] * nlinks
         # what the controller knows: link state as of the last stats poll
         self.polled_residual = list(self._cap)
         self.polled_elephants = [0] * nlinks
@@ -188,10 +206,11 @@ class Engine:
         for f in flows:
             if f.start_time < horizon:
                 self._push(f.start_time, "arrival", f)
-        t = params.poll_interval
-        while t <= horizon:
-            self._push(t, "poll", None)
-            t += params.poll_interval
+        # i * interval, not a running sum, so the schedule cannot drift; the
+        # clamp keeps a last poll that rounds past the horizon on it
+        npolls = int(math.floor(horizon / params.poll_interval + 1e-9))
+        for i in range(1, npolls + 1):
+            self._push(min(i * params.poll_interval, horizon), "poll", None)
         self._finished = False
 
     # -- scheduler-facing snapshot interface ---------------------------------
@@ -224,6 +243,8 @@ class Engine:
             raise EngineError("event queue is empty")
         t, seq, kind, payload = heapq.heappop(self._queue)
         self._advance(t)
+        if kind != "probe":
+            self._integrate()
         if kind == "arrival":
             record = self._on_arrival(payload)
         elif kind == "departure":
@@ -242,24 +263,30 @@ class Engine:
         while self._queue and self._queue[0][0] <= self.horizon:
             self.step()
         self._advance(self.horizon)
+        self._integrate()
         self._finished = True
         return self
 
     def _advance(self, t: float) -> None:
-        dt = t - self.clock
-        if dt < 0:
+        if t < self.clock:
             raise EngineError("clock must be nondecreasing")
+        self.clock = t
+
+    def _integrate(self) -> None:
+        """Add the current rates times the time since the last integration."""
+        dt = self.clock - self._integrated_to
         if dt > 0:
-            for fid, f in self.active.items():
-                if f.achieved_rate > 0:
-                    self._bits_since_poll[fid] += f.achieved_rate * dt
-            for lid in range(len(self._cap)):
-                if self.allocated[lid] > 0:
-                    self._alloc_integral[lid] += self.allocated[lid] * dt
-                if self.offered[lid] > 0:
-                    self._offered_integral[lid] += self.offered[lid] * dt
+            bits = self._bits_since_poll
+            for fid, rate in self._rated:
+                bits[fid] += rate * dt
+            allocated, offered = self.allocated, self.offered
+            for lid in self._loaded_links:
+                if allocated[lid] > 0:
+                    self._alloc_integral[lid] += allocated[lid] * dt
+                if offered[lid] > 0:
+                    self._offered_integral[lid] += offered[lid] * dt
             self._bisection_integral += self.bisection_rate * dt
-            self.clock = t
+            self._integrated_to = self.clock
 
     # -- event handlers --------------------------------------------------------
 
@@ -283,7 +310,7 @@ class Engine:
         if flow.kind == MICE and self.probe_interval is not None:
             for pt in probe_schedule(flow, self.horizon, self.probe_interval):
                 self._push(pt, "probe", flow)
-        self._reallocate()
+        self._reallocate_for(flow)
         return {
             "flow": flow.id,
             "kind": flow.kind,
@@ -306,8 +333,9 @@ class Engine:
             need = self.reservations.pop(fid)
             for lid in flow.path.link_ids:
                 self.reserved[lid] -= need
+        self._traversals.pop(fid, None)
         flow.achieved_rate = 0.0
-        self._reallocate()
+        self._reallocate_for(flow)
         return {"flow": fid, "bisection_rate": self.bisection_rate}
 
     def _on_probe(self, flow: Flow) -> dict:
@@ -336,9 +364,8 @@ class Engine:
         self.port_stat_reads += self.topology.total_switch_ports
         self.uplink_stat_reads += len(self.topology.agg_upstream_link_ids)
         self.polls += 1
-        for lid in range(len(self._cap)):
-            self.polled_residual[lid] = self._cap[lid] - self.allocated[lid]
-            self.polled_elephants[lid] = self.elephants[lid]
+        self.polled_residual = [c - a for c, a in zip(self._cap, self.allocated)]
+        self.polled_elephants = list(self.elephants)
         self.util_snapshots.append(tuple(
             self.allocated[lid] / self._cap[lid]
             for lid in self.topology.monitored_link_ids))
@@ -380,6 +407,18 @@ class Engine:
 
     # -- rate allocation ---------------------------------------------------------
 
+    def _reallocate_for(self, flow: Flow) -> None:
+        """Re-solve after `flow` arrived or left, unless it carries no rate.
+
+        A flow that is not an elephant never enters the allocation, so its
+        arrival or departure leaves every rate as it was.
+        """
+        if flow.is_elephant:
+            self._reallocate()
+        else:
+            flow.achieved_rate = 0.0
+            self.bisection_series.append((self.clock, self.bisection_rate))
+
     def _reallocate(self) -> None:
         demands: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
@@ -398,47 +437,61 @@ class Engine:
                 for links in paths.values() for lid in links}
         rates = waterfill(demands, paths, caps)
 
-        members: dict[int, list[int]] = {}
-        offered: dict[int, float] = {}
-        for fid in sorted(paths):
-            self.active[fid].achieved_rate = rates[fid]
-            for lid in paths[fid]:
-                members.setdefault(lid, []).append(fid)
-                offered[lid] = offered.get(lid, 0.0) + demands[fid]
-        nlinks = len(self._cap)
-        self.allocated = [0.0] * nlinks
-        self.offered = [0.0] * nlinks
-        for lid, fids in members.items():
-            self.allocated[lid] = sum(rates[fid] for fid in fids)
-            self.offered[lid] = offered[lid]
-
+        # one pass in sorted flow-id order gives every per-link sum the same
+        # summation order as a per-link walk over its sorted members
+        allocated = [0.0] * len(self._cap)
+        offered = [0.0] * len(self._cap)
+        rated = []
         bis = 0.0
-        for fid in sorted(paths):
+        for fid, links in paths.items():
+            rate = rates[fid]
+            demand = demands[fid]
+            self.active[fid].achieved_rate = rate
+            for lid in links:
+                allocated[lid] += rate
+                offered[lid] += demand
+            if rate > 0:
+                rated.append((fid, rate))
             if self._crosses[fid]:
-                bis += rates[fid]
+                bis += rate
+        for lid in set(self._loaded_links).union(caps):
+            if offered[lid] != self.offered[lid]:
+                self._probe_keep[lid] = 1.0 - link_loss_probability(
+                    offered[lid], self._cap[lid])
+                self._probe_delay[lid] = traversal_delay(
+                    offered[lid] / self._cap[lid], self.params)
+        self.allocated = allocated
+        self.offered = offered
+        self._rated = rated
+        self._loaded_links = list(caps)
         self.bisection_rate = bis
         self.bisection_series.append((self.clock, bis))
 
     # -- probes ---------------------------------------------------------------
 
-    def _traversed_link_ids(self, path: Path) -> list[int]:
-        forward = list(path.link_ids)
-        back = [self.topology.reverse_ids[lid] for lid in forward]
-        return forward + back
+    def _traversal_ids(self, flow: Flow) -> tuple[int, ...]:
+        """Forward then reverse link ids of the flow's path, cached per path."""
+        cached = self._traversals.get(flow.id)
+        if cached is None or cached[0] is not flow.path:
+            forward = flow.path.link_ids
+            back = tuple(self.topology.reverse_ids[lid] for lid in forward)
+            cached = (flow.path, forward + back)
+            self._traversals[flow.id] = cached
+        return cached[1]
 
     def _evaluate_probe(self, flow: Flow) -> ProbeResult:
         if flow.path is None:
             return ProbeResult(flow.id, self.clock, False, None)
+        links = self._traversal_ids(flow)
         survival = 1.0
-        for lid in self._traversed_link_ids(flow.path):
-            survival *= 1.0 - link_loss_probability(self.offered[lid], self._cap[lid])
+        for lid in links:
+            survival *= self._probe_keep[lid]
         delivered = self._probe_rng.random() < survival
         if not delivered:
             return ProbeResult(flow.id, self.clock, False, None)
         rtt = 0.0
-        for lid in self._traversed_link_ids(flow.path):
-            rho = self.offered[lid] / self._cap[lid]
-            rtt += traversal_delay(rho, self.params)
+        for lid in links:
+            rtt += self._probe_delay[lid]
         return ProbeResult(flow.id, self.clock, True, rtt)
 
     # -- post-run views ----------------------------------------------------------
@@ -447,12 +500,6 @@ class Engine:
         """Time-averaged offered load per link over the whole horizon."""
         return {lid: self._offered_integral[lid] / self.horizon
                 for lid in range(len(self._cap))}
-
-    def offered_by_link(self) -> dict[int, float]:
-        return {lid: self.offered[lid] for lid in range(len(self._cap))}
-
-    def allocated_by_link(self) -> dict[int, float]:
-        return {lid: self.allocated[lid] for lid in range(len(self._cap))}
 
     def cumulative_bytes(self, lid: int) -> float:
         return self._alloc_integral[lid] / 8.0

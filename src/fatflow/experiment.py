@@ -67,8 +67,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not isinstance(self.k, int) or self.k < 2 or self.k % 2:
             raise ConfigError(f"k: must be an even integer >= 2, got {self.k!r}")
-        if self.capacity <= 0:
-            raise ConfigError(f"capacity: must be > 0, got {self.capacity!r}")
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise ConfigError(
+                f"capacity: must be finite and > 0, got {self.capacity!r}")
         if not self.schedulers:
             raise ConfigError("schedulers: need at least one")
         for s in self.schedulers:
@@ -81,14 +82,18 @@ class ExperimentConfig:
             raise ConfigError("seeds: need at least one")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds: duplicates not allowed")
-        if self.duration <= 0:
-            raise ConfigError(f"duration: must be > 0, got {self.duration!r}")
-        if self.poll_interval <= 0 or self.poll_interval > self.duration:
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ConfigError(
+                f"duration: must be finite and > 0, got {self.duration!r}")
+        if not (0 < self.poll_interval <= self.duration):
             raise ConfigError(
                 "poll_interval: must be in (0, duration], got "
                 f"{self.poll_interval!r}")
-        if self.detection_threshold <= 0:
-            raise ConfigError("detection_threshold: must be > 0")
+        if not (math.isfinite(self.detection_threshold)
+                and self.detection_threshold > 0):
+            raise ConfigError(
+                "detection_threshold: must be finite and > 0, got "
+                f"{self.detection_threshold!r}")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ConfigError(f"alpha: must be finite and >= 0, got {self.alpha!r}")
         if not (0 < self.elephant_threshold <= 1):
@@ -97,15 +102,26 @@ class ExperimentConfig:
                 f"{self.elephant_threshold!r}")
         if self.elephants < 0:
             raise ConfigError(f"elephants: must be >= 0, got {self.elephants!r}")
-        if self.arrival_rate <= 0:
-            raise ConfigError(f"arrival_rate: must be > 0, got {self.arrival_rate!r}")
-        if self.flow_duration is not None and self.flow_duration < 0:
-            raise ConfigError("flow_duration: must be >= 0 or none")
-        if self.demand is not None and self.demand <= 0:
-            raise ConfigError(f"demand: must be > 0, got {self.demand!r}")
-        if self.probe_interval is not None and self.probe_interval <= 0:
-            raise ConfigError("probe_interval: must be > 0 or none")
-        if self.rho_cap <= 0 or self.rho_cap >= 1:
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise ConfigError(
+                f"arrival_rate: must be finite and > 0, got {self.arrival_rate!r}")
+        if self.flow_duration is not None and not (
+                math.isfinite(self.flow_duration) and self.flow_duration >= 0):
+            raise ConfigError("flow_duration: must be finite and >= 0 or none, "
+                              f"got {self.flow_duration!r}")
+        if self.demand is not None and not (
+                math.isfinite(self.demand) and self.demand > 0):
+            raise ConfigError(
+                f"demand: must be finite and > 0, got {self.demand!r}")
+        if self.probe_interval is not None and not (
+                math.isfinite(self.probe_interval) and self.probe_interval > 0):
+            raise ConfigError("probe_interval: must be finite and > 0 or none, "
+                              f"got {self.probe_interval!r}")
+        for name in ("base_hop_latency", "queuing_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
+        if not (0 < self.rho_cap < 1):
             raise ConfigError(f"rho_cap: must be in (0, 1), got {self.rho_cap!r}")
         try:
             WorkloadSpec(pattern=self.pattern).validate()

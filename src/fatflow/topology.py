@@ -8,6 +8,7 @@ downstream of it reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -87,7 +88,7 @@ class Path:
     agg_index: Optional[int]
     core_index: Optional[int]
 
-    @property
+    @functools.cached_property
     def link_ids(self) -> tuple[int, ...]:
         return tuple(l.id for l in self.hops)
 

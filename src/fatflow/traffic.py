@@ -60,14 +60,17 @@ class WorkloadSpec:
             raise WorkloadError(f"unknown pattern {self.pattern!r}")
         if self.elephant_count < 0:
             raise WorkloadError("elephant_count must be >= 0")
-        if self.mean_arrival_rate <= 0:
-            raise WorkloadError("mean_arrival_rate must be > 0")
-        if self.elephant_demand <= 0:
-            raise WorkloadError("elephant_demand must be > 0")
-        if self.mice_probe_interval is not None and self.mice_probe_interval <= 0:
-            raise WorkloadError("mice_probe_interval must be > 0")
-        if self.flow_duration is not None and self.flow_duration < 0:
-            raise WorkloadError("flow_duration must be >= 0")
+        if not (math.isfinite(self.mean_arrival_rate) and self.mean_arrival_rate > 0):
+            raise WorkloadError("mean_arrival_rate must be finite and > 0")
+        if not (math.isfinite(self.elephant_demand) and self.elephant_demand > 0):
+            raise WorkloadError("elephant_demand must be finite and > 0")
+        if self.mice_probe_interval is not None and not (
+                math.isfinite(self.mice_probe_interval)
+                and self.mice_probe_interval > 0):
+            raise WorkloadError("mice_probe_interval must be finite and > 0")
+        if self.flow_duration is not None and not (
+                math.isfinite(self.flow_duration) and self.flow_duration >= 0):
+            raise WorkloadError("flow_duration must be finite and >= 0")
 
 
 def bisection_halves(topo: Topology) -> tuple[list[NodeId], list[NodeId]]:

@@ -181,3 +181,35 @@ def test_events_flag_writes_jsonl(tmp_path):
     assert all({"seq", "t", "type"} <= set(r) for r in recs)
     times = [r["t"] for r in recs]
     assert times == sorted(times)  # processed strictly in time order
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--capacity", "nan", "capacity:"),
+    ("--arrival-rate", "nan", "arrival_rate:"),
+    ("--duration", "inf", "duration:"),
+    ("--duration", "nan", "duration:"),
+    ("--poll-interval", "inf", "poll_interval:"),
+    ("--detection-threshold", "inf", "detection_threshold:"),
+    ("--flow-duration", "inf", "flow_duration:"),
+    ("--probe-interval", "nan", "probe_interval:"),
+])
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, monkeypatch, flag,
+                                         value, field):
+    def no_run(config):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr("fatflow.cli.run_experiment", no_run)
+    out = tmp_path / "r"
+    assert main([flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["capacity", "duration", "alpha", "demand",
+                                   "arrival_rate", "base_hop_latency",
+                                   "queuing_scale", "rho_cap",
+                                   "elephant_threshold"])
+def test_config_rejects_non_finite_fields(field):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            ExperimentConfig(**{field: value}).validate()

@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fatflow import engine as engine_module
 from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
-from fatflow.schedulers import SchedulerKind
+from fatflow.experiment import ExperimentConfig, build_topology
+from fatflow.schedulers import SCHEDULER_NAMES, SchedulerKind
 from fatflow.topology import build_fat_tree
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
@@ -110,6 +115,53 @@ def test_waterfill_never_exceeds_capacity():
             assert sum(rates[f] for f in users) <= cap
         for f, d in demands.items():
             assert 0.0 <= rates[f] <= d
+
+
+@st.composite
+def waterfill_instances(draw):
+    nlinks = draw(st.integers(1, 10))
+    caps = {l: draw(st.floats(1e5, 2e7)) for l in range(nlinks)}
+    nflows = draw(st.integers(1, 8))
+    demands = {f: draw(st.floats(1e3, 2e7)) for f in range(nflows)}
+    paths = {f: tuple(draw(st.lists(st.integers(0, nlinks - 1), min_size=1,
+                                    max_size=min(4, nlinks), unique=True)))
+             for f in range(nflows)}
+    return demands, paths, caps
+
+
+def link_loads(rates, paths, caps):
+    return {l: sum(rates[f] for f in sorted(paths) if l in paths[f]) for l in caps}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(waterfill_instances())
+def test_waterfill_property_capacity_and_demand(instance):
+    demands, paths, caps = instance
+    rates = waterfill(demands, paths, caps)
+    for l, load in link_loads(rates, paths, caps).items():
+        assert load <= caps[l]
+    for f, d in demands.items():
+        assert 0.0 <= rates[f] <= d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(waterfill_instances())
+def test_waterfill_property_maxmin_bottleneck(instance):
+    # every flow held below its demand has a saturated link on its path on
+    # which no other flow gets more: the max-min optimality condition
+    demands, paths, caps = instance
+    rates = waterfill(demands, paths, caps)
+    loads = link_loads(rates, paths, caps)
+    tol = 1e-9
+    for f, d in demands.items():
+        if rates[f] >= d * (1 - tol):
+            continue
+        bottlenecks = [
+            l for l in paths[f]
+            if loads[l] >= caps[l] * (1 - tol)
+            and all(rates[f] >= rates[g] * (1 - tol)
+                    for g in paths if l in paths[g])]
+        assert bottlenecks, f"flow {f} at {rates[f]} < {d} has no bottleneck"
 
 
 # -- probe model --------------------------------------------------------------
@@ -291,6 +343,29 @@ def test_probe_loss_under_overload():
     assert lost / len(eng.probe_results) > 0.5
 
 
+# 1.1 * 3 rounds to just past 3.3, so that poll is clamped onto the horizon
+@pytest.mark.parametrize("interval,horizon", [(0.1, 40.0), (0.3, 30.0),
+                                              (0.7, 7.0), (1.1, 3.3),
+                                              (1.0, 40.0)])
+def test_poll_schedule_does_not_drift(interval, horizon):
+    topo = build_fat_tree(4, 10e6)
+    eng = run_engine([], topo=topo, horizon=horizon,
+                     params=EngineParams(poll_interval=interval))
+    eng.run()
+    assert eng.polls == round(horizon / interval)
+    assert eng.event_log[-1]["t"] == pytest.approx(horizon)
+    assert all(rec["t"] <= horizon for rec in eng.event_log)
+
+
+@pytest.mark.parametrize("horizon,interval", [
+    (math.inf, 1.0), (math.nan, 1.0), (10.0, math.nan), (10.0, math.inf),
+    (10.0, 0.0)])
+def test_engine_rejects_non_finite_schedule(horizon, interval):
+    with pytest.raises(EngineError, match="must be finite"):
+        run_engine([], horizon=horizon,
+                   params=EngineParams(poll_interval=interval))
+
+
 def test_monitoring_counters():
     topo = build_fat_tree(4, 10e6)
     eng = run_engine([elephant(0, topo)], topo=topo, horizon=5.0)
@@ -319,3 +394,148 @@ def test_cumulative_bytes():
     eng.run()
     first_link = [l for l in topo.links if l.src == topo.hosts[0]][0]
     assert eng.cumulative_bytes(first_link.id) == pytest.approx(10e6 * 2.0 / 8.0)
+
+
+# -- lazy integration against an eager reference ------------------------------
+
+class RecordingEngine(Engine):
+    """Records the rates every processed event leaves in force."""
+
+    def __init__(self, topo, scheduler, flows, **kwargs):
+        super().__init__(topo, scheduler, flows, **kwargs)
+        self.flows = {f.id: f for f in flows}
+        self.rate_trace = []
+
+    def step(self):
+        record = super().step()
+        self.rate_trace.append((
+            self.clock, list(self.allocated), list(self.offered),
+            self.bisection_rate,
+            {fid: f.achieved_rate for fid, f in self.active.items()}))
+        return record
+
+
+class EagerEngine(Engine):
+    """Integrates at every event, probes included."""
+
+    def _advance(self, t):
+        super()._advance(t)
+        self._integrate()
+
+
+# the default config, one with departures, one that ends between two polls
+CONFIGS = {"default": {}, "departures": {"flow_duration": 6.0},
+           "off-poll-horizon": {"duration": 39.5}}
+
+
+def default_engine(cls, scheduler, seed=3, **overrides):
+    config = ExperimentConfig(**overrides)
+    topo = build_topology(config, scheduler)
+    flows = generate_workload(topo, config.workload_spec(seed))
+    return cls(topo, config.scheduler_kind(scheduler), flows,
+               horizon=config.duration, params=config.engine_params(),
+               seed=seed, probe_interval=config.probe_interval)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_lazy_integration_matches_eager_reference(scheduler, config):
+    eng = default_engine(RecordingEngine, scheduler, **CONFIGS[config]).run()
+    assert sum(rec["type"] == "probe" for rec in eng.event_log) > \
+        len(eng.event_log) / 2
+    params = eng.params
+
+    # integrate event by event from the recorded rates, and classify at each
+    # poll from those integrals
+    nlinks = len(eng.topology.links)
+    alloc, offered, bis = [0.0] * nlinks, [0.0] * nlinks, 0.0
+    bits: dict[int, float] = {}
+    classified: set[int] = set()
+    prev = None
+    for (t, a, o, b, rates), rec in zip(eng.rate_trace, eng.event_log):
+        if prev is not None:
+            dt = t - prev[0]
+            for lid in range(nlinks):
+                alloc[lid] += prev[1][lid] * dt
+                offered[lid] += prev[2][lid] * dt
+            bis += prev[3] * dt
+            for fid, rate in prev[4].items():
+                bits[fid] = bits.get(fid, 0.0) + rate * dt
+        if rec["type"] == "poll":
+            want = [fid for fid in sorted(prev[4]) if fid not in classified
+                    and bits.get(fid, 0.0) / params.poll_interval
+                    >= params.detection_threshold]
+            assert rec["classified"] == want
+            classified.update(want)
+            bits = {}
+        elif rec["type"] == "probe":
+            # the probe sees the offered load in force when it is sent
+            path = eng.flows[rec["flow"]].path
+            links = path.link_ids + tuple(eng.topology.reverse_ids[lid]
+                                          for lid in path.link_ids)
+            caps = [eng.topology.links[lid].capacity for lid in links]
+            loads = [prev[2][lid] for lid in links]
+            if rec["delivered"]:
+                assert rec["rtt"] == pytest.approx(sum(
+                    traversal_delay(o / c, params) for o, c in zip(loads, caps)),
+                    rel=1e-12)
+            else:
+                assert any(o > c for o, c in zip(loads, caps))
+        prev = (t, a, o, b, rates)
+    dt = eng.horizon - prev[0]
+    for lid in range(nlinks):
+        alloc[lid] += prev[1][lid] * dt
+        offered[lid] += prev[2][lid] * dt
+    bis += prev[3] * dt
+
+    mean_offered = eng.mean_offered_by_link()
+    for lid in range(nlinks):
+        assert eng.cumulative_bytes(lid) == pytest.approx(alloc[lid] / 8.0,
+                                                          rel=1e-12)
+        assert mean_offered[lid] == pytest.approx(offered[lid] / eng.horizon,
+                                                  rel=1e-12)
+    assert eng._bisection_integral == pytest.approx(bis, rel=1e-12)
+
+    # integrating on every event changes no decision: same classifications,
+    # same Hedera reroutes, same probe outcomes
+    eager = default_engine(EagerEngine, scheduler, **CONFIGS[config]).run()
+    assert eager.event_log == eng.event_log
+    for lid in range(nlinks):
+        assert eager.cumulative_bytes(lid) == pytest.approx(
+            eng.cumulative_bytes(lid), rel=1e-12)
+
+
+def test_mouse_arrival_changes_no_rate(monkeypatch):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), elephant(1, topo, start=0.2, src=1, dst=14),
+             Flow(2, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.5, None)]
+    eng = run_engine(flows, topo=topo, probe_interval=1.0)
+    while eng._queue[0][3] is not flows[2]:
+        eng.step()
+    before = (list(eng.allocated), list(eng.offered),
+              {fid: f.achieved_rate for fid, f in eng.active.items()})
+    npoints = len(eng.bisection_series)
+    calls = []
+    monkeypatch.setattr(engine_module, "waterfill",
+                        lambda *a: calls.append(a) or waterfill(*a))
+    record = eng.step()
+    assert record["type"] == "arrival" and record["flow"] == 2
+    assert not calls
+    assert eng.active[2].achieved_rate == 0.0
+    after = (list(eng.allocated), list(eng.offered),
+             {fid: f.achieved_rate for fid, f in eng.active.items() if fid != 2})
+    assert after == before
+    assert len(eng.bisection_series) == npoints + 1
+    assert eng.bisection_series[-1] == (0.5, eng.bisection_rate)
+
+
+def test_probe_links_follow_a_moved_path():
+    topo = build_fat_tree(4, 10e6)
+    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
+    eng = run_engine([mouse], topo=topo, horizon=2.0, probe_interval=1.0)
+    eng.step()
+    first, other = topo.equal_cost_paths(topo.hosts[0], topo.hosts[15])[:2]
+    for path in (first, other, first):
+        mouse.path = path
+        want = path.link_ids + tuple(topo.reverse_ids[l] for l in path.link_ids)
+        assert eng._traversal_ids(mouse) == want

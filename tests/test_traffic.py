@@ -126,3 +126,11 @@ def test_spec_validation():
         WorkloadSpec(mean_arrival_rate=0.0).validate()
     with pytest.raises(WorkloadError):
         WorkloadSpec(mice_probe_interval=0.0).validate()
+
+
+@pytest.mark.parametrize("field", ["mean_arrival_rate", "elephant_demand",
+                                   "mice_probe_interval", "flow_duration"])
+def test_spec_rejects_non_finite(field):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(WorkloadError, match=f"^{field} must be finite"):
+            WorkloadSpec(**{field: value}).validate()
