@@ -4,9 +4,10 @@ One engine instance owns one simulation run: it admits flows, asks the
 configured scheduler for paths, re-solves the max-min fair rate allocation on
 every elephant arrival and departure, classifies elephants from polled byte
 counts, and evaluates mice probes against per-link overload and queuing
-state. Rates only change at those re-solves, so the time integrals of rates
-are brought up to date at arrivals, departures, polls and the horizon, never
-at probes. Under
+state. A re-solve covers only the components of the flow-link graph that
+reach the links whose set of elephants changed. Rates only change at those
+re-solves, so the time integrals of rates are brought up to date at
+arrivals, departures, polls and the horizon, never at probes. Under
 `hedera-gff` it also runs Hedera's scheduling round every period and moves
 the flows that round places.
 
@@ -16,12 +17,13 @@ identical inputs replay to identical event logs.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
                          hedera_period_polls, hedera_schedule)
@@ -42,6 +44,20 @@ class EngineParams:
     base_hop_latency: float = 50e-6  # seconds per link traversal
     queuing_scale: float = 500e-6  # seconds, scales the rho/(1-rho) term
     rho_cap: float = 0.99  # keeps the queuing term finite at saturation
+
+    def __post_init__(self) -> None:
+        checks = (
+            ("poll_interval", self.poll_interval > 0, "> 0"),
+            ("detection_threshold", self.detection_threshold > 0, "> 0"),
+            ("base_hop_latency", self.base_hop_latency >= 0, ">= 0"),
+            ("queuing_scale", self.queuing_scale >= 0, ">= 0"),
+            ("rho_cap", 0 < self.rho_cap < 1, "in (0, 1)"),
+        )
+        for name, ok, bound in checks:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and ok):
+                raise EngineError(
+                    f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +151,6 @@ class Engine:
                  probe_interval: Optional[float] = None):
         if not (math.isfinite(horizon) and horizon > 0):
             raise EngineError(f"horizon must be finite and > 0, got {horizon!r}")
-        if not (math.isfinite(params.poll_interval) and params.poll_interval > 0):
-            raise EngineError("poll_interval must be finite and > 0, got "
-                              f"{params.poll_interval!r}")
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon
@@ -154,10 +167,10 @@ class Engine:
         self._classified: set[int] = set()
         self._bits_since_poll: dict[int, float] = {}
         self._crosses: dict[int, bool] = {}
-        # (flow id, rate) of every flow with a positive rate, and the links
-        # that carry at least one routed elephant
-        self._rated: list[tuple[int, float]] = []
-        self._loaded_links: list[int] = []
+        # the flow-link graph of the routed elephants: each one's rate, and
+        # the sorted ids of those on each link that carries any
+        self._rate: dict[int, float] = {}
+        self._link_flows: dict[int, list[int]] = {}
         # flow id -> (path, forward + reverse link ids) for probes
         self._traversals: dict[int, tuple[Path, tuple[int, ...]]] = {}
 
@@ -277,10 +290,10 @@ class Engine:
         dt = self.clock - self._integrated_to
         if dt > 0:
             bits = self._bits_since_poll
-            for fid, rate in self._rated:
+            for fid, rate in self._rate.items():
                 bits[fid] += rate * dt
             allocated, offered = self.allocated, self.offered
-            for lid in self._loaded_links:
+            for lid in self._link_flows:
                 if allocated[lid] > 0:
                     self._alloc_integral[lid] += allocated[lid] * dt
                 if offered[lid] > 0:
@@ -293,6 +306,8 @@ class Engine:
     def _on_arrival(self, flow: Flow) -> dict:
         decision = dispatch(self, flow, self.scheduler)
         flow.path = decision.path
+        if flow.is_elephant and flow.path is None:
+            self.unrouted_flows.add(flow.id)
         if decision.mechanism == MECH_CONTROLLER:
             self.controller_decisions += 1
         else:
@@ -385,7 +400,8 @@ class Engine:
         large = [self.active[fid] for fid in sorted(self._round_bits)
                  if self._round_bits[fid] / period >= cutoff]
         self._round_bits = dict.fromkeys(self._round_bits, 0.0)
-        moved = []
+        moved: list[int] = []
+        changed: list[int] = []
         for flow, path, need in hedera_schedule(
                 self.topology, large, self.reservations, self.reserved):
             self.reservations[flow.id] = need
@@ -398,11 +414,15 @@ class Engine:
                     self.elephants[lid] -= 1
                 for lid in path.link_ids:
                     self.elephants[lid] += 1
+            if flow.id in self._rate:
+                self._unindex(flow.id, flow.path.link_ids)
+                self._index(flow.id, path.link_ids)
+                changed += flow.path.link_ids + path.link_ids
             flow.path = path
             moved.append(flow.id)
         if moved:
             self.reroutes += len(moved)
-            self._reallocate()
+            self._resolve(changed)
         return moved
 
     # -- rate allocation ---------------------------------------------------------
@@ -410,60 +430,85 @@ class Engine:
     def _reallocate_for(self, flow: Flow) -> None:
         """Re-solve after `flow` arrived or left, unless it carries no rate.
 
-        A flow that is not an elephant never enters the allocation, so its
+        A mouse or an unrouted elephant never enters the allocation, so its
         arrival or departure leaves every rate as it was.
         """
-        if flow.is_elephant:
-            self._reallocate()
-        else:
+        if not flow.is_elephant or flow.path is None:
             flow.achieved_rate = 0.0
             self.bisection_series.append((self.clock, self.bisection_rate))
+            return
+        fid, links = flow.id, flow.path.link_ids
+        if fid in self.active:
+            self._rate[fid] = 0.0
+            self._index(fid, links)
+        else:
+            del self._rate[fid]
+            self._unindex(fid, links)
+        self._resolve(links)
 
-    def _reallocate(self) -> None:
+    def _index(self, fid: int, links: tuple[int, ...]) -> None:
+        for lid in links:
+            bisect.insort(self._link_flows.setdefault(lid, []), fid)
+
+    def _unindex(self, fid: int, links: tuple[int, ...]) -> None:
+        for lid in links:
+            members = self._link_flows[lid]
+            members.remove(fid)
+            if not members:
+                del self._link_flows[lid]
+
+    def _resolve(self, changed: Sequence[int]) -> None:
+        """Re-solve the flow-link components that reach the `changed` links.
+
+        `changed` holds the links whose set of elephants changed. Max-min
+        rates on disjoint components are independent, and every per-link sum
+        runs over the link's elephants in flow-id order, so this gives the
+        same floats as a re-solve of every routed elephant.
+        """
+        link_flows, active = self._link_flows, self.active
+        seen = set(changed)
+        stack = list(seen)
+        fids = set()
+        while stack:
+            for fid in link_flows.get(stack.pop(), ()):
+                if fid not in fids:
+                    fids.add(fid)
+                    for lid in active[fid].path.link_ids:
+                        if lid not in seen:
+                            seen.add(lid)
+                            stack.append(lid)
         demands: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
-        for fid in sorted(self.active):
-            f = self.active[fid]
-            if not f.is_elephant:
-                f.achieved_rate = 0.0
-                continue
-            if f.path is None:
-                self.unrouted_flows.add(fid)
-                f.achieved_rate = 0.0
-                continue
+        for fid in sorted(fids):
+            f = active[fid]
             demands[fid] = f.demand
             paths[fid] = f.path.link_ids
-        caps = {lid: self._cap[lid]
-                for links in paths.values() for lid in links}
-        rates = waterfill(demands, paths, caps)
+        rates = waterfill(demands, paths, {lid: self._cap[lid] for lid in seen})
+        for fid, rate in rates.items():
+            self._rate[fid] = rate
+            active[fid].achieved_rate = rate
 
-        # one pass in sorted flow-id order gives every per-link sum the same
-        # summation order as a per-link walk over its sorted members
-        allocated = [0.0] * len(self._cap)
-        offered = [0.0] * len(self._cap)
-        rated = []
-        bis = 0.0
-        for fid, links in paths.items():
-            rate = rates[fid]
-            demand = demands[fid]
-            self.active[fid].achieved_rate = rate
-            for lid in links:
-                allocated[lid] += rate
-                offered[lid] += demand
-            if rate > 0:
-                rated.append((fid, rate))
-            if self._crosses[fid]:
-                bis += rate
-        for lid in set(self._loaded_links).union(caps):
-            if offered[lid] != self.offered[lid]:
+        rate = self._rate
+        for lid in seen:
+            total = 0.0
+            for fid in link_flows.get(lid, ()):
+                total += rate[fid]
+            self.allocated[lid] = total
+        # offered load only moves where the set of elephants changed
+        for lid in changed:
+            total = 0.0
+            for fid in link_flows.get(lid, ()):
+                total += active[fid].demand
+            if total != self.offered[lid]:
+                self.offered[lid] = total
                 self._probe_keep[lid] = 1.0 - link_loss_probability(
-                    offered[lid], self._cap[lid])
+                    total, self._cap[lid])
                 self._probe_delay[lid] = traversal_delay(
-                    offered[lid] / self._cap[lid], self.params)
-        self.allocated = allocated
-        self.offered = offered
-        self._rated = rated
-        self._loaded_links = list(caps)
+                    total / self._cap[lid], self.params)
+        bis = 0.0
+        for fid in sorted(rate):
+            if self._crosses[fid]:
+                bis += rate[fid]
         self.bisection_rate = bis
         self.bisection_series.append((self.clock, bis))
 

@@ -147,6 +147,19 @@ class Topology:
             l.id for l in self.links
         )
 
+        # upstream edge-to-aggregate link ids per edge and per aggregate
+        # switch, in link-id order
+        uplinks: dict[NodeId, list[int]] = {}
+        inlinks: dict[NodeId, list[int]] = {}
+        for l in self.links:
+            if l.kind == LinkKind.EDGE_AGG and l.up:
+                uplinks.setdefault(l.src, []).append(l.id)
+                inlinks.setdefault(l.dst, []).append(l.id)
+        self._edge_uplinks = {n: tuple(ids) for n, ids in uplinks.items()}
+        self._agg_inlinks = {n: tuple(ids) for n, ids in inlinks.items()}
+        # (src, dst) -> its equal-cost paths, built on first request
+        self._paths: dict[tuple[NodeId, NodeId], tuple[Path, ...]] = {}
+
         degree: dict[NodeId, int] = {}
         for l in self.links:
             if l.src.tier != Tier.HOST.value:
@@ -174,7 +187,17 @@ class Topology:
         return NodeId(Tier.EDGE.value, host.pod, host.index // (self.k // 2))
 
     def equal_cost_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
-        """All shortest paths from host `src` to host `dst`, canonically ordered."""
+        """All shortest paths from host `src` to host `dst`, canonically ordered.
+
+        Each pair's paths are built once; every call returns a new list of
+        the same (immutable) `Path` objects.
+        """
+        paths = self._paths.get((src, dst))
+        if paths is None:
+            paths = self._paths[(src, dst)] = tuple(self._build_paths(src, dst))
+        return list(paths)
+
+    def _build_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
         if src == dst:
             raise TopologyError("src and dst must differ")
         for h in (src, dst):
@@ -220,16 +243,10 @@ class Topology:
         return tuple(self.links[i] for i in self.agg_upstream_link_ids)
 
     def edge_uplink_ids(self, edge: NodeId) -> tuple[int, ...]:
-        return tuple(
-            l.id for l in self.links
-            if l.kind == LinkKind.EDGE_AGG and l.up and l.src == edge
-        )
+        return self._edge_uplinks.get(edge, ())
 
     def agg_inlink_ids(self, agg: NodeId) -> tuple[int, ...]:
-        return tuple(
-            l.id for l in self.links
-            if l.kind == LinkKind.EDGE_AGG and l.up and l.dst == agg
-        )
+        return self._agg_inlinks.get(agg, ())
 
 
 def _check_k(k: int) -> None:

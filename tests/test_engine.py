@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from fatflow import engine as engine_module
 from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
 from fatflow.experiment import ExperimentConfig, build_topology
-from fatflow.schedulers import SCHEDULER_NAMES, SchedulerKind
+from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
 from fatflow.topology import build_fat_tree
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
@@ -162,6 +164,35 @@ def test_waterfill_property_maxmin_bottleneck(instance):
             and all(rates[f] >= rates[g] * (1 - tol)
                     for g in paths if l in paths[g])]
         assert bottlenecks, f"flow {f} at {rates[f]} < {d} has no bottleneck"
+
+
+@st.composite
+def disjoint_instance_pairs(draw):
+    first = draw(waterfill_instances())
+    # the same instance twice puts both parts on the same level every round
+    second = first if draw(st.booleans()) else draw(waterfill_instances())
+    return first, second
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(disjoint_instance_pairs())
+def test_waterfill_on_a_disjoint_union_equals_per_part_solves(pair):
+    # part 0 takes the even flow and link ids, part 1 the odd ones, so the
+    # parts interleave in every sorted walk over the union
+    union = ({}, {}, {})
+    want = {}
+    for part, (demands, paths, caps) in enumerate(pair):
+        d = {2 * f + part: v for f, v in demands.items()}
+        p = {2 * f + part: tuple(2 * l + part for l in path)
+             for f, path in paths.items()}
+        c = {2 * l + part: v for l, v in caps.items()}
+        want.update(waterfill(d, p, c))
+        for whole, piece in zip(union, (d, p, c)):
+            whole.update(piece)
+    got = waterfill(*union)
+    assert sorted(got) == sorted(want)
+    assert array("d", (got[f] for f in sorted(want))).tobytes() == \
+        array("d", (want[f] for f in sorted(want))).tobytes()
 
 
 # -- probe model --------------------------------------------------------------
@@ -366,6 +397,18 @@ def test_engine_rejects_non_finite_schedule(horizon, interval):
                    params=EngineParams(poll_interval=interval))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("poll_interval", 0.0), ("poll_interval", math.inf),
+    ("detection_threshold", -1.0), ("detection_threshold", 0.0),
+    ("detection_threshold", math.nan),
+    ("base_hop_latency", -50e-6), ("base_hop_latency", math.nan),
+    ("queuing_scale", -1.0), ("queuing_scale", math.inf),
+    ("rho_cap", 1.0), ("rho_cap", 1.5), ("rho_cap", 0.0), ("rho_cap", math.nan)])
+def test_engine_params_reject_bad_values(field, value):
+    with pytest.raises(EngineError, match=f"^{field} must be finite"):
+        EngineParams(**{field: value})
+
+
 def test_monitoring_counters():
     topo = build_fat_tree(4, 10e6)
     eng = run_engine([elephant(0, topo)], topo=topo, horizon=5.0)
@@ -539,3 +582,136 @@ def test_probe_links_follow_a_moved_path():
         mouse.path = path
         want = path.link_ids + tuple(topo.reverse_ids[l] for l in path.link_ids)
         assert eng._traversal_ids(mouse) == want
+
+
+# -- incremental re-solve against a full re-solve ------------------------------
+
+class FullResolveEngine(Engine):
+    """Re-solves every routed elephant whenever any of them changes."""
+
+    def _resolve(self, changed):
+        nlinks = len(self._cap)
+        demands, paths = {}, {}
+        for fid in sorted(self.active):
+            f = self.active[fid]
+            if f.is_elephant and f.path is not None:
+                demands[fid] = f.demand
+                paths[fid] = f.path.link_ids
+        caps = {lid: self._cap[lid] for links in paths.values() for lid in links}
+        rates = waterfill(demands, paths, caps)
+        allocated, offered, bis = [0.0] * nlinks, [0.0] * nlinks, 0.0
+        for fid, links in paths.items():
+            self.active[fid].achieved_rate = rates[fid]
+            for lid in links:
+                allocated[lid] += rates[fid]
+                offered[lid] += demands[fid]
+            if self._crosses[fid]:
+                bis += rates[fid]
+        for lid in range(nlinks):
+            if offered[lid] != self.offered[lid]:
+                self._probe_keep[lid] = 1.0 - link_loss_probability(
+                    offered[lid], self._cap[lid])
+                self._probe_delay[lid] = traversal_delay(
+                    offered[lid] / self._cap[lid], self.params)
+        self._rate = rates
+        self.allocated, self.offered = allocated, offered
+        self.bisection_rate = bis
+        self.bisection_series.append((self.clock, bis))
+
+
+def allocation_bits(eng):
+    """The allocation state as raw float bytes, so equality is bitwise."""
+    fids = sorted(eng.active)
+    return (
+        fids,
+        array("d", eng.allocated + eng.offered + eng._probe_keep
+              + eng._probe_delay + [eng.bisection_rate]).tobytes(),
+        array("d", (eng.active[fid].achieved_rate for fid in fids)).tobytes(),
+        array("d", (x for point in eng.bisection_series
+                    for x in point)).tobytes(),
+    )
+
+
+def step_in_lockstep(eng, ref):
+    while eng.pending_events():
+        assert eng.step() == ref.step()
+        assert allocation_bits(eng) == allocation_bits(ref)
+    assert not ref.pending_events()
+
+
+RESOLVE_CONFIGS = {
+    "default": {},
+    "churn": {"elephants": 100, "arrival_rate": 50.0, "flow_duration": 0.8,
+              "duration": 6.0},
+    "k8": {"k": 8, "elephants": 48, "arrival_rate": 32.0, "duration": 10.0},
+}
+
+
+@pytest.mark.parametrize("config", sorted(RESOLVE_CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_incremental_resolve_matches_full_resolve(scheduler, config,
+                                                  monkeypatch):
+    eng = default_engine(Engine, scheduler, **RESOLVE_CONFIGS[config])
+    ref = default_engine(FullResolveEngine, scheduler, **RESOLVE_CONFIGS[config])
+    # (flows solved, elephants routed) of every re-solve of `eng`
+    solves = []
+    monkeypatch.setattr(engine_module, "waterfill", lambda d, p, c: (
+        solves.append((len(d), len(eng._rate))) or waterfill(d, p, c)))
+    step_in_lockstep(eng, ref)
+    if scheduler == HEDERA_GFF and config == "default":
+        assert eng.reroutes > 0
+    if config != "default":
+        assert any(solved < routed for solved, routed in solves)
+
+
+def test_incremental_resolve_sums_in_flow_id_order():
+    # flow ids that run against arrival order
+    config = ExperimentConfig(**RESOLVE_CONFIGS["churn"])
+    topo = build_topology(config, "hybrid")
+    engines = []
+    for cls in (Engine, FullResolveEngine):
+        flows = generate_workload(topo, config.workload_spec(3))
+        flows = [dataclasses.replace(f, id=len(flows) - 1 - f.id) for f in flows]
+        engines.append(cls(topo, config.scheduler_kind("hybrid"), flows,
+                           horizon=config.duration,
+                           params=config.engine_params(), seed=3,
+                           probe_interval=config.probe_interval))
+    step_in_lockstep(*engines)
+
+
+def test_arrival_merges_and_departure_splits_components(monkeypatch):
+    # hosts 0-1 hang off edge switch 0 and hosts 2-3 off edge switch 1 of
+    # pod 0, hosts 4-5 off edge switch 0 of pod 1: flows 0, 1 and 3 each have
+    # one path and share no link; flow 2 shares host 0's uplink with flow 0
+    # and host 3's downlink with flow 1
+    def flows(topo):
+        return [elephant(0, topo, src=0, dst=1),
+                elephant(1, topo, start=0.1, src=2, dst=3),
+                elephant(2, topo, start=0.2, duration=1.0, src=0, dst=3),
+                elephant(3, topo, start=0.3, src=4, dst=5)]
+
+    topo = build_fat_tree(4, 10e6)
+    eng = run_engine(flows(topo), topo=topo, horizon=3.0)
+    ref = FullResolveEngine(topo, SchedulerKind("ecmp"), flows(topo),
+                            horizon=3.0)
+    solved = []
+    monkeypatch.setattr(engine_module, "waterfill", lambda d, p, c: (
+        solved.append(sorted(d)) or waterfill(d, p, c)))
+    rates = []
+    for _ in range(5):
+        assert eng.step() == ref.step()
+        assert allocation_bits(eng) == allocation_bits(ref)
+        rates.append({fid: f.achieved_rate for fid, f in eng.active.items()})
+    # the links flow 2 shares with no other flow
+    middle = eng.active[2].path.link_ids[1:-1]
+    step_in_lockstep(eng, ref)
+
+    assert solved == [[0], [1], [0, 1, 2], [3], [0, 1]]
+    assert rates[2] == {0: 5e6, 1: 5e6, 2: 5e6}
+    assert rates[3] == {0: 5e6, 1: 5e6, 2: 5e6, 3: 10e6}
+    assert {fid: f.achieved_rate for fid, f in eng.active.items()} == \
+        {0: 10e6, 1: 10e6, 3: 10e6}
+    idle_delay = traversal_delay(0.0, eng.params)
+    for lid in middle:
+        assert eng.allocated[lid] == eng.offered[lid] == 0.0
+        assert (eng._probe_keep[lid], eng._probe_delay[lid]) == (1.0, idle_delay)

@@ -166,3 +166,40 @@ def test_star_topology():
     assert len(paths) == 1
     assert len(paths[0].hops) == 2
     assert t.monitored_link_ids == tuple(l.id for l in t.links)
+
+
+@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
+                                     (build_fat_tree, 6), (build_fat_tree, 8),
+                                     (build_nonblocking, 4)])
+def test_switch_link_indexes_match_a_link_scan(build, k):
+    t = build(k, 10e6)
+    edge_agg_up = [l for l in t.links if l.kind == LinkKind.EDGE_AGG and l.up]
+    for node in t.nodes:
+        assert t.edge_uplink_ids(node) == tuple(
+            l.id for l in edge_agg_up if l.src == node)
+        assert t.agg_inlink_ids(node) == tuple(
+            l.id for l in edge_agg_up if l.dst == node)
+
+
+def test_equal_cost_paths_are_built_once_per_pair():
+    t = build_fat_tree(4, 10e6)
+    src, dst = t.hosts[0], t.hosts[-1]
+    first = t.equal_cost_paths(src, dst)
+    want = list(first)
+    again = t.equal_cost_paths(src, dst)
+    assert again == want
+    assert all(a is b for a, b in zip(want, again))
+    # each call hands out its own list
+    first.reverse()
+    first.append(first[0])
+    assert t.equal_cost_paths(src, dst) == want
+    assert t.equal_cost_paths(dst, src) != want
+
+
+def test_bad_path_queries_raise_on_every_call():
+    t = build_fat_tree(4, 10e6)
+    for _ in range(2):
+        with pytest.raises(TopologyError, match="unknown host"):
+            t.equal_cost_paths(t.hosts[0], t.switches[0])
+        with pytest.raises(TopologyError, match="must differ"):
+            t.equal_cost_paths(t.hosts[3], t.hosts[3])
