@@ -76,51 +76,105 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     hits its demand and every flow on the tightest link at that link's fair
     share. A final repair pass nudges rates down by at most a few ulps so
     per-link sums never exceed capacity even in float arithmetic.
+
+    A round only revisits what the last one changed: a link's share is
+    recomputed when a flow on it froze, demand-limited flows come off one
+    list sorted by demand, and a link that sets the level freezes all of its
+    flows, so its member list is read once. A path that lists a link twice
+    counts once in that link's share and twice in its sums. A flow with
+    demand 0 stays at 0, but counts in the shares of its links until one of
+    them sets the level.
     """
-    rates = {fid: 0.0 for fid in demands}
-    users: dict[int, set[int]] = {}
-    link_members: dict[int, list[int]] = {}
+    rates = dict.fromkeys(demands, 0.0)
+    # per link, its flows in flow-id order, once per listing on their path
+    listed: dict[int, list[int]] = {}
+    repeats = []  # flows whose path lists some link twice
     for fid in sorted(paths):
         for lid in paths[fid]:
-            users.setdefault(lid, set()).add(fid)
-            link_members.setdefault(lid, []).append(fid)
-    frozen_sum = {lid: 0.0 for lid in users}
-    unfrozen = {fid for fid, d in demands.items() if d > 0}
+            flows = listed.get(lid)
+            if flows is None:
+                listed[lid] = [fid]
+            else:
+                if flows[-1] == fid:
+                    repeats.append(fid)
+                flows.append(fid)
+    members = listed
+    if repeats:
+        members = {lid: list(dict.fromkeys(flows))
+                   for lid, flows in listed.items()}
+        repeats = set(repeats)
+    # per link that still carries an unfrozen flow: how many, and the fair
+    # share of what is left
+    unfrozen = {lid: len(flows) for lid, flows in members.items()}
+    shares = {lid: capacities[lid] / n for lid, n in unfrozen.items()}
+    frozen_sum = dict.fromkeys(listed, 0.0)
+    frozen: set[int] = set()
+    by_demand = sorted((fid for fid, d in demands.items() if d > 0),
+                       key=demands.__getitem__)
+    first, waiting, end = 0, len(by_demand), len(by_demand)
 
-    while unfrozen:
-        # each link's fair share of what is left, computed once per round;
-        # `users` only holds links that still carry an unfrozen flow
-        shares = {lid: (capacities[lid] - frozen_sum[lid]) / len(members)
-                  for lid, members in users.items()}
+    while waiting:
+        while by_demand[first] in frozen:
+            first += 1
         level = min(shares.values(), default=None)
-        min_demand = min(demands[fid] for fid in unfrozen)
+        min_demand = demands[by_demand[first]]
         if level is None or min_demand < level:
             level = min_demand
-        level = max(level, 0.0)
+        elif level < 0.0:
+            level = 0.0
 
-        to_freeze = {fid for fid in unfrozen if demands[fid] <= level}
+        to_freeze = []
+        i = first
+        while i < end and demands[by_demand[i]] <= level:
+            to_freeze.append(by_demand[i])
+            i += 1
         for lid, share in shares.items():
             if share <= level:
-                to_freeze |= users[lid]
+                to_freeze += members[lid]
+        to_freeze = set(to_freeze)
+        to_freeze -= frozen
+        frozen |= to_freeze
+
+        touched = set()
         for fid in sorted(to_freeze):
-            v = min(level, demands[fid])
+            d = demands[fid]
+            v = d if d < level else level
             rates[fid] = v
-            for lid in paths[fid]:
-                frozen_sum[lid] += v
-                members = users.get(lid)
-                if members is not None:
-                    members.discard(fid)
-                    if not members:
-                        del users[lid]
-            unfrozen.discard(fid)
+            path = paths[fid]
+            if repeats and fid in repeats:
+                for lid in path:
+                    frozen_sum[lid] += v
+                path = dict.fromkeys(path)
+                for lid in path:
+                    unfrozen[lid] -= 1
+            else:
+                for lid in path:
+                    frozen_sum[lid] += v
+                    unfrozen[lid] -= 1
+            touched.update(path)
+            if d > 0:
+                waiting -= 1
+        for lid in touched:
+            n = unfrozen[lid]
+            if n:
+                shares[lid] = (capacities[lid] - frozen_sum[lid]) / n
+            else:
+                del shares[lid]
 
     # repair float overshoot: reductions only ever shrink link sums, so one
-    # pass in link order suffices
-    for lid in sorted(link_members):
-        members = link_members[lid]
-        s = sum(rates[fid] for fid in members)
+    # pass in link order suffices. Sums run left to right in flow-id order,
+    # as the engine sums `allocated`. The rates are >= 0, so a sum in
+    # another order than `frozen_sum`'s is off by far less than 1e-9 of it,
+    # and a link that far below capacity needs no repair.
+    near = [lid for lid, total in frozen_sum.items()
+            if total > capacities[lid] * (1 - 1e-9)]
+    for lid in sorted(near):
+        flows = listed[lid]
+        s = 0.0
+        for fid in flows:
+            s += rates[fid]
         if s > capacities[lid]:
-            worst = max(members, key=lambda fid: (rates[fid], fid))
+            worst = max(flows, key=lambda fid: (rates[fid], fid))
             rates[worst] = max(0.0, rates[worst] - (s - capacities[lid]))
     return rates
 
@@ -140,6 +194,25 @@ def traversal_delay(rho: float, params: EngineParams) -> float:
     """
     rho = min(rho, params.rho_cap)
     return params.base_hop_latency + params.queuing_scale * rho / (1.0 - rho)
+
+
+def _check_flows(flows: Sequence[Flow]) -> None:
+    """Raise EngineError, naming the flow and the field, on unusable input."""
+    ids: set[int] = set()
+    for f in flows:
+        if f.id in ids:
+            raise EngineError(f"flow {f.id}: id repeats")
+        ids.add(f.id)
+        if not (math.isfinite(f.start_time) and f.start_time >= 0):
+            raise EngineError(f"flow {f.id}: start_time must be finite and "
+                              f">= 0, got {f.start_time!r}")
+        if not (math.isfinite(f.demand) and f.demand > 0):
+            raise EngineError(f"flow {f.id}: demand must be finite and > 0, "
+                              f"got {f.demand!r}")
+        if f.duration is not None and not (
+                math.isfinite(f.duration) and f.duration >= 0):
+            raise EngineError(f"flow {f.id}: duration must be none or finite "
+                              f"and >= 0, got {f.duration!r}")
 
 
 class Engine:
@@ -171,6 +244,8 @@ class Engine:
         # the sorted ids of those on each link that carries any
         self._rate: dict[int, float] = {}
         self._link_flows: dict[int, list[int]] = {}
+        # the sorted ids of the routed elephants that cross the bisection
+        self._crossing: list[int] = []
         # flow id -> (path, forward + reverse link ids) for probes
         self._traversals: dict[int, tuple[Path, tuple[int, ...]]] = {}
 
@@ -216,6 +291,7 @@ class Engine:
 
         self._seq = itertools.count()
         self._queue: list[tuple[float, int, str, object]] = []
+        _check_flows(flows)
         for f in flows:
             if f.start_time < horizon:
                 self._push(f.start_time, "arrival", f)
@@ -441,9 +517,13 @@ class Engine:
         if fid in self.active:
             self._rate[fid] = 0.0
             self._index(fid, links)
+            if self._crosses[fid]:
+                bisect.insort(self._crossing, fid)
         else:
             del self._rate[fid]
             self._unindex(fid, links)
+            if self._crosses[fid]:
+                self._crossing.remove(fid)
         self._resolve(links)
 
     def _index(self, fid: int, links: tuple[int, ...]) -> None:
@@ -465,31 +545,30 @@ class Engine:
         runs over the link's elephants in flow-id order, so this gives the
         same floats as a re-solve of every routed elephant.
         """
-        link_flows, active = self._link_flows, self.active
-        seen = set(changed)
-        stack = list(seen)
-        fids = set()
-        while stack:
-            for fid in link_flows.get(stack.pop(), ()):
-                if fid not in fids:
-                    fids.add(fid)
-                    for lid in active[fid].path.link_ids:
-                        if lid not in seen:
-                            seen.add(lid)
-                            stack.append(lid)
+        link_flows, active, cap = self._link_flows, self.active, self._cap
+        # the walk collects the waterfill inputs as it goes; `caps` doubles
+        # as the set of links it has reached
+        caps = {lid: cap[lid] for lid in changed}
+        stack = list(caps)
         demands: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
-        for fid in sorted(fids):
-            f = active[fid]
-            demands[fid] = f.demand
-            paths[fid] = f.path.link_ids
-        rates = waterfill(demands, paths, {lid: self._cap[lid] for lid in seen})
+        while stack:
+            for fid in link_flows.get(stack.pop(), ()):
+                if fid not in demands:
+                    f = active[fid]
+                    demands[fid] = f.demand
+                    paths[fid] = links = f.path.link_ids
+                    for lid in links:
+                        if lid not in caps:
+                            caps[lid] = cap[lid]
+                            stack.append(lid)
+        rates = waterfill(demands, paths, caps)
         for fid, rate in rates.items():
             self._rate[fid] = rate
             active[fid].achieved_rate = rate
 
         rate = self._rate
-        for lid in seen:
+        for lid in caps:
             total = 0.0
             for fid in link_flows.get(lid, ()):
                 total += rate[fid]
@@ -506,9 +585,8 @@ class Engine:
                 self._probe_delay[lid] = traversal_delay(
                     total / self._cap[lid], self.params)
         bis = 0.0
-        for fid in sorted(rate):
-            if self._crosses[fid]:
-                bis += rate[fid]
+        for fid in self._crossing:
+            bis += rate[fid]
         self.bisection_rate = bis
         self.bisection_series.append((self.clock, bis))
 

@@ -159,9 +159,16 @@ def build_topology(config: ExperimentConfig, scheduler: str) -> Topology:
     return build_fat_tree(config.k, config.capacity)
 
 
-def run_one(config: ExperimentConfig, scheduler: str, seed: int) -> Engine:
-    """Run a single seeded simulation and return the finished engine."""
-    topo = build_topology(config, scheduler)
+def run_one(config: ExperimentConfig, scheduler: str, seed: int,
+            topo: Optional[Topology] = None) -> Engine:
+    """Run a single seeded simulation and return the finished engine.
+
+    `topo` is the scheduler's topology from `build_topology`, built here when
+    omitted. Runs can share one: it is never mutated, only its per-pair
+    path lists are filled in on first use.
+    """
+    if topo is None:
+        topo = build_topology(config, scheduler)
     flows = generate_workload(topo, config.workload_spec(seed))
     engine = Engine(topo, config.scheduler_kind(scheduler), flows,
                     horizon=config.duration, params=config.engine_params(),
@@ -372,8 +379,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     reports = []
     for scheduler in config.schedulers:
+        topo = build_topology(config, scheduler)
         for seed in config.seeds:
-            engine = run_one(config, scheduler, seed)
+            engine = run_one(config, scheduler, seed, topo)
             report = run_report(config, scheduler, seed, engine)
             reports.append(report)
             _dump_json(out / "reports" / f"{scheduler}_seed{seed}.json", report)

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from fatflow.cli import config_from_args, main
-from fatflow.experiment import (ConfigError, ExperimentConfig, emit_plot_data,
-                                run_experiment, summarize)
+from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
+                                emit_plot_data, run_experiment, run_one,
+                                run_report, summarize)
+from fatflow.schedulers import SCHEDULER_NAMES
 
 FAST = dict(elephants=6, arrival_rate=2.0, flow_duration=2.0, duration=5.0,
             demand=5e6, seeds=[1, 2])
@@ -60,6 +62,29 @@ def test_bundle_is_bit_identical_across_runs(tmp_path):
     a = run_experiment(fast_config(out_dir=str(tmp_path / "a")))
     b = run_experiment(fast_config(out_dir=str(tmp_path / "b")))
     assert tree_digest(a) == tree_digest(b)
+
+
+def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
+    # run_experiment builds one topology per scheduler; its reports must be
+    # those of runs on a topology of their own, and so must the same runs
+    # made in reverse order on one shared topology
+    cfg = ExperimentConfig(schedulers=list(SCHEDULER_NAMES), seeds=[0, 1, 2],
+                           duration=20.0, out_dir=str(tmp_path / "b"))
+    out = run_experiment(cfg)
+
+    def text(scheduler, seed, topo=None):
+        engine = run_one(cfg, scheduler, seed, topo)
+        report = run_report(cfg, scheduler, seed, engine)
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    for scheduler in cfg.schedulers:
+        shared = build_topology(cfg, scheduler)
+        for seed in reversed(cfg.seeds):
+            path = out / "reports" / f"{scheduler}_seed{seed}.json"
+            written = path.read_text()
+            assert written == text(scheduler, seed)
+            assert written == text(scheduler, seed, shared)
+        assert shared._paths  # later runs read the pair paths of earlier ones
 
 
 def test_cdf_csv_labels_and_rows(tmp_path):

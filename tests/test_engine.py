@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from array import array
 from fractions import Fraction
 
@@ -195,6 +196,105 @@ def test_waterfill_on_a_disjoint_union_equals_per_part_solves(pair):
         array("d", (want[f] for f in sorted(want))).tobytes()
 
 
+# -- waterfill pinned against the dict/set version it replaced ---------------
+
+def reference_waterfill(demands, paths, capacities):
+    """The previous `waterfill`, verbatim: every round rebuilds the share of
+    every link and the sets of unfrozen flows."""
+    rates = {fid: 0.0 for fid in demands}
+    users: dict[int, set[int]] = {}
+    link_members: dict[int, list[int]] = {}
+    for fid in sorted(paths):
+        for lid in paths[fid]:
+            users.setdefault(lid, set()).add(fid)
+            link_members.setdefault(lid, []).append(fid)
+    frozen_sum = {lid: 0.0 for lid in users}
+    unfrozen = {fid for fid, d in demands.items() if d > 0}
+
+    while unfrozen:
+        # each link's fair share of what is left, computed once per round;
+        # `users` only holds links that still carry an unfrozen flow
+        shares = {lid: (capacities[lid] - frozen_sum[lid]) / len(members)
+                  for lid, members in users.items()}
+        level = min(shares.values(), default=None)
+        min_demand = min(demands[fid] for fid in unfrozen)
+        if level is None or min_demand < level:
+            level = min_demand
+        level = max(level, 0.0)
+
+        to_freeze = {fid for fid in unfrozen if demands[fid] <= level}
+        for lid, share in shares.items():
+            if share <= level:
+                to_freeze |= users[lid]
+        for fid in sorted(to_freeze):
+            v = min(level, demands[fid])
+            rates[fid] = v
+            for lid in paths[fid]:
+                frozen_sum[lid] += v
+                members = users.get(lid)
+                if members is not None:
+                    members.discard(fid)
+                    if not members:
+                        del users[lid]
+            unfrozen.discard(fid)
+
+    # repair float overshoot: reductions only ever shrink link sums, so one
+    # pass in link order suffices
+    for lid in sorted(link_members):
+        members = link_members[lid]
+        s = sum(rates[fid] for fid in members)
+        if s > capacities[lid]:
+            worst = max(members, key=lambda fid: (rates[fid], fid))
+            rates[worst] = max(0.0, rates[worst] - (s - capacities[lid]))
+    return rates
+
+
+def reference_instance(rng):
+    """Up to 30 links and 40 flows, ids in no particular order. Demands come
+    from a few levels, 0 among them, so several flows freeze on one level;
+    capacities go below demands; some paths are empty or list a link twice."""
+    nlinks = rng.randint(1, 30)
+    caps = {l: rng.choice((1e6, 2.5e6, 5e6, 10e6, rng.uniform(1e5, 2e7)))
+            for l in range(nlinks)}
+    levels = [0.0] + [rng.choice((0.5e6, 1e6, 3e6, 10e6, 20e6,
+                                  rng.uniform(1e3, 3e7)))
+                      for _ in range(rng.randint(1, 4))]
+    demands, paths = {}, {}
+    for fid in rng.sample(range(1000), rng.randint(0, 40)):
+        demands[fid] = rng.choice(levels)
+        path = rng.sample(range(nlinks), rng.randint(0, min(6, nlinks)))
+        if path and rng.random() < 0.1:
+            path.insert(rng.randrange(len(path) + 1), rng.choice(path))
+        paths[fid] = tuple(path)
+    return demands, paths, caps
+
+
+# from Python 3.12 on, sum() of floats is compensated, so the reference's
+# repair pass no longer sums left to right
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="sum() of floats is compensated from Python 3.12")
+def test_waterfill_is_bitwise_the_reference():
+    rng = random.Random(5)
+    seen = dict.fromkeys(("zero demand", "empty path", "repeated link",
+                          "shared level", "demand above capacity"), 0)
+    for _ in range(5000):
+        demands, paths, caps = reference_instance(rng)
+        want = reference_waterfill(demands, paths, caps)
+        got = waterfill(demands, paths, caps)
+        assert list(got) == list(want)
+        assert array("d", got.values()).tobytes() == \
+            array("d", want.values()).tobytes()
+        positive = [d for d in demands.values() if d > 0]
+        seen["zero demand"] += 0.0 in demands.values()
+        seen["empty path"] += () in paths.values()
+        seen["repeated link"] += any(len(set(p)) < len(p)
+                                     for p in paths.values())
+        seen["shared level"] += len(set(positive)) < len(positive)
+        seen["demand above capacity"] += any(
+            demands[f] > caps[l] for f, p in paths.items() for l in p)
+    assert min(seen.values()) >= 100, seen
+
+
 # -- probe model --------------------------------------------------------------
 
 def test_loss_probability():
@@ -277,6 +377,38 @@ def test_unknown_departure_raises():
     eng._push(0.5, "departure", 99)
     with pytest.raises(EngineError, match="unknown flow id 99"):
         eng.step()
+
+
+def test_engine_rejects_repeated_flow_id():
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), elephant(0, topo, start=1.0, src=1)]
+    with pytest.raises(EngineError, match="^flow 0: id repeats"):
+        run_engine(flows, topo=topo)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_engine_rejects_bad_start_time(value):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), elephant(1, topo, start=value)]
+    with pytest.raises(EngineError, match="^flow 1: start_time must be"):
+        run_engine(flows, topo=topo)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e6])
+def test_engine_rejects_bad_demand(value):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), elephant(1, topo, demand=value)]
+    with pytest.raises(EngineError, match="^flow 1: demand must be finite"):
+        run_engine(flows, topo=topo)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_engine_rejects_bad_duration(value):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo, duration=0.0),
+             elephant(1, topo, duration=value)]
+    with pytest.raises(EngineError, match="^flow 1: duration must be none"):
+        run_engine(flows, topo=topo)
 
 
 def test_replay_is_deterministic():
@@ -644,6 +776,9 @@ RESOLVE_CONFIGS = {
     "churn": {"elephants": 100, "arrival_rate": 50.0, "flow_duration": 0.8,
               "duration": 6.0},
     "k8": {"k": 8, "elephants": 48, "arrival_rate": 32.0, "duration": 10.0},
+    # re-solves of 35 flows on average, up to 56: criterion 6's size
+    "large": {"elephants": 200, "arrival_rate": 50.0, "flow_duration": 1.5,
+              "duration": 4.0, "probe_interval": None},
 }
 
 
