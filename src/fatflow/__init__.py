@@ -3,7 +3,7 @@
 from .engine import Engine, EngineParams, ProbeResult, waterfill
 from .experiment import ExperimentConfig, run_experiment, run_one
 from .schedulers import SchedulerDecision, SchedulerKind
-from .topology import (Link, NodeId, Path, Tier, Topology, build_fat_tree,
+from .topology import (Link, NodeId, Path, Topology, build_fat_tree,
                        build_nonblocking)
 from .traffic import Flow, WorkloadSpec, generate_workload, probe_schedule
 
@@ -11,7 +11,7 @@ __all__ = [
     "Engine", "EngineParams", "ProbeResult", "waterfill",
     "ExperimentConfig", "run_experiment", "run_one",
     "SchedulerDecision", "SchedulerKind",
-    "Link", "NodeId", "Path", "Tier", "Topology",
+    "Link", "NodeId", "Path", "Topology",
     "build_fat_tree", "build_nonblocking",
     "Flow", "WorkloadSpec", "generate_workload", "probe_schedule",
 ]

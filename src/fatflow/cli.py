@@ -5,10 +5,19 @@ Usage:
             [--scheduler hybrid --scheduler ecmp ...] [--seed 0 --seed 1 ...]
             [--duration 30] [--pattern random_bisection] [--out DIR] ...
 
+Every `ExperimentConfig` field has one flag and one config-file key, both
+derived from the field (see `fatflow --help`):
+
+    --k  --capacity  --scheduler  --seed  --duration  --poll-interval
+    --detection-threshold  --alpha  --elephant-threshold  --pattern
+    --elephants  --arrival-rate  --flow-duration  --demand  --probe-interval
+    --base-hop-latency  --queuing-scale  --rho-cap  --out  --events
+
 The config file is flat `key = value` text (comma-separated lists, `none`
-for optional values, `#` comments); command-line flags override file keys,
-and the FATFLOW_OUT environment variable overrides the configured output
-directory unless --out is given explicitly.
+for optional values, `#` comments); keys are the flag names with
+underscores, except the plural `schedulers` and `seeds` lists. Command-line
+flags override file keys, and the FATFLOW_OUT environment variable
+overrides the configured output directory unless --out is given explicitly.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -16,10 +25,12 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .experiment import ConfigError, ExperimentConfig, run_experiment
 
@@ -32,70 +43,80 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(name: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
 
 
-def _parse_optional_float(key: str, raw: str) -> Optional[float]:
+def _parse_optional_float(name: str, raw: str) -> Optional[float]:
     if raw.strip().lower() in ("none", ""):
         return None
-    return _parse_float(key, raw)
+    return _parse_float(name, raw)
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(name: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{name}: expected an integer, got {raw!r}") from None
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(name: str, raw: str) -> bool:
     v = raw.strip().lower()
     if v in ("true", "yes", "1", "on"):
         return True
     if v in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
 
 
-_FILE_KEYS = {
-    "k": lambda c, v: setattr(c, "k", _parse_int("k", v)),
-    "capacity": lambda c, v: setattr(c, "capacity", _parse_float("capacity", v)),
-    "schedulers": lambda c, v: setattr(
-        c, "schedulers", [s.strip() for s in v.split(",") if s.strip()]),
-    "seeds": lambda c, v: setattr(
-        c, "seeds", [_parse_int("seeds", s) for s in v.split(",") if s.strip()]),
-    "duration": lambda c, v: setattr(c, "duration", _parse_float("duration", v)),
-    "poll_interval": lambda c, v: setattr(
-        c, "poll_interval", _parse_float("poll_interval", v)),
-    "detection_threshold": lambda c, v: setattr(
-        c, "detection_threshold", _parse_float("detection_threshold", v)),
-    "alpha": lambda c, v: setattr(c, "alpha", _parse_float("alpha", v)),
-    "elephant_threshold": lambda c, v: setattr(
-        c, "elephant_threshold", _parse_float("elephant_threshold", v)),
-    "pattern": lambda c, v: setattr(c, "pattern", v.strip()),
-    "elephants": lambda c, v: setattr(c, "elephants", _parse_int("elephants", v)),
-    "arrival_rate": lambda c, v: setattr(
-        c, "arrival_rate", _parse_float("arrival_rate", v)),
-    "flow_duration": lambda c, v: setattr(
-        c, "flow_duration", _parse_optional_float("flow_duration", v)),
-    "demand": lambda c, v: setattr(c, "demand", _parse_optional_float("demand", v)),
-    "probe_interval": lambda c, v: setattr(
-        c, "probe_interval", _parse_optional_float("probe_interval", v)),
-    "base_hop_latency": lambda c, v: setattr(
-        c, "base_hop_latency", _parse_float("base_hop_latency", v)),
-    "queuing_scale": lambda c, v: setattr(
-        c, "queuing_scale", _parse_float("queuing_scale", v)),
-    "rho_cap": lambda c, v: setattr(c, "rho_cap", _parse_float("rho_cap", v)),
-    "out": lambda c, v: setattr(c, "out_dir", v.strip()),
-    "events": lambda c, v: setattr(c, "write_events", _parse_bool("events", v)),
-}
+def _parse_str(name: str, raw: str) -> str:
+    return raw.strip()
+
+
+# a field's declared type (of a list field: its item type) -> its parser
+_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool,
+            str: _parse_str, Optional[float]: _parse_optional_float}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Setting:
+    """How one `ExperimentConfig` field is read from the file and the flags."""
+
+    name: str
+    key: str
+    flag: str
+    help: str
+    parse: Callable[[str, str], Any]  # (field name, raw text) -> one value
+    repeat: bool  # a list: comma-separated in the file, a repeated flag
+
+    def value(self, raws: list[str]):
+        items = [self.parse(self.name, raw) for raw in raws]
+        return items if self.repeat else items[0]
+
+
+def _settings() -> list[_Setting]:
+    types = typing.get_type_hints(ExperimentConfig)
+    settings = []
+    for f in dataclasses.fields(ExperimentConfig):
+        tp = types[f.name]
+        repeat = typing.get_origin(tp) is list
+        key = f.metadata.get("key", f.name)
+        flag = "--" + f.metadata.get("flag", key).replace("_", "-")
+        rule = f.metadata["rule"]
+        doc = f.metadata["help"] + (f"; must be {rule.text}" if rule else "")
+        parse = _PARSERS[typing.get_args(tp)[0] if repeat else tp]
+        settings.append(_Setting(f.name, key, flag, doc, parse, repeat))
+    return settings
+
+
+_SETTINGS = _settings()
 
 
 def load_config_file(path: str, config: ExperimentConfig) -> None:
+    by_key = {s.key: s for s in _SETTINGS}
     text = Path(path).read_text()
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -104,44 +125,28 @@ def load_config_file(path: str, config: ExperimentConfig) -> None:
         if "=" not in line:
             raise ConfigError(f"{path}:{n}: expected `key = value`, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _FILE_KEYS:
-            raise ConfigError(f"{path}:{n}: unknown key {key!r}")
-        _FILE_KEYS[key](config, value.strip())
+        setting = by_key.get(key.strip())
+        if setting is None:
+            raise ConfigError(f"{path}:{n}: unknown key {key.strip()!r}")
+        raws = ([v for v in value.split(",") if v.strip()] if setting.repeat
+                else [value])
+        setattr(config, setting.name, setting.value(raws))
 
 
 def build_arg_parser() -> _Parser:
     p = _Parser(prog="fatflow",
                 description="Run seeded fat-tree scheduling experiments.")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--k", type=str, help="switch port count (even, >= 2)")
-    p.add_argument("--capacity", type=str, help="link capacity in bits/s")
-    p.add_argument("--scheduler", action="append", dest="schedulers",
-                   metavar="NAME",
-                   help="scheduler to run; repeatable "
-                        "(ecmp|hybrid|hybrid-scalar|hedera|hedera-gff|nonblocking)")
-    p.add_argument("--seed", action="append", dest="seeds", metavar="N",
-                   help="run seed; repeatable")
-    p.add_argument("--duration", type=str, help="simulated seconds per run")
-    p.add_argument("--alpha", type=str,
-                   help="scalarized controller trade-off (Mb/s per elephant)")
-    p.add_argument("--elephant-threshold", type=str,
-                   help="Hedera large-flow cutoff as a fraction of capacity "
-                        "(hedera: declared demand; hedera-gff: measured rate)")
-    p.add_argument("--detection-threshold", type=str,
-                   help="elephant classification rate in bits/s")
-    p.add_argument("--poll-interval", type=str, help="stats poll period, seconds")
-    p.add_argument("--pattern", type=str,
-                   help="random_bisection|random_permutation|stride")
-    p.add_argument("--elephants", type=str, help="elephant flows per run")
-    p.add_argument("--arrival-rate", type=str, help="flow arrivals per second")
-    p.add_argument("--flow-duration", type=str,
-                   help="per-flow lifetime in seconds, or `none` for open-ended")
-    p.add_argument("--probe-interval", type=str,
-                   help="mice probe period in seconds, or `none` to disable mice")
-    p.add_argument("--out", type=str, help="output bundle directory")
-    p.add_argument("--events", action="store_true",
-                   help="also write per-run event logs (JSONL)")
+    for s in _SETTINGS:
+        if s.repeat:
+            options = {"action": "append"}
+        elif s.parse is _parse_bool:
+            # a bare flag turns it on; a value may turn it off again
+            options = {"nargs": "?", "const": "true"}
+        else:
+            options = {}
+        p.add_argument(s.flag, dest=s.name, metavar=s.flag[2:].upper(),
+                       help=s.help, **options)
     return p
 
 
@@ -156,44 +161,10 @@ def config_from_args(argv: list[str], env: Optional[dict] = None) -> ExperimentC
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
     if ENV_OUT in env:
         config.out_dir = env[ENV_OUT]
-
-    if args.k is not None:
-        config.k = _parse_int("k", args.k)
-    if args.capacity is not None:
-        config.capacity = _parse_float("capacity", args.capacity)
-    if args.schedulers:
-        config.schedulers = args.schedulers
-    if args.seeds:
-        config.seeds = [_parse_int("seed", s) for s in args.seeds]
-    if args.duration is not None:
-        config.duration = _parse_float("duration", args.duration)
-    if args.alpha is not None:
-        config.alpha = _parse_float("alpha", args.alpha)
-    if args.elephant_threshold is not None:
-        config.elephant_threshold = _parse_float(
-            "elephant_threshold", args.elephant_threshold)
-    if args.detection_threshold is not None:
-        config.detection_threshold = _parse_float(
-            "detection_threshold", args.detection_threshold)
-    if args.poll_interval is not None:
-        config.poll_interval = _parse_float("poll_interval", args.poll_interval)
-    if args.pattern is not None:
-        config.pattern = args.pattern
-    if args.elephants is not None:
-        config.elephants = _parse_int("elephants", args.elephants)
-    if args.arrival_rate is not None:
-        config.arrival_rate = _parse_float("arrival_rate", args.arrival_rate)
-    if args.flow_duration is not None:
-        config.flow_duration = _parse_optional_float(
-            "flow_duration", args.flow_duration)
-    if args.probe_interval is not None:
-        config.probe_interval = _parse_optional_float(
-            "probe_interval", args.probe_interval)
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.events:
-        config.write_events = True
-
+    for s in _SETTINGS:
+        raw = getattr(args, s.name)
+        if raw is not None:
+            setattr(config, s.name, s.value(raw if s.repeat else [raw]))
     config.validate()
     return config
 

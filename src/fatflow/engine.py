@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
                          hedera_period_polls, hedera_schedule)
 from .topology import LinkKind, Path, Topology
@@ -46,18 +47,12 @@ class EngineParams:
     rho_cap: float = 0.99  # keeps the queuing term finite at saturation
 
     def __post_init__(self) -> None:
-        checks = (
-            ("poll_interval", self.poll_interval > 0, "> 0"),
-            ("detection_threshold", self.detection_threshold > 0, "> 0"),
-            ("base_hop_latency", self.base_hop_latency >= 0, ">= 0"),
-            ("queuing_scale", self.queuing_scale >= 0, ">= 0"),
-            ("rho_cap", 0 < self.rho_cap < 1, "in (0, 1)"),
-        )
-        for name, ok, bound in checks:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and ok):
-                raise EngineError(
-                    f"{name} must be finite and {bound}, got {value!r}")
+        for name, rule in (("poll_interval", POSITIVE),
+                           ("detection_threshold", POSITIVE),
+                           ("base_hop_latency", NON_NEGATIVE),
+                           ("queuing_scale", NON_NEGATIVE),
+                           ("rho_cap", OPEN_FRACTION)):
+            rule.check(name, getattr(self, name), EngineError)
 
 
 @dataclass(frozen=True)
@@ -133,6 +128,10 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
                 to_freeze += members[lid]
         to_freeze = set(to_freeze)
         to_freeze -= frozen
+        if not to_freeze:
+            # a NaN level (a NaN capacity makes one) freezes nothing: stop
+            # here instead of looping forever
+            raise EngineError(f"waterfill: no flow freezes at level {level!r}")
         frozen |= to_freeze
 
         touched = set()
@@ -199,20 +198,15 @@ def traversal_delay(rho: float, params: EngineParams) -> float:
 def _check_flows(flows: Sequence[Flow]) -> None:
     """Raise EngineError, naming the flow and the field, on unusable input."""
     ids: set[int] = set()
+    duration_rule = NON_NEGATIVE.or_none()
     for f in flows:
         if f.id in ids:
             raise EngineError(f"flow {f.id}: id repeats")
         ids.add(f.id)
-        if not (math.isfinite(f.start_time) and f.start_time >= 0):
-            raise EngineError(f"flow {f.id}: start_time must be finite and "
-                              f">= 0, got {f.start_time!r}")
-        if not (math.isfinite(f.demand) and f.demand > 0):
-            raise EngineError(f"flow {f.id}: demand must be finite and > 0, "
-                              f"got {f.demand!r}")
-        if f.duration is not None and not (
-                math.isfinite(f.duration) and f.duration >= 0):
-            raise EngineError(f"flow {f.id}: duration must be none or finite "
-                              f"and >= 0, got {f.duration!r}")
+        NON_NEGATIVE.check(f"flow {f.id}: start_time", f.start_time,
+                           EngineError)
+        POSITIVE.check(f"flow {f.id}: demand", f.demand, EngineError)
+        duration_rule.check(f"flow {f.id}: duration", f.duration, EngineError)
 
 
 class Engine:
@@ -222,8 +216,7 @@ class Engine:
                  flows: list[Flow], horizon: float,
                  params: EngineParams = EngineParams(), seed: int = 0,
                  probe_interval: Optional[float] = None):
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise EngineError(f"horizon must be finite and > 0, got {horizon!r}")
+        POSITIVE.check("horizon", horizon, EngineError)
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon

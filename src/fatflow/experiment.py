@@ -25,10 +25,12 @@ import numpy as np
 
 from . import metrics
 from .engine import Engine, EngineParams
+from .rules import (COUNT, EVEN_K, FRACTION, NON_EMPTY, NON_NEGATIVE,
+                    OPEN_FRACTION, POSITIVE, Rule)
 from .schedulers import (ECMP, HYBRID, NONBLOCKING, SCHEDULER_NAMES,
                          SchedulerKind)
 from .topology import Topology, build_fat_tree, build_nonblocking
-from .traffic import WorkloadError, WorkloadSpec, generate_workload
+from .traffic import PATTERNS, WorkloadError, WorkloadSpec, generate_workload
 
 SCHEMA_VERSION = 1
 
@@ -37,92 +39,82 @@ class ConfigError(ValueError):
     pass
 
 
+def _setting(default, doc: str, rule: Optional[Rule] = None, **names):
+    """One config field: its default (a callable makes it a factory), help
+    text, the rule its value must satisfy, and its file `key` and `flag`
+    where those differ from the field name. `cli` reads these."""
+    kind = "default_factory" if callable(default) else "default"
+    return field(**{kind: default}, metadata=dict(help=doc, rule=rule, **names))
+
+
 @dataclass
 class ExperimentConfig:
     """Benchmark defaults: a k=4 fat-tree with 10 Mb/s links carrying 28
     open-ended cross-bisection elephants at 0.55x link capacity each, with a
     mice probe stream alongside every elephant."""
 
-    k: int = 4
-    capacity: float = 10e6  # bits/second per link
-    schedulers: list[str] = field(default_factory=lambda: [HYBRID, ECMP])
-    seeds: list[int] = field(default_factory=lambda: list(range(20)))
-    duration: float = 40.0  # simulated seconds per run
-    poll_interval: float = 1.0
-    detection_threshold: float = 50_000.0  # bits/s for elephant classification
-    alpha: float = 1.0  # scalarized controller trade-off (Mb/s per elephant)
-    elephant_threshold: float = 0.1  # Hedera demand cutoff, fraction of capacity
-    pattern: str = "random_bisection"
-    elephants: int = 28
-    arrival_rate: float = 2.0  # flows/second
-    flow_duration: Optional[float] = None  # None = until the horizon
-    demand: Optional[float] = 5.5e6  # None = link capacity
-    probe_interval: Optional[float] = 1.0  # None = no mice streams
-    base_hop_latency: float = 50e-6
-    queuing_scale: float = 500e-6
-    rho_cap: float = 0.99
-    out_dir: str = "results"
-    write_events: bool = False
+    k: int = _setting(4, "switch port count", EVEN_K)
+    capacity: float = _setting(10e6, "link capacity in bits/s", POSITIVE)
+    schedulers: list[str] = _setting(
+        lambda: [HYBRID, ECMP],
+        "scheduler to run; repeatable (" + "|".join(SCHEDULER_NAMES) + ")",
+        flag="scheduler")
+    seeds: list[int] = _setting(lambda: list(range(20)), "run seed; repeatable",
+                                flag="seed")
+    duration: float = _setting(40.0, "simulated seconds per run", POSITIVE)
+    poll_interval: float = _setting(
+        1.0, "stats poll period in seconds, at most the duration", POSITIVE)
+    detection_threshold: float = _setting(
+        50_000.0, "elephant classification rate in bits/s", POSITIVE)
+    alpha: float = _setting(
+        1.0, "hybrid-scalar controller trade-off, Mb/s per elephant",
+        NON_NEGATIVE)
+    elephant_threshold: float = _setting(
+        0.1, "Hedera large-flow cutoff as a fraction of capacity "
+             "(hedera: declared demand; hedera-gff: measured rate)", FRACTION)
+    pattern: str = _setting("random_bisection", "|".join(PATTERNS))
+    elephants: int = _setting(28, "elephant flows per run", COUNT)
+    arrival_rate: float = _setting(2.0, "flow arrivals per second", POSITIVE)
+    flow_duration: Optional[float] = _setting(
+        None, "per-flow lifetime in seconds, or `none` until the horizon",
+        NON_NEGATIVE.or_none())
+    demand: Optional[float] = _setting(
+        5.5e6, "elephant demand in bits/s, or `none` for the link capacity",
+        POSITIVE.or_none())
+    probe_interval: Optional[float] = _setting(
+        1.0, "mice probe period in seconds, or `none` for no mice",
+        POSITIVE.or_none())
+    base_hop_latency: float = _setting(
+        50e-6, "seconds per link traversal", NON_NEGATIVE)
+    queuing_scale: float = _setting(
+        500e-6, "seconds, scales the rho/(1-rho) queuing term", NON_NEGATIVE)
+    rho_cap: float = _setting(
+        0.99, "utilization cap that keeps the queuing term finite",
+        OPEN_FRACTION)
+    out_dir: str = _setting("results", "output bundle directory", NON_EMPTY,
+                            key="out")
+    write_events: bool = _setting(
+        False, "also write per-run event logs (JSONL)", key="events")
 
     def validate(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2 or self.k % 2:
-            raise ConfigError(f"k: must be an even integer >= 2, got {self.k!r}")
-        if not (math.isfinite(self.capacity) and self.capacity > 0):
-            raise ConfigError(
-                f"capacity: must be finite and > 0, got {self.capacity!r}")
-        if not self.schedulers:
-            raise ConfigError("schedulers: need at least one")
+        for f in dataclasses.fields(self):
+            rule = f.metadata["rule"]
+            if rule is not None:
+                rule.check(f"{f.name}:", getattr(self, f.name), ConfigError)
+        # the rules that span fields or list items
+        if self.poll_interval > self.duration:
+            raise ConfigError("poll_interval: must be at most duration, got "
+                              f"{self.poll_interval!r}")
+        for name, items in (("schedulers", self.schedulers),
+                            ("seeds", self.seeds)):
+            if not items:
+                raise ConfigError(f"{name}: need at least one")
+            if len(set(items)) != len(items):
+                raise ConfigError(f"{name}: duplicates not allowed")
         for s in self.schedulers:
             if s not in SCHEDULER_NAMES:
                 raise ConfigError(
                     f"schedulers: unknown {s!r}, expected one of {SCHEDULER_NAMES}")
-        if len(set(self.schedulers)) != len(self.schedulers):
-            raise ConfigError("schedulers: duplicates not allowed")
-        if not self.seeds:
-            raise ConfigError("seeds: need at least one")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds: duplicates not allowed")
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ConfigError(
-                f"duration: must be finite and > 0, got {self.duration!r}")
-        if not (0 < self.poll_interval <= self.duration):
-            raise ConfigError(
-                "poll_interval: must be in (0, duration], got "
-                f"{self.poll_interval!r}")
-        if not (math.isfinite(self.detection_threshold)
-                and self.detection_threshold > 0):
-            raise ConfigError(
-                "detection_threshold: must be finite and > 0, got "
-                f"{self.detection_threshold!r}")
-        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
-            raise ConfigError(f"alpha: must be finite and >= 0, got {self.alpha!r}")
-        if not (0 < self.elephant_threshold <= 1):
-            raise ConfigError(
-                f"elephant_threshold: must be in (0, 1], got "
-                f"{self.elephant_threshold!r}")
-        if self.elephants < 0:
-            raise ConfigError(f"elephants: must be >= 0, got {self.elephants!r}")
-        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
-            raise ConfigError(
-                f"arrival_rate: must be finite and > 0, got {self.arrival_rate!r}")
-        if self.flow_duration is not None and not (
-                math.isfinite(self.flow_duration) and self.flow_duration >= 0):
-            raise ConfigError("flow_duration: must be finite and >= 0 or none, "
-                              f"got {self.flow_duration!r}")
-        if self.demand is not None and not (
-                math.isfinite(self.demand) and self.demand > 0):
-            raise ConfigError(
-                f"demand: must be finite and > 0, got {self.demand!r}")
-        if self.probe_interval is not None and not (
-                math.isfinite(self.probe_interval) and self.probe_interval > 0):
-            raise ConfigError("probe_interval: must be finite and > 0 or none, "
-                              f"got {self.probe_interval!r}")
-        for name in ("base_hop_latency", "queuing_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
-        if not (0 < self.rho_cap < 1):
-            raise ConfigError(f"rho_cap: must be in (0, 1), got {self.rho_cap!r}")
         try:
             WorkloadSpec(pattern=self.pattern).validate()
         except WorkloadError as exc:
@@ -303,25 +295,23 @@ def summarize(reports: list[dict]) -> dict:
     }
 
 
-def emit_plot_data(bundle_dir: Path) -> list[Path]:
-    """Write the four plot-ready CSVs from a completed bundle's reports."""
-    bundle_dir = Path(bundle_dir)
-    report_paths = sorted((bundle_dir / "reports").glob("*.json"))
-    if not report_paths:
-        raise RuntimeError(f"incomplete bundle: no reports under {bundle_dir}")
-    reports = [json.loads(p.read_text()) for p in report_paths]
-    summary = summarize(reports)
-
-    plots = bundle_dir / "plots"
+def emit_plot_data(bundle_dir: Path, reports: list[dict],
+                   summary: dict) -> list[Path]:
+    """Write the four plot-ready CSVs from a bundle's reports and the
+    summary `summarize` made of them."""
+    plots = Path(bundle_dir) / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     written = []
+
+    def emit(name: str, lines: list[str]) -> None:
+        p = plots / name
+        _write_atomic(p, "\n".join(lines) + "\n")
+        written.append(p)
 
     lines = ["scheduler,bisection_mean_bps"]
     for name, row in sorted(summary["per_scheduler"].items()):
         lines.append(f"{name},{row['bisection_mean_bps']!r}")
-    p = plots / "bisection_means.csv"
-    _write_atomic(p, "\n".join(lines) + "\n")
-    written.append(p)
+    emit("bisection_means.csv", lines)
 
     lines = [
         "# one row per monitored unidirectional link, per-link utilization "
@@ -329,36 +319,23 @@ def emit_plot_data(bundle_dir: Path) -> list[Path]:
         "both directions, star runs cover access links",
         "scheduler,utilization,cumulative_fraction",
     ]
-    by_sched: dict[str, list[dict]] = {}
-    for r in reports:
-        by_sched.setdefault(r["scheduler"], []).append(r)
-    for name, runs in sorted(by_sched.items()):
-        vectors = [r["link_utilization_mean"] for r in runs
-                   if r["link_utilization_mean"] is not None]
-        if not vectors:
-            continue
-        for u, f in metrics.utilization_cdf(vectors):
-            lines.append(f"{name},{u!r},{f!r}")
-    p = plots / "utilization_cdf.csv"
-    _write_atomic(p, "\n".join(lines) + "\n")
-    written.append(p)
+    for name in sorted(summary["per_scheduler"]):
+        vectors = [r["link_utilization_mean"] for r in reports
+                   if r["scheduler"] == name
+                   and r["link_utilization_mean"] is not None]
+        if vectors:
+            for u, f in metrics.utilization_cdf(vectors):
+                lines.append(f"{name},{u!r},{f!r}")
+    emit("utilization_cdf.csv", lines)
 
-    lines = ["scheduler,seed,loss"]
-    for r in sorted(reports, key=lambda r: (r["scheduler"], r["seed"])):
-        if r["mice"]["loss"] is not None:
-            lines.append(f"{r['scheduler']},{r['seed']},{r['mice']['loss']!r}")
-    p = plots / "mice_loss.csv"
-    _write_atomic(p, "\n".join(lines) + "\n")
-    written.append(p)
-
-    lines = ["scheduler,seed,rtt_mean_deviation_s"]
-    for r in sorted(reports, key=lambda r: (r["scheduler"], r["seed"])):
-        dev = r["mice"]["rtt_mean_deviation_s"]
-        if dev is not None:
-            lines.append(f"{r['scheduler']},{r['seed']},{dev!r}")
-    p = plots / "rtt_deviation.csv"
-    _write_atomic(p, "\n".join(lines) + "\n")
-    written.append(p)
+    runs = sorted(reports, key=lambda r: (r["scheduler"], r["seed"]))
+    for name, key in (("mice_loss.csv", "loss"),
+                      ("rtt_deviation.csv", "rtt_mean_deviation_s")):
+        lines = [f"scheduler,seed,{key}"]
+        for r in runs:
+            if r["mice"][key] is not None:
+                lines.append(f"{r['scheduler']},{r['seed']},{r['mice'][key]!r}")
+        emit(name, lines)
     return written
 
 
@@ -391,6 +368,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 _write_atomic(out / "events" / f"{scheduler}_seed{seed}.jsonl",
                               "\n".join(lines) + "\n")
 
-    _dump_json(out / "summary.json", summarize(reports))
-    emit_plot_data(out)
+    summary = summarize(reports)
+    _dump_json(out / "summary.json", summary)
+    emit_plot_data(out, reports, summary)
     return out

@@ -13,6 +13,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .engine import ProbeResult
+from .rules import POSITIVE
 from .topology import Topology
 
 
@@ -88,16 +89,6 @@ def load_balance_efficiency(topo: Topology, link_loads: Mapping[int, float]) -> 
     return min(1.0, max(0.0, eff))
 
 
-def bisection_series_from_events(event_log: Sequence[dict]) -> list[tuple[float, float]]:
-    """Recover the cross-bisection throughput step series from an engine
-    event log (arrival/departure records carry the post-event rate)."""
-    series = [(0.0, 0.0)]
-    for rec in event_log:
-        if "bisection_rate" in rec:
-            series.append((rec["t"], rec["bisection_rate"]))
-    return series
-
-
 def bisection_bandwidth(series: Sequence[tuple[float, float]],
                         horizon: float) -> tuple[list[tuple[float, float]], float]:
     """Time-weighted mean of the cross-bisection throughput step series.
@@ -105,8 +96,7 @@ def bisection_bandwidth(series: Sequence[tuple[float, float]],
     `series` holds (time, rate) points as emitted by the engine; the last
     value is held until the horizon.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    POSITIVE.check("horizon", horizon, ValueError)
     points = list(series)
     if any(t1 < t0 for (t0, _), (t1, _) in zip(points, points[1:])):
         raise ValueError("series times must be nondecreasing")

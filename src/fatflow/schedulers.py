@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Optional, Sequence
 
+from .rules import FRACTION, NON_NEGATIVE
 from .topology import NodeId, Path, Topology
 from .traffic import Flow
 
@@ -58,12 +59,8 @@ class SchedulerKind:
     def __post_init__(self) -> None:
         if self.name not in SCHEDULER_NAMES:
             raise SchedulerError(f"unknown scheduler {self.name!r}")
-        if not (self.alpha >= 0.0 and self.alpha == self.alpha and
-                self.alpha != float("inf")):
-            raise SchedulerError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not (0.0 < self.hedera_fraction <= 1.0):
-            raise SchedulerError(
-                f"hedera_fraction must be in (0, 1], got {self.hedera_fraction!r}")
+        NON_NEGATIVE.check("alpha", self.alpha, SchedulerError)
+        FRACTION.check("hedera_fraction", self.hedera_fraction, SchedulerError)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .rules import EVEN_K, POSITIVE
 
-class Tier(Enum):
-    HOST = "host"
-    EDGE = "edge"
-    AGG = "agg"
-    CORE = "core"
+# NodeId tiers
+HOST = "host"
+EDGE = "edge"
+AGG = "agg"
+CORE = "core"
 
 
 class LinkKind(Enum):
@@ -40,7 +41,7 @@ class NodeId:
     topology also carries no pod.
     """
 
-    tier: str  # one of Tier values; plain str keeps ordering/hashing cheap
+    tier: str  # HOST, EDGE, AGG or CORE
     pod: Optional[int]
     index: int
 
@@ -123,10 +124,10 @@ class Topology:
         self.nodes = tuple(nodes)
         self.links = tuple(links)
 
-        self.hosts = tuple(n for n in self.nodes if n.tier == Tier.HOST.value)
-        self.edge_switches = tuple(n for n in self.nodes if n.tier == Tier.EDGE.value)
-        self.agg_switches = tuple(n for n in self.nodes if n.tier == Tier.AGG.value)
-        self.core_switches = tuple(n for n in self.nodes if n.tier == Tier.CORE.value)
+        self.hosts = tuple(n for n in self.nodes if n.tier == HOST)
+        self.edge_switches = tuple(n for n in self.nodes if n.tier == EDGE)
+        self.agg_switches = tuple(n for n in self.nodes if n.tier == AGG)
+        self.core_switches = tuple(n for n in self.nodes if n.tier == CORE)
         self.switches = self.edge_switches + self.agg_switches + self.core_switches
 
         self._link_by_pair = {(l.src, l.dst): l for l in self.links}
@@ -162,7 +163,7 @@ class Topology:
 
         degree: dict[NodeId, int] = {}
         for l in self.links:
-            if l.src.tier != Tier.HOST.value:
+            if l.src.tier != HOST:
                 degree[l.src] = degree.get(l.src, 0) + 1
         self.ports_per_switch = degree
         self.total_switch_ports = sum(degree.values())
@@ -184,7 +185,7 @@ class Topology:
             raise TopologyError(f"unknown host {host!r}")
         if self.layout == "star":
             return self.edge_switches[0]
-        return NodeId(Tier.EDGE.value, host.pod, host.index // (self.k // 2))
+        return NodeId(EDGE, host.pod, host.index // (self.k // 2))
 
     def equal_cost_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
         """All shortest paths from host `src` to host `dst`, canonically ordered.
@@ -217,16 +218,16 @@ class Topology:
         if src.pod == dst.pod:
             # one path per aggregate switch of the pod
             for j in range(half):
-                agg = NodeId(Tier.AGG.value, src.pod, j)
+                agg = NodeId(AGG, src.pod, j)
                 hops = (first, self.link(e_src, agg), self.link(agg, e_dst), last)
                 paths.append(Path(hops, j, None))
         else:
             # one path per core switch; core c attaches to aggregate c // half
             for c in range(half * half):
                 j = c // half
-                agg_s = NodeId(Tier.AGG.value, src.pod, j)
-                agg_d = NodeId(Tier.AGG.value, dst.pod, j)
-                core = NodeId(Tier.CORE.value, None, c)
+                agg_s = NodeId(AGG, src.pod, j)
+                agg_d = NodeId(AGG, dst.pod, j)
+                core = NodeId(CORE, None, c)
                 hops = (
                     first,
                     self.link(e_src, agg_s),
@@ -249,24 +250,22 @@ class Topology:
         return self._agg_inlinks.get(agg, ())
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 2 or k % 2 != 0:
-        raise TopologyError(f"k must be an even integer >= 2, got {k!r}")
+def _check_args(k: int, link_capacity: float) -> None:
+    EVEN_K.check("k", k, TopologyError)
+    POSITIVE.check("link_capacity", link_capacity, TopologyError)
 
 
 def build_fat_tree(k: int, link_capacity: float) -> Topology:
     """Build a k-ary fat-tree: (k/2)^2 cores, k pods of k/2 edge and k/2
     aggregate switches, k/2 hosts per edge switch, every link at
     `link_capacity` bits/second in each direction."""
-    _check_k(k)
-    if link_capacity <= 0:
-        raise TopologyError(f"link_capacity must be > 0, got {link_capacity!r}")
+    _check_args(k, link_capacity)
 
     half = k // 2
     nodes: list[NodeId] = []
     links: list[Link] = []
 
-    cores = [NodeId(Tier.CORE.value, None, c) for c in range(half * half)]
+    cores = [NodeId(CORE, None, c) for c in range(half * half)]
     nodes.extend(cores)
 
     def add_pair(a: NodeId, b: NodeId, kind: LinkKind) -> None:
@@ -275,13 +274,13 @@ def build_fat_tree(k: int, link_capacity: float) -> Topology:
         links.append(Link(len(links), b, a, link_capacity, kind, False))
 
     for pod in range(k):
-        edges = [NodeId(Tier.EDGE.value, pod, i) for i in range(half)]
-        aggs = [NodeId(Tier.AGG.value, pod, j) for j in range(half)]
+        edges = [NodeId(EDGE, pod, i) for i in range(half)]
+        aggs = [NodeId(AGG, pod, j) for j in range(half)]
         nodes.extend(edges)
         nodes.extend(aggs)
         for i, e in enumerate(edges):
             for h in range(half):
-                host = NodeId(Tier.HOST.value, pod, i * half + h)
+                host = NodeId(HOST, pod, i * half + h)
                 nodes.append(host)
                 add_pair(host, e, LinkKind.HOST_EDGE)
             for a in aggs:
@@ -298,17 +297,15 @@ def build_nonblocking(k: int, link_capacity: float) -> Topology:
     """Star baseline for the same host population as build_fat_tree(k):
     every host connects to a single hub switch, so contention can only
     happen on the access links."""
-    _check_k(k)
-    if link_capacity <= 0:
-        raise TopologyError(f"link_capacity must be > 0, got {link_capacity!r}")
+    _check_args(k, link_capacity)
 
     half = k // 2
-    hub = NodeId(Tier.EDGE.value, None, 0)
+    hub = NodeId(EDGE, None, 0)
     nodes: list[NodeId] = [hub]
     links: list[Link] = []
     for pod in range(k):
         for i in range(half * half):
-            host = NodeId(Tier.HOST.value, pod, i)
+            host = NodeId(HOST, pod, i)
             nodes.append(host)
             links.append(Link(len(links), host, hub, link_capacity,
                               LinkKind.HOST_EDGE, True))

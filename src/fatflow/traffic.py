@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .rules import COUNT, NON_NEGATIVE, POSITIVE
 from .topology import NodeId, Path, Topology
 
 ELEPHANT = "elephant"
@@ -58,19 +59,14 @@ class WorkloadSpec:
     def validate(self) -> None:
         if self.pattern not in PATTERNS:
             raise WorkloadError(f"unknown pattern {self.pattern!r}")
-        if self.elephant_count < 0:
-            raise WorkloadError("elephant_count must be >= 0")
-        if not (math.isfinite(self.mean_arrival_rate) and self.mean_arrival_rate > 0):
-            raise WorkloadError("mean_arrival_rate must be finite and > 0")
-        if not (math.isfinite(self.elephant_demand) and self.elephant_demand > 0):
-            raise WorkloadError("elephant_demand must be finite and > 0")
-        if self.mice_probe_interval is not None and not (
-                math.isfinite(self.mice_probe_interval)
-                and self.mice_probe_interval > 0):
-            raise WorkloadError("mice_probe_interval must be finite and > 0")
-        if self.flow_duration is not None and not (
-                math.isfinite(self.flow_duration) and self.flow_duration >= 0):
-            raise WorkloadError("flow_duration must be finite and >= 0")
+        for name, rule in (("elephant_count", COUNT),
+                           ("mean_arrival_rate", POSITIVE),
+                           ("elephant_demand", POSITIVE)):
+            rule.check(name, getattr(self, name), WorkloadError)
+        for name, rule in (("mice_probe_interval", POSITIVE),
+                           ("flow_duration", NON_NEGATIVE)):
+            if getattr(self, name) is not None:
+                rule.check(name, getattr(self, name), WorkloadError)
 
 
 def bisection_halves(topo: Topology) -> tuple[list[NodeId], list[NodeId]]:
@@ -161,8 +157,7 @@ def probe_schedule(flow: Flow, horizon: float, interval: float) -> list[float]:
     """
     if flow.kind != MICE:
         raise WorkloadError("probe_schedule applies to mice flows only")
-    if interval <= 0:
-        raise WorkloadError(f"probe interval must be > 0, got {interval!r}")
+    POSITIVE.check("probe interval", interval, WorkloadError)
     end = horizon if flow.duration is None else flow.start_time + flow.duration
     end = min(end, horizon)
     span = max(0.0, end - flow.start_time)

@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from fatflow.cli import config_from_args, main
+from fatflow import cli
+from fatflow.cli import build_arg_parser, config_from_args, main
 from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
-                                emit_plot_data, run_experiment, run_one,
-                                run_report, summarize)
+                                run_experiment, run_one, run_report, summarize)
+from fatflow.metrics import cdf_value_at
 from fatflow.schedulers import SCHEDULER_NAMES
 
 FAST = dict(elephants=6, arrival_rate=2.0, flow_duration=2.0, duration=5.0,
@@ -109,12 +112,6 @@ def test_summary_recomputable_from_reports(tmp_path):
                for p in sorted((out / "reports").glob("*.json"))]
     assert json.loads((out / "summary.json").read_text()) == json.loads(
         json.dumps(summarize(reports)))
-
-
-def test_emit_plot_data_requires_reports(tmp_path):
-    (tmp_path / "reports").mkdir()
-    with pytest.raises(RuntimeError, match="incomplete bundle"):
-        emit_plot_data(tmp_path)
 
 
 def test_config_validation_names_field():
@@ -238,3 +235,91 @@ def test_config_rejects_non_finite_fields(field):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=f"^{field}:"):
             ExperimentConfig(**{field: value}).validate()
+
+
+def test_plot_csvs_agree_with_the_summary(tmp_path):
+    # with 10 or more seeds, report file names no longer sort in run order,
+    # and means summed in another order can differ in the last digit; at
+    # 16 seeds they do for hybrid
+    cfg = fast_config(schedulers=["hybrid", "ecmp"], seeds=list(range(16)),
+                      out_dir=str(tmp_path / "b"))
+    out = run_experiment(cfg)
+    summary = json.loads((out / "summary.json").read_text())["per_scheduler"]
+    rows = (out / "plots" / "bisection_means.csv").read_text().split()[1:]
+    assert {name: float(v) for name, v in (r.split(",") for r in rows)} == \
+        {name: s["bisection_mean_bps"] for name, s in summary.items()}
+    cdf_rows = [r.split(",") for r in
+                (out / "plots" / "utilization_cdf.csv").read_text().split("\n")
+                if r and not r.startswith(("#", "scheduler,"))]
+    for name, s in summary.items():
+        cdf = [(float(u), float(f)) for n, u, f in cdf_rows if n == name]
+        assert cdf_value_at(cdf, 0.5) == s["utilization_p50"]
+
+
+def test_every_field_has_a_flag_and_a_file_key(tmp_path):
+    cfg_file = tmp_path / "exp.conf"
+    cfg_file.write_text("demand = none\nrho_cap = 0.9\nevents = true\n")
+    cfg = config_from_args(
+        ["--config", str(cfg_file), "--demand", "1e6",
+         "--base-hop-latency", "1e-4", "--queuing-scale", "1e-3",
+         "--events", "false"], env={})
+    assert (cfg.demand, cfg.base_hop_latency, cfg.queuing_scale) == \
+        (1e6, 1e-4, 1e-3)
+    assert cfg.rho_cap == 0.9
+    assert cfg.write_events is False
+    assert config_from_args(["--events"], env={}).write_events is True
+    parser = build_arg_parser()
+    dests = {a.dest for a in parser._actions if a.option_strings}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert dests == fields | {"help", "config"}
+
+
+# per ExperimentConfig field, a value that its file key and its flag reject
+BAD_VALUES = {
+    "k": "5", "capacity": "nan", "schedulers": "sieve", "seeds": "x",
+    "duration": "0", "poll_interval": "-1", "detection_threshold": "0",
+    "alpha": "-1", "elephant_threshold": "1.5", "pattern": "ring",
+    "elephants": "-1", "arrival_rate": "inf", "flow_duration": "-1",
+    "demand": "0", "probe_interval": "0", "base_hop_latency": "-1e-6",
+    "queuing_scale": "nan", "rho_cap": "1", "out_dir": "",
+    "write_events": "maybe",
+}
+
+
+@pytest.mark.parametrize("via", ["file", "flag"])
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                         ids=lambda f: f.name)
+def test_every_field_rejects_a_bad_value(tmp_path, capsys, monkeypatch, field,
+                                         via):
+    def no_run(config):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr("fatflow.cli.run_experiment", no_run)
+    monkeypatch.delenv("FATFLOW_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    bad = BAD_VALUES[field.name]
+    if via == "file":
+        cfg_file = tmp_path / "bad.conf"
+        cfg_file.write_text(f"{field.metadata.get('key', field.name)} = {bad}\n")
+        argv = ["--config", str(cfg_file)]
+    else:
+        flag, = [a.option_strings[0] for a in build_arg_parser()._actions
+                 if a.dest == field.name]
+        argv = [f"{flag}={bad}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{field.name}:" in err
+
+
+def test_readme_and_docstring_list_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^Flags \(.*?^```\n(.*?)^```", readme,
+                      re.M | re.S).group(1)
+    listed = {line.split()[0] for line in block.splitlines() if line.strip()}
+    doc_words = set(cli.__doc__.split())
+    for action in build_arg_parser()._actions:
+        for option in action.option_strings:
+            if option in ("-h", "--help"):
+                continue
+            assert option in listed, f"{option} missing from the README"
+            if option != "--config":
+                assert option in doc_words, f"{option} missing from cli.py"

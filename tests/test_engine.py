@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
 import sys
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,25 @@ def test_waterfill_demand_caps():
     rates = waterfill({1: 2e6, 2: 10e6}, {1: (0,), 2: (0,)}, {0: 10e6})
     assert rates[1] == pytest.approx(2e6)
     assert rates[2] == pytest.approx(8e6)
+
+
+def test_waterfill_rejects_a_nan_capacity():
+    # in a child process with a timeout, so a waterfill that loops forever
+    # fails the test instead of hanging the suite
+    code = ("from fatflow.engine import EngineError, waterfill\n"
+            "try:\n"
+            "    waterfill({0: 1e6, 1: 2e6}, {0: (0,), 1: (0, 1)},\n"
+            "              {0: float('nan'), 1: 10e6})\n"
+            "except EngineError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    raise SystemExit('no EngineError')\n")
+    src = str(Path(engine_module.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "no flow freezes at level nan" in proc.stdout
 
 
 def test_waterfill_matches_oracle_on_random_instances():

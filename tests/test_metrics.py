@@ -188,7 +188,9 @@ def test_bisection_from_event_log_matches_series(k4):
                   0.5 * i, 2.0) for i in range(5)]
     eng = Engine(k4, SchedulerKind("ecmp"), flows, horizon=6.0, seed=2)
     eng.run()
-    from_log = metrics.bisection_series_from_events(eng.event_log)
+    from_log = [(0.0, 0.0)] + [(rec["t"], rec["bisection_rate"])
+                               for rec in eng.event_log
+                               if "bisection_rate" in rec]
     _, mean_log = metrics.bisection_bandwidth(from_log, eng.horizon)
     _, mean_eng = metrics.bisection_bandwidth(eng.bisection_series, eng.horizon)
     assert mean_log == mean_eng

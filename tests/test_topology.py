@@ -1,8 +1,8 @@
 import networkx as nx
 import pytest
 
-from fatflow.topology import (LinkKind, Tier, TopologyError, build_fat_tree,
-                              build_nonblocking)
+from fatflow.topology import (AGG, CORE, LinkKind, TopologyError,
+                              build_fat_tree, build_nonblocking)
 
 
 def undirected_graph(topo):
@@ -46,6 +46,13 @@ def test_rejects_bad_k(bad):
 def test_rejects_bad_capacity():
     with pytest.raises(TopologyError):
         build_fat_tree(4, 0.0)
+
+
+@pytest.mark.parametrize("build", [build_fat_tree, build_nonblocking])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_builders_reject_non_finite_capacity(build, bad):
+    with pytest.raises(TopologyError, match="^link_capacity must be finite"):
+        build(4, bad)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -112,8 +119,8 @@ def test_aggregate_upstream_link_count(k, expected):
     assert len(ups) == expected == k ** 3 // 4
     for l in ups:
         assert l.kind == LinkKind.AGG_CORE and l.up
-        assert l.src.tier == Tier.AGG.value
-        assert l.dst.tier == Tier.CORE.value
+        assert l.src.tier == AGG
+        assert l.dst.tier == CORE
 
 
 def test_edge_agg_links_stay_in_pod():
