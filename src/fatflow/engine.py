@@ -195,6 +195,23 @@ def traversal_delay(rho: float, params: EngineParams) -> float:
     return params.base_hop_latency + params.queuing_scale * rho / (1.0 - rho)
 
 
+class FlowState:
+    """One admitted flow's run state; `Engine.active` maps its id to this."""
+
+    __slots__ = ("spec", "path", "probe_links", "achieved_rate", "bits",
+                 "round_bits", "crosses", "classified")
+
+    def __init__(self, spec: Flow, crosses: bool):
+        self.spec = spec
+        self.path: Path  # set with `probe_links` by `Engine._route`
+        self.probe_links: tuple[int, ...] = ()  # forward then reverse ids
+        self.achieved_rate = 0.0  # bits/s, 0 for a mouse
+        self.bits = 0.0  # sent since the last poll
+        self.round_bits = 0.0  # sent this Hedera scheduling round
+        self.crosses = crosses  # src and dst lie in opposite pod halves
+        self.classified = False  # detected as an elephant at a poll
+
+
 def _check_flows(flows: Sequence[Flow]) -> None:
     """Raise EngineError, naming the flow and the field, on unusable input."""
     ids: set[int] = set()
@@ -229,18 +246,13 @@ class Engine:
         # rates are piecewise constant between arrivals, departures and
         # polls, so the time integrals only catch up at those events
         self._integrated_to = 0.0
-        self.active: dict[int, Flow] = {}
-        self._classified: set[int] = set()
-        self._bits_since_poll: dict[int, float] = {}
-        self._crosses: dict[int, bool] = {}
-        # the flow-link graph of the routed elephants: each one's rate, and
+        self.active: dict[int, FlowState] = {}
+        # the flow-link graph of the routed elephants: each one's state, and
         # the sorted ids of those on each link that carries any
-        self._rate: dict[int, float] = {}
+        self._routed: dict[int, FlowState] = {}
         self._link_flows: dict[int, list[int]] = {}
         # the sorted ids of the routed elephants that cross the bisection
         self._crossing: list[int] = []
-        # flow id -> (path, forward + reverse link ids) for probes
-        self._traversals: dict[int, tuple[Path, tuple[int, ...]]] = {}
 
         nlinks = len(topo.links)
         self._cap = [l.capacity for l in topo.links]
@@ -248,7 +260,6 @@ class Engine:
         self.offered = [0.0] * nlinks
         self.elephants = [0] * nlinks
         self.cumulative_elephants = [0] * nlinks
-        self._alloc_integral = [0.0] * nlinks
         self._offered_integral = [0.0] * nlinks
         # what a probe sees on each link, refreshed whenever `offered` changes:
         # the chance to survive the traversal and the traversal delay
@@ -260,20 +271,17 @@ class Engine:
 
         self.bisection_rate = 0.0
         self.bisection_series: list[tuple[float, float]] = [(0.0, 0.0)]
-        self._bisection_integral = 0.0
 
         self.port_stat_reads = 0
         self.uplink_stat_reads = 0
         self.polls = 0
         self.controller_decisions = 0
         self.proactive_decisions = 0
-        self.unrouted_flows: set[int] = set()
 
-        # hedera-gff: polls per scheduling round (0 = no rounds), bits each
-        # flow sent this round, and the link reservations of placed flows
+        # hedera-gff: polls per scheduling round (0 = no rounds), and the
+        # link reservations of placed flows
         self._round_polls = (hedera_period_polls(params.poll_interval)
                              if scheduler.name == HEDERA_GFF else 0)
-        self._round_bits: dict[int, float] = {}
         self.reserved = [0.0] * nlinks
         self.reservations: dict[int, float] = {}
         self.reroutes = 0
@@ -355,37 +363,28 @@ class Engine:
         self.clock = t
 
     def _integrate(self) -> None:
-        """Add the current rates times the time since the last integration."""
+        """Add each flow's bits and each link's offered load since the last
+        integration."""
         dt = self.clock - self._integrated_to
         if dt > 0:
-            bits = self._bits_since_poll
-            for fid, rate in self._rate.items():
-                bits[fid] += rate * dt
-            allocated, offered = self.allocated, self.offered
+            for st in self._routed.values():
+                st.bits += st.achieved_rate * dt
+            offered, integral = self.offered, self._offered_integral
             for lid in self._link_flows:
-                if allocated[lid] > 0:
-                    self._alloc_integral[lid] += allocated[lid] * dt
-                if offered[lid] > 0:
-                    self._offered_integral[lid] += offered[lid] * dt
-            self._bisection_integral += self.bisection_rate * dt
+                integral[lid] += offered[lid] * dt
             self._integrated_to = self.clock
 
     # -- event handlers --------------------------------------------------------
 
     def _on_arrival(self, flow: Flow) -> dict:
         decision = dispatch(self, flow, self.scheduler)
-        flow.path = decision.path
-        if flow.is_elephant and flow.path is None:
-            self.unrouted_flows.add(flow.id)
         if decision.mechanism == MECH_CONTROLLER:
             self.controller_decisions += 1
         else:
             self.proactive_decisions += 1
-        self.active[flow.id] = flow
-        self._bits_since_poll[flow.id] = 0.0
-        if self._round_polls:
-            self._round_bits[flow.id] = 0.0
-        self._crosses[flow.id] = crosses_bisection(self.topology, flow.src, flow.dst)
+        st = FlowState(flow, crosses_bisection(self.topology, flow.src, flow.dst))
+        self._route(st, decision.path)
+        self.active[flow.id] = st
 
         if flow.duration is not None:
             end = flow.start_time + flow.duration
@@ -393,58 +392,51 @@ class Engine:
                 self._push(end, "departure", flow.id)
         if flow.kind == MICE and self.probe_interval is not None:
             for pt in probe_schedule(flow, self.horizon, self.probe_interval):
-                self._push(pt, "probe", flow)
-        self._reallocate_for(flow)
+                self._push(pt, "probe", st)
+        self._reallocate_for(st)
         return {
             "flow": flow.id,
             "kind": flow.kind,
             "mechanism": decision.mechanism,
             "candidates": decision.candidates_considered,
-            "path": repr(flow.path),
+            "path": repr(st.path),
             "bisection_rate": self.bisection_rate,
         }
 
     def _on_departure(self, fid: int) -> dict:
         if fid not in self.active:
             raise EngineError(f"departure for unknown flow id {fid}")
-        flow = self.active.pop(fid)
-        self._bits_since_poll.pop(fid, None)
-        self._round_bits.pop(fid, None)
-        if fid in self._classified and flow.path is not None:
-            for lid in flow.path.link_ids:
+        st = self.active.pop(fid)
+        if st.classified:
+            for lid in st.path.link_ids:
                 self.elephants[lid] -= 1
         if fid in self.reservations:
             need = self.reservations.pop(fid)
-            for lid in flow.path.link_ids:
+            for lid in st.path.link_ids:
                 self.reserved[lid] -= need
-        self._traversals.pop(fid, None)
-        flow.achieved_rate = 0.0
-        self._reallocate_for(flow)
+        self._reallocate_for(st)
         return {"flow": fid, "bisection_rate": self.bisection_rate}
 
-    def _on_probe(self, flow: Flow) -> dict:
-        result = self._evaluate_probe(flow)
+    def _on_probe(self, st: FlowState) -> dict:
+        result = self._evaluate_probe(st)
         self.probe_results.append(result)
-        return {"flow": flow.id, "delivered": result.delivered, "rtt": result.rtt}
+        return {"flow": st.spec.id, "delivered": result.delivered,
+                "rtt": result.rtt}
 
     def _on_poll(self) -> dict:
         newly = []
-        for fid in sorted(self.active):
-            if fid in self._classified:
-                continue
-            observed = self._bits_since_poll[fid] / self.params.poll_interval
-            if observed >= self.params.detection_threshold:
-                self._classified.add(fid)
+        # a mouse sends no bits, so only routed elephants can classify
+        for fid in sorted(self._routed):
+            st = self._routed[fid]
+            if (not st.classified and st.bits / self.params.poll_interval
+                    >= self.params.detection_threshold):
+                st.classified = True
                 newly.append(fid)
-                path = self.active[fid].path
-                if path is not None:
-                    for lid in path.link_ids:
-                        self.elephants[lid] += 1
-                        self.cumulative_elephants[lid] += 1
-        for fid, bits in self._bits_since_poll.items():
-            if self._round_polls:
-                self._round_bits[fid] += bits
-            self._bits_since_poll[fid] = 0.0
+                for lid in st.path.link_ids:
+                    self.elephants[lid] += 1
+                    self.cumulative_elephants[lid] += 1
+            st.round_bits += st.bits
+            st.bits = 0.0
         self.port_stat_reads += self.topology.total_switch_ports
         self.uplink_stat_reads += len(self.topology.agg_upstream_link_ids)
         self.polls += 1
@@ -466,9 +458,13 @@ class Engine:
         """
         period = self._round_polls * self.params.poll_interval
         cutoff = self.scheduler.hedera_fraction * self.topology.link_capacity
-        large = [self.active[fid] for fid in sorted(self._round_bits)
-                 if self._round_bits[fid] / period >= cutoff]
-        self._round_bits = dict.fromkeys(self._round_bits, 0.0)
+        # only routed elephants send bits, and the cutoff is above zero
+        large = []
+        for fid in sorted(self._routed):
+            st = self._routed[fid]
+            if st.round_bits / period >= cutoff:
+                large.append(st.spec)
+            st.round_bits = 0.0
         moved: list[int] = []
         changed: list[int] = []
         for flow, path, need in hedera_schedule(
@@ -476,18 +472,18 @@ class Engine:
             self.reservations[flow.id] = need
             for lid in path.link_ids:
                 self.reserved[lid] += need
-            if path == flow.path:
+            st = self._routed[flow.id]
+            if path == st.path:
                 continue
-            if flow.id in self._classified:
-                for lid in flow.path.link_ids:
+            if st.classified:
+                for lid in st.path.link_ids:
                     self.elephants[lid] -= 1
                 for lid in path.link_ids:
                     self.elephants[lid] += 1
-            if flow.id in self._rate:
-                self._unindex(flow.id, flow.path.link_ids)
-                self._index(flow.id, path.link_ids)
-                changed += flow.path.link_ids + path.link_ids
-            flow.path = path
+            self._unindex(flow.id, st.path.link_ids)
+            self._index(flow.id, path.link_ids)
+            changed += st.path.link_ids + path.link_ids
+            self._route(st, path)
             moved.append(flow.id)
         if moved:
             self.reroutes += len(moved)
@@ -496,26 +492,32 @@ class Engine:
 
     # -- rate allocation ---------------------------------------------------------
 
-    def _reallocate_for(self, flow: Flow) -> None:
-        """Re-solve after `flow` arrived or left, unless it carries no rate.
+    def _route(self, st: FlowState, path: Path) -> None:
+        """Put the flow on `path`; its probes go out along it and back."""
+        st.path = path
+        reverse = self.topology.reverse_ids
+        st.probe_links = path.link_ids + tuple(reverse[lid]
+                                               for lid in path.link_ids)
 
-        A mouse or an unrouted elephant never enters the allocation, so its
-        arrival or departure leaves every rate as it was.
+    def _reallocate_for(self, st: FlowState) -> None:
+        """Re-solve after a flow arrived or left, unless it carries no rate.
+
+        A mouse never enters the allocation, so its arrival or departure
+        leaves every rate as it was.
         """
-        if not flow.is_elephant or flow.path is None:
-            flow.achieved_rate = 0.0
+        if not st.spec.is_elephant:
             self.bisection_series.append((self.clock, self.bisection_rate))
             return
-        fid, links = flow.id, flow.path.link_ids
+        fid, links = st.spec.id, st.path.link_ids
         if fid in self.active:
-            self._rate[fid] = 0.0
+            self._routed[fid] = st
             self._index(fid, links)
-            if self._crosses[fid]:
+            if st.crosses:
                 bisect.insort(self._crossing, fid)
         else:
-            del self._rate[fid]
+            del self._routed[fid]
             self._unindex(fid, links)
-            if self._crosses[fid]:
+            if st.crosses:
                 self._crossing.remove(fid)
         self._resolve(links)
 
@@ -538,7 +540,7 @@ class Engine:
         runs over the link's elephants in flow-id order, so this gives the
         same floats as a re-solve of every routed elephant.
         """
-        link_flows, active, cap = self._link_flows, self.active, self._cap
+        link_flows, routed, cap = self._link_flows, self._routed, self._cap
         # the walk collects the waterfill inputs as it goes; `caps` doubles
         # as the set of links it has reached
         caps = {lid: cap[lid] for lid in changed}
@@ -548,29 +550,28 @@ class Engine:
         while stack:
             for fid in link_flows.get(stack.pop(), ()):
                 if fid not in demands:
-                    f = active[fid]
-                    demands[fid] = f.demand
-                    paths[fid] = links = f.path.link_ids
+                    st = routed[fid]
+                    demands[fid] = st.spec.demand
+                    paths[fid] = links = st.path.link_ids
                     for lid in links:
                         if lid not in caps:
                             caps[lid] = cap[lid]
                             stack.append(lid)
         rates = waterfill(demands, paths, caps)
         for fid, rate in rates.items():
-            self._rate[fid] = rate
-            active[fid].achieved_rate = rate
+            routed[fid].achieved_rate = rate
 
-        rate = self._rate
+        # the walk reached every flow on the links in `caps`
         for lid in caps:
             total = 0.0
             for fid in link_flows.get(lid, ()):
-                total += rate[fid]
+                total += rates[fid]
             self.allocated[lid] = total
         # offered load only moves where the set of elephants changed
         for lid in changed:
             total = 0.0
             for fid in link_flows.get(lid, ()):
-                total += active[fid].demand
+                total += demands[fid]
             if total != self.offered[lid]:
                 self.offered[lid] = total
                 self._probe_keep[lid] = 1.0 - link_loss_probability(
@@ -579,36 +580,24 @@ class Engine:
                     total / self._cap[lid], self.params)
         bis = 0.0
         for fid in self._crossing:
-            bis += rate[fid]
+            bis += routed[fid].achieved_rate
         self.bisection_rate = bis
         self.bisection_series.append((self.clock, bis))
 
     # -- probes ---------------------------------------------------------------
 
-    def _traversal_ids(self, flow: Flow) -> tuple[int, ...]:
-        """Forward then reverse link ids of the flow's path, cached per path."""
-        cached = self._traversals.get(flow.id)
-        if cached is None or cached[0] is not flow.path:
-            forward = flow.path.link_ids
-            back = tuple(self.topology.reverse_ids[lid] for lid in forward)
-            cached = (flow.path, forward + back)
-            self._traversals[flow.id] = cached
-        return cached[1]
-
-    def _evaluate_probe(self, flow: Flow) -> ProbeResult:
-        if flow.path is None:
-            return ProbeResult(flow.id, self.clock, False, None)
-        links = self._traversal_ids(flow)
+    def _evaluate_probe(self, st: FlowState) -> ProbeResult:
+        links = st.probe_links
         survival = 1.0
         for lid in links:
             survival *= self._probe_keep[lid]
         delivered = self._probe_rng.random() < survival
         if not delivered:
-            return ProbeResult(flow.id, self.clock, False, None)
+            return ProbeResult(st.spec.id, self.clock, False, None)
         rtt = 0.0
         for lid in links:
             rtt += self._probe_delay[lid]
-        return ProbeResult(flow.id, self.clock, True, rtt)
+        return ProbeResult(st.spec.id, self.clock, True, rtt)
 
     # -- post-run views ----------------------------------------------------------
 
@@ -616,9 +605,6 @@ class Engine:
         """Time-averaged offered load per link over the whole horizon."""
         return {lid: self._offered_integral[lid] / self.horizon
                 for lid in range(len(self._cap))}
-
-    def cumulative_bytes(self, lid: int) -> float:
-        return self._alloc_integral[lid] / 8.0
 
     def state_fingerprint(self) -> tuple:
         """Hashable summary used by determinism tests."""

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -249,10 +250,11 @@ def _dump_json(path: Path, obj) -> None:
 def summarize(reports: list[dict]) -> dict:
     """Cross-scheduler means plus pairwise relative bisection improvements.
 
-    Every number here is recomputable from the per-run reports alone.
+    Every number here is recomputable from the per-run reports alone, in
+    any order: each scheduler's runs are taken in seed order.
     """
     by_sched: dict[str, list[dict]] = {}
-    for r in reports:
+    for r in sorted(reports, key=lambda r: r["seed"]):
         by_sched.setdefault(r["scheduler"], []).append(r)
 
     per_scheduler = {}
@@ -313,6 +315,7 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
         lines.append(f"{name},{row['bisection_mean_bps']!r}")
     emit("bisection_means.csv", lines)
 
+    runs = sorted(reports, key=lambda r: (r["scheduler"], r["seed"]))
     lines = [
         "# one row per monitored unidirectional link, per-link utilization "
         "averaged over seeds; fat-tree runs cover switch-to-switch links in "
@@ -320,7 +323,7 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
         "scheduler,utilization,cumulative_fraction",
     ]
     for name in sorted(summary["per_scheduler"]):
-        vectors = [r["link_utilization_mean"] for r in reports
+        vectors = [r["link_utilization_mean"] for r in runs
                    if r["scheduler"] == name
                    and r["link_utilization_mean"] is not None]
         if vectors:
@@ -328,7 +331,6 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
                 lines.append(f"{name},{u!r},{f!r}")
     emit("utilization_cdf.csv", lines)
 
-    runs = sorted(reports, key=lambda r: (r["scheduler"], r["seed"]))
     for name, key in (("mice_loss.csv", "loss"),
                       ("rtt_deviation.csv", "rtt_mean_deviation_s")):
         lines = [f"scheduler,seed,{key}"]
@@ -340,10 +342,19 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
-    """Run the full (scheduler x seed) grid and write the result bundle."""
+    """Run the full (scheduler x seed) grid and write the result bundle.
+
+    The bundle's own entries from an earlier run in the same directory are
+    removed first; every other file there is left alone.
+    """
     config.validate()
     out = Path(config.out_dir)
     try:
+        for name in ("reports", "events", "plots"):
+            if (out / name).is_dir():
+                shutil.rmtree(out / name)
+        for name in ("config.json", "summary.json"):
+            (out / name).unlink(missing_ok=True)
         (out / "reports").mkdir(parents=True, exist_ok=True)
         if config.write_events:
             (out / "events").mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .rules import COUNT, NON_NEGATIVE, POSITIVE
-from .topology import NodeId, Path, Topology
+from .topology import NodeId, Topology
 
 ELEPHANT = "elephant"
 MICE = "mice"
@@ -28,8 +28,10 @@ class WorkloadError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Flow:
+    """A flow's spec; the engine keeps its run state apart (`Engine.active`)."""
+
     id: int
     src: NodeId
     dst: NodeId
@@ -37,8 +39,6 @@ class Flow:
     demand: float  # bits/second offered
     start_time: float
     duration: Optional[float]  # None = until the end of the experiment
-    path: Optional[Path] = None
-    achieved_rate: float = 0.0
 
     @property
     def is_elephant(self) -> bool:

@@ -9,7 +9,8 @@ import pytest
 from fatflow import cli
 from fatflow.cli import build_arg_parser, config_from_args, main
 from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
-                                run_experiment, run_one, run_report, summarize)
+                                emit_plot_data, run_experiment, run_one,
+                                run_report, summarize)
 from fatflow.metrics import cdf_value_at
 from fatflow.schedulers import SCHEDULER_NAMES
 
@@ -112,6 +113,33 @@ def test_summary_recomputable_from_reports(tmp_path):
                for p in sorted((out / "reports").glob("*.json"))]
     assert json.loads((out / "summary.json").read_text()) == json.loads(
         json.dumps(summarize(reports)))
+
+
+def test_summary_and_plots_ignore_report_order(tmp_path):
+    # with 20 seeds, report file names sort seed 10 before seed 2
+    out = run_experiment(ExperimentConfig(schedulers=["hybrid"],
+                                          out_dir=str(tmp_path / "b")))
+    reports = [json.loads(p.read_text())
+               for p in sorted((out / "reports").glob("*.json"))]
+    summary = summarize(reports)
+    assert json.loads((out / "summary.json").read_text()) == json.loads(
+        json.dumps(summary))
+    emit_plot_data(tmp_path / "again", reports, summary)
+    assert tree_digest(tmp_path / "again" / "plots") == \
+        tree_digest(out / "plots")
+
+
+def test_rerun_replaces_the_bundle_and_keeps_other_files(tmp_path):
+    out = tmp_path / "b"
+    run_experiment(fast_config(schedulers=["ecmp"], seeds=[0, 1, 2],
+                               write_events=True, out_dir=str(out)))
+    (out / "notes.txt").write_text("kept")
+    run_experiment(fast_config(schedulers=["hybrid"], seeds=[0],
+                               out_dir=str(out)))
+    assert [p.name for p in (out / "reports").iterdir()] == \
+        ["hybrid_seed0.json"]
+    assert not (out / "events").exists()
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_config_validation_names_field():

@@ -377,7 +377,7 @@ def test_conservation_after_every_step():
         eng.step()
         for lid in range(len(topo.links)):
             users = [f for _, f in sorted(eng.active.items())
-                     if f.is_elephant and f.path and lid in f.path.link_ids]
+                     if f.spec.is_elephant and lid in f.path.link_ids]
             total = sum(f.achieved_rate for f in users)
             assert total == eng.allocated[lid]  # same summation, bitwise
             assert eng.allocated[lid] <= topo.links[lid].capacity
@@ -448,14 +448,36 @@ def test_replay_is_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_engines_sharing_a_flow_list_keep_their_own_state():
+    config = ExperimentConfig()
+    topo = build_topology(config, "hybrid")
+    flows = generate_workload(topo, config.workload_spec(0))
+
+    def run(seed):
+        return Engine(topo, config.scheduler_kind("hybrid"), flows,
+                      horizon=config.duration, params=config.engine_params(),
+                      seed=seed, probe_interval=config.probe_interval).run()
+
+    def paths_and_rates(eng):
+        return {fid: (f.path, f.achieved_rate) for fid, f in eng.active.items()}
+
+    first = run(0)
+    before = paths_and_rates(first)
+    second = run(1)
+    assert paths_and_rates(second) != before
+    assert paths_and_rates(first) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flows[0].demand = 1.0
+
+
 def test_elephant_detection_threshold():
     topo = build_fat_tree(4, 10e6)
     fast = elephant(0, topo, demand=60_000.0, src=0, dst=15)
     slow = elephant(1, topo, demand=40_000.0, src=1, dst=14)
     eng = run_engine([fast, slow], topo=topo, horizon=3.0)
     eng.run()
-    assert 0 in eng._classified
-    assert 1 not in eng._classified
+    assert eng.active[0].classified
+    assert not eng.active[1].classified
     for lid in eng.active[0].path.link_ids:
         assert eng.elephants[lid] == 1
     assert eng.cumulative_elephants[eng.active[0].path.link_ids[0]] == 1
@@ -478,8 +500,8 @@ def test_detection_is_sticky_under_rate_collapse():
                      params=params)
     eng.run()
     assert eng.active[0].achieved_rate < 50_000.0
-    assert 0 in eng._classified
-    assert all(i not in eng._classified for i in (1, 2, 3))
+    assert eng.active[0].classified
+    assert not any(eng.active[i].classified for i in (1, 2, 3))
 
 
 def test_zero_rate_flow_never_classifies():
@@ -487,7 +509,7 @@ def test_zero_rate_flow_never_classifies():
     mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
     eng = run_engine([mouse], topo=topo, horizon=5.0, probe_interval=1.0)
     eng.run()
-    assert 0 not in eng._classified
+    assert not eng.active[0].classified
 
 
 def test_probe_on_empty_network():
@@ -584,30 +606,23 @@ def test_bisection_series_tracks_interpod_rates():
     assert eng.bisection_series[0] == (0.0, 0.0)
 
 
-def test_cumulative_bytes():
-    topo = build_fat_tree(4, 10e6)
-    eng = run_engine([elephant(0, topo, start=0.0, duration=2.0)],
-                     topo=topo, horizon=4.0)
-    eng.run()
-    first_link = [l for l in topo.links if l.src == topo.hosts[0]][0]
-    assert eng.cumulative_bytes(first_link.id) == pytest.approx(10e6 * 2.0 / 8.0)
-
-
 # -- lazy integration against an eager reference ------------------------------
 
 class RecordingEngine(Engine):
-    """Records the rates every processed event leaves in force."""
+    """Records the rates every processed event leaves in force, and the
+    state of every flow it admitted."""
 
     def __init__(self, topo, scheduler, flows, **kwargs):
         super().__init__(topo, scheduler, flows, **kwargs)
-        self.flows = {f.id: f for f in flows}
+        self.states = {}
         self.rate_trace = []
 
     def step(self):
         record = super().step()
+        if record["type"] == "arrival":
+            self.states[record["flow"]] = self.active[record["flow"]]
         self.rate_trace.append((
-            self.clock, list(self.allocated), list(self.offered),
-            self.bisection_rate,
+            self.clock, list(self.offered),
             {fid: f.achieved_rate for fid, f in self.active.items()}))
         return record
 
@@ -645,21 +660,19 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
     # integrate event by event from the recorded rates, and classify at each
     # poll from those integrals
     nlinks = len(eng.topology.links)
-    alloc, offered, bis = [0.0] * nlinks, [0.0] * nlinks, 0.0
+    offered = [0.0] * nlinks
     bits: dict[int, float] = {}
     classified: set[int] = set()
     prev = None
-    for (t, a, o, b, rates), rec in zip(eng.rate_trace, eng.event_log):
+    for (t, o, rates), rec in zip(eng.rate_trace, eng.event_log):
         if prev is not None:
             dt = t - prev[0]
             for lid in range(nlinks):
-                alloc[lid] += prev[1][lid] * dt
-                offered[lid] += prev[2][lid] * dt
-            bis += prev[3] * dt
-            for fid, rate in prev[4].items():
+                offered[lid] += prev[1][lid] * dt
+            for fid, rate in prev[2].items():
                 bits[fid] = bits.get(fid, 0.0) + rate * dt
         if rec["type"] == "poll":
-            want = [fid for fid in sorted(prev[4]) if fid not in classified
+            want = [fid for fid in sorted(prev[2]) if fid not in classified
                     and bits.get(fid, 0.0) / params.poll_interval
                     >= params.detection_threshold]
             assert rec["classified"] == want
@@ -667,39 +680,35 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
             bits = {}
         elif rec["type"] == "probe":
             # the probe sees the offered load in force when it is sent
-            path = eng.flows[rec["flow"]].path
+            path = eng.states[rec["flow"]].path
             links = path.link_ids + tuple(eng.topology.reverse_ids[lid]
                                           for lid in path.link_ids)
             caps = [eng.topology.links[lid].capacity for lid in links]
-            loads = [prev[2][lid] for lid in links]
+            loads = [prev[1][lid] for lid in links]
             if rec["delivered"]:
                 assert rec["rtt"] == pytest.approx(sum(
                     traversal_delay(o / c, params) for o, c in zip(loads, caps)),
                     rel=1e-12)
             else:
                 assert any(o > c for o, c in zip(loads, caps))
-        prev = (t, a, o, b, rates)
+        prev = (t, o, rates)
     dt = eng.horizon - prev[0]
     for lid in range(nlinks):
-        alloc[lid] += prev[1][lid] * dt
-        offered[lid] += prev[2][lid] * dt
-    bis += prev[3] * dt
+        offered[lid] += prev[1][lid] * dt
 
     mean_offered = eng.mean_offered_by_link()
     for lid in range(nlinks):
-        assert eng.cumulative_bytes(lid) == pytest.approx(alloc[lid] / 8.0,
-                                                          rel=1e-12)
         assert mean_offered[lid] == pytest.approx(offered[lid] / eng.horizon,
                                                   rel=1e-12)
-    assert eng._bisection_integral == pytest.approx(bis, rel=1e-12)
 
     # integrating on every event changes no decision: same classifications,
     # same Hedera reroutes, same probe outcomes
     eager = default_engine(EagerEngine, scheduler, **CONFIGS[config]).run()
     assert eager.event_log == eng.event_log
+    eager_offered = eager.mean_offered_by_link()
     for lid in range(nlinks):
-        assert eager.cumulative_bytes(lid) == pytest.approx(
-            eng.cumulative_bytes(lid), rel=1e-12)
+        assert eager_offered[lid] == pytest.approx(mean_offered[lid],
+                                                   rel=1e-12)
 
 
 def test_mouse_arrival_changes_no_rate(monkeypatch):
@@ -731,11 +740,12 @@ def test_probe_links_follow_a_moved_path():
     mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
     eng = run_engine([mouse], topo=topo, horizon=2.0, probe_interval=1.0)
     eng.step()
+    state = eng.active[0]
     first, other = topo.equal_cost_paths(topo.hosts[0], topo.hosts[15])[:2]
     for path in (first, other, first):
-        mouse.path = path
+        eng._route(state, path)
         want = path.link_ids + tuple(topo.reverse_ids[l] for l in path.link_ids)
-        assert eng._traversal_ids(mouse) == want
+        assert state.probe_links == want
 
 
 # -- incremental re-solve against a full re-solve ------------------------------
@@ -747,10 +757,10 @@ class FullResolveEngine(Engine):
         nlinks = len(self._cap)
         demands, paths = {}, {}
         for fid in sorted(self.active):
-            f = self.active[fid]
-            if f.is_elephant and f.path is not None:
-                demands[fid] = f.demand
-                paths[fid] = f.path.link_ids
+            state = self.active[fid]
+            if state.spec.is_elephant:
+                demands[fid] = state.spec.demand
+                paths[fid] = state.path.link_ids
         caps = {lid: self._cap[lid] for links in paths.values() for lid in links}
         rates = waterfill(demands, paths, caps)
         allocated, offered, bis = [0.0] * nlinks, [0.0] * nlinks, 0.0
@@ -759,7 +769,7 @@ class FullResolveEngine(Engine):
             for lid in links:
                 allocated[lid] += rates[fid]
                 offered[lid] += demands[fid]
-            if self._crosses[fid]:
+            if self.active[fid].crosses:
                 bis += rates[fid]
         for lid in range(nlinks):
             if offered[lid] != self.offered[lid]:
@@ -767,7 +777,6 @@ class FullResolveEngine(Engine):
                     offered[lid], self._cap[lid])
                 self._probe_delay[lid] = traversal_delay(
                     offered[lid] / self._cap[lid], self.params)
-        self._rate = rates
         self.allocated, self.offered = allocated, offered
         self.bisection_rate = bis
         self.bisection_series.append((self.clock, bis))
@@ -813,7 +822,7 @@ def test_incremental_resolve_matches_full_resolve(scheduler, config,
     # (flows solved, elephants routed) of every re-solve of `eng`
     solves = []
     monkeypatch.setattr(engine_module, "waterfill", lambda d, p, c: (
-        solves.append((len(d), len(eng._rate))) or waterfill(d, p, c)))
+        solves.append((len(d), len(eng._routed))) or waterfill(d, p, c)))
     step_in_lockstep(eng, ref)
     if scheduler == HEDERA_GFF and config == "default":
         assert eng.reroutes > 0

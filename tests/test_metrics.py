@@ -173,7 +173,7 @@ def test_bisection_matches_allocator_on_contended_instance(k4):
     eng = Engine(k4, SchedulerKind("ecmp"), flows, horizon=4.0, seed=1)
     eng.run()
     total = sum(f.achieved_rate for f in eng.active.values()
-                if (f.src.pod < 2) != (f.dst.pod < 2))
+                if (f.spec.src.pod < 2) != (f.spec.dst.pod < 2))
     assert eng.bisection_rate == total
     assert eng.bisection_series[-1][1] == total
 

@@ -268,9 +268,11 @@ def test_gff_round_reserves_and_departure_releases(k4):
     while eng.clock < 5.0:
         eng.step()
     assert eng.reservations == {0: 10e6, 1: 10e6}
-    assert flows[0].path == k4.equal_cost_paths(flows[0].src, flows[0].dst)[0]
-    assert flows[1].path == k4.equal_cost_paths(flows[1].src, flows[1].dst)[2]
-    for f in flows:
+    assert eng.active[0].path == k4.equal_cost_paths(flows[0].src,
+                                                     flows[0].dst)[0]
+    assert eng.active[1].path == k4.equal_cost_paths(flows[1].src,
+                                                     flows[1].dst)[2]
+    for f in eng.active.values():
         for lid in f.path.link_ids:
             assert eng.reserved[lid] == 10e6
     eng.run()
@@ -288,7 +290,7 @@ def test_gff_reroutes_keep_elephant_counts_consistent(k4):
         recount = [0] * len(k4.links)
         reserved = [0.0] * len(k4.links)
         for fid, f in eng.active.items():
-            if fid in eng._classified:
+            if f.classified:
                 for lid in f.path.link_ids:
                     recount[lid] += 1
             for lid in f.path.link_ids:
