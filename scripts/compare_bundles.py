@@ -1,0 +1,92 @@
+"""Check that a git revision and the working tree write identical bundles.
+
+Usage (from anywhere in the repository):
+    python3 scripts/compare_bundles.py REV
+
+Extracts REV's `src/` with `git archive` into a temporary directory, runs
+the same `fatflow` CLI invocations from that copy and from the working tree,
+and compares the two bundles of each invocation file by file. Prints
+"identical (N files)" or the differing files per config, and exits 1 on any
+difference. The configs are:
+- the default config with `--events`, every scheduler x seeds 0-19;
+- the `fatbench` workloads, with the flags and seed-0 block of
+  `fatbench/run.py`;
+- a `--events` config with departures in which `hedera-gff` reroutes,
+  every scheduler x seeds 0-2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "fatbench")]
+
+from fatflow.schedulers import SCHEDULER_NAMES  # noqa: E402
+from run import WORKLOADS, workload_argv  # noqa: E402
+
+
+def every_scheduler(seeds: range) -> list[str]:
+    return ([a for s in SCHEDULER_NAMES for a in ("--scheduler", s)]
+            + [a for seed in seeds for a in ("--seed", str(seed))])
+
+
+CONFIGS = {
+    "default --events": ["--events", *every_scheduler(range(20))],
+    **{name: workload_argv(name, 0) for name in WORKLOADS},
+    "hedera-gff reroutes": [
+        "--events", "--elephants", "100", "--arrival-rate", "10",
+        "--flow-duration", "6", "--duration", "20", *every_scheduler(range(3))],
+}
+
+
+def run_cli(src: Path, argv: list[str], out: Path) -> dict[str, bytes]:
+    """Run the CLI from the sources under `src`; the bundle's files by path."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "fatflow.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        sys.exit(f"fatflow from {src} failed on {argv}:\n{done.stderr}")
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("rev", help="the git revision to compare against")
+    rev = p.parse_args(argv).rev
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(archive.stderr.decode())
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="compare-bundles-") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        old_src = tmp / "rev" / "src"
+        for i, (name, args) in enumerate(CONFIGS.items()):
+            old = run_cli(old_src, args, tmp / f"old{i}")
+            new = run_cli(ROOT / "src", args, tmp / f"new{i}")
+            names = old.keys() | new.keys()
+            changed = sorted(f for f in names if old.get(f) != new.get(f))
+            if not changed:
+                print(f"{name}: identical ({len(names)} files)")
+                continue
+            differ = True
+            print(f"{name}: {len(changed)} of {len(names)} files differ")
+            for f in changed:
+                print(f"  {f}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

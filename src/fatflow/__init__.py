@@ -1,6 +1,6 @@
 """fatflow: deterministic flow-level simulation of fat-tree data centers."""
 
-from .engine import Engine, EngineParams, ProbeResult, waterfill
+from .engine import Engine, EngineParams, waterfill
 from .experiment import ExperimentConfig, run_experiment, run_one
 from .schedulers import SchedulerDecision, SchedulerKind
 from .topology import (Link, NodeId, Path, Topology, build_fat_tree,
@@ -8,7 +8,7 @@ from .topology import (Link, NodeId, Path, Topology, build_fat_tree,
 from .traffic import Flow, WorkloadSpec, generate_workload, probe_schedule
 
 __all__ = [
-    "Engine", "EngineParams", "ProbeResult", "waterfill",
+    "Engine", "EngineParams", "waterfill",
     "ExperimentConfig", "run_experiment", "run_one",
     "SchedulerDecision", "SchedulerKind",
     "Link", "NodeId", "Path", "Topology",

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
                          hedera_period_polls, hedera_schedule)
-from .topology import LinkKind, Path, Topology
+from .topology import Path, Topology
 from .traffic import MICE, Flow, crosses_bisection, probe_schedule
 
 
@@ -53,14 +53,6 @@ class EngineParams:
                            ("queuing_scale", NON_NEGATIVE),
                            ("rho_cap", OPEN_FRACTION)):
             rule.check(name, getattr(self, name), EngineError)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    flow_id: int
-    emit_time: float
-    delivered: bool
-    rtt: Optional[float]  # seconds, None when lost
 
 
 def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
@@ -265,7 +257,8 @@ class Engine:
         # the chance to survive the traversal and the traversal delay
         self._probe_keep = [1.0] * nlinks
         self._probe_delay = [traversal_delay(0.0, params)] * nlinks
-        # what the controller knows: link state as of the last stats poll
+        # what the controller knows: link state as of the last stats poll,
+        # which path selection reads instead of live data-plane state
         self.polled_residual = list(self._cap)
         self.polled_elephants = [0] * nlinks
 
@@ -286,7 +279,9 @@ class Engine:
         self.reservations: dict[int, float] = {}
         self.reroutes = 0
 
-        self.probe_results: list[ProbeResult] = []
+        # one entry per processed probe, in event order: its RTT in seconds,
+        # or None when it was lost
+        self.probe_rtts: list[Optional[float]] = []
         self.util_snapshots: list[tuple[float, ...]] = []
         self.event_log: list[dict] = []
 
@@ -301,23 +296,6 @@ class Engine:
         npolls = int(math.floor(horizon / params.poll_interval + 1e-9))
         for i in range(1, npolls + 1):
             self._push(min(i * params.poll_interval, horizon), "poll", None)
-        self._finished = False
-
-    # -- scheduler-facing snapshot interface ---------------------------------
-    # The controller plane sees what it last collected from the switches, so
-    # path selection reads the poll-time snapshot, not live data-plane state.
-
-    def residual(self, lid: int) -> float:
-        return self.polled_residual[lid]
-
-    def elephant_count(self, lid: int) -> int:
-        return self.polled_elephants[lid]
-
-    def agg_uplink_of(self, path: Path) -> Optional[int]:
-        for l in path.hops:
-            if l.kind == LinkKind.AGG_CORE and l.up:
-                return l.id
-        return None
 
     # -- event machinery ------------------------------------------------------
 
@@ -354,7 +332,6 @@ class Engine:
             self.step()
         self._advance(self.horizon)
         self._integrate()
-        self._finished = True
         return self
 
     def _advance(self, t: float) -> None:
@@ -418,10 +395,17 @@ class Engine:
         return {"flow": fid, "bisection_rate": self.bisection_rate}
 
     def _on_probe(self, st: FlowState) -> dict:
-        result = self._evaluate_probe(st)
-        self.probe_results.append(result)
-        return {"flow": st.spec.id, "delivered": result.delivered,
-                "rtt": result.rtt}
+        links = st.probe_links
+        survival = 1.0
+        for lid in links:
+            survival *= self._probe_keep[lid]
+        rtt = None  # lost
+        if self._probe_rng.random() < survival:
+            rtt = 0.0
+            for lid in links:
+                rtt += self._probe_delay[lid]
+        self.probe_rtts.append(rtt)
+        return {"flow": st.spec.id, "delivered": rtt is not None, "rtt": rtt}
 
     def _on_poll(self) -> dict:
         newly = []
@@ -583,21 +567,6 @@ class Engine:
             bis += routed[fid].achieved_rate
         self.bisection_rate = bis
         self.bisection_series.append((self.clock, bis))
-
-    # -- probes ---------------------------------------------------------------
-
-    def _evaluate_probe(self, st: FlowState) -> ProbeResult:
-        links = st.probe_links
-        survival = 1.0
-        for lid in links:
-            survival *= self._probe_keep[lid]
-        delivered = self._probe_rng.random() < survival
-        if not delivered:
-            return ProbeResult(st.spec.id, self.clock, False, None)
-        rtt = 0.0
-        for lid in links:
-            rtt += self._probe_delay[lid]
-        return ProbeResult(st.spec.id, self.clock, True, rtt)
 
     # -- post-run views ----------------------------------------------------------
 

@@ -189,11 +189,12 @@ def run_report(config: ExperimentConfig, scheduler: str, seed: int,
         util_vector = [float(u) for u in
                        np.mean(engine.util_snapshots, axis=0)]
         cdf = metrics.utilization_cdf(engine.util_snapshots)
-    if engine.probe_results:
-        loss, rtt_dev = metrics.mice_loss_and_rtt(engine.probe_results)
+    rtts = engine.probe_rtts
+    if rtts:
+        loss, rtt_dev = metrics.mice_loss_and_rtt(rtts)
         mice = {
-            "probes": len(engine.probe_results),
-            "delivered": sum(1 for r in engine.probe_results if r.delivered),
+            "probes": len(rtts),
+            "delivered": sum(r is not None for r in rtts),
             "loss": loss,
             "rtt_mean_deviation_s": rtt_dev,
         }

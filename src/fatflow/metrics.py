@@ -2,7 +2,7 @@
 
 Everything is pure post-processing over immutable run outputs: per-link load
 maps (offered demands or achieved rates, the caller picks which), utilization
-snapshots, probe results, and the per-event throughput series.
+snapshots, probe RTTs, and the per-event throughput series.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .engine import ProbeResult
 from .rules import POSITIVE
 from .topology import Topology
 
@@ -138,14 +137,14 @@ def cdf_value_at(cdf: Sequence[tuple[float, float]], fraction: float) -> float:
     return float(np.interp(fraction, fracs, utils))
 
 
-def mice_loss_and_rtt(results: Sequence[ProbeResult]) -> tuple[float, Optional[float]]:
-    """(loss fraction, mean absolute RTT deviation); deviation is None when
-    nothing was delivered."""
-    if not results:
+def mice_loss_and_rtt(rtts: Sequence[Optional[float]]) -> tuple[float, Optional[float]]:
+    """(loss fraction, mean absolute RTT deviation) of probe RTTs in seconds,
+    None for a lost probe; the deviation is None when nothing was delivered."""
+    if not rtts:
         raise ValueError("no probe results")
-    delivered = [r.rtt for r in results if r.delivered]
-    loss = 1.0 - len(delivered) / len(results)
+    delivered = [r for r in rtts if r is not None]
+    loss = 1.0 - len(delivered) / len(rtts)
     if not delivered:
         return loss, None
-    rtts = np.asarray(delivered)
-    return loss, float(np.abs(rtts - rtts.mean()).mean())
+    delivered = np.asarray(delivered)
+    return loss, float(np.abs(delivered - delivered.mean()).mean())

@@ -65,7 +65,6 @@ class SchedulerKind:
 
 @dataclass(frozen=True)
 class SchedulerDecision:
-    flow_id: int
     path: Path
     mechanism: str  # MECH_PROACTIVE or MECH_CONTROLLER
     candidates_considered: int
@@ -272,13 +271,18 @@ def select_non_blocking(topo: Topology, flow: Flow) -> Path:
 
 
 def path_views(state, candidates: Sequence[Path]) -> list[PathView]:
-    """Snapshot the link-state fields each controller selector reads."""
+    """Snapshot the link-state fields each controller selector reads.
+
+    They come from the engine's last stats poll (`polled_residual` and
+    `polled_elephants`), not from live data-plane state.
+    """
+    residual, elephants = state.polled_residual, state.polled_elephants
     views = []
     for p in candidates:
-        residual = min(state.residual(lid) for lid in p.link_ids)
-        uplink = state.agg_uplink_of(p)
-        eleph = state.elephant_count(uplink) if uplink is not None else 0
-        views.append(PathView(p, residual, eleph, len(p.hops)))
+        uplink = p.uplink_id
+        views.append(PathView(p, min(residual[lid] for lid in p.link_ids),
+                              0 if uplink is None else elephants[uplink],
+                              len(p.hops)))
     return views
 
 
@@ -286,18 +290,18 @@ def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
     """Choose a path for a newly arrived, unassigned flow."""
     topo: Topology = state.topology
     if kind.name == NONBLOCKING:
-        path = select_non_blocking(topo, flow)
-        return SchedulerDecision(flow.id, path, MECH_PROACTIVE, 1)
+        return SchedulerDecision(select_non_blocking(topo, flow),
+                                 MECH_PROACTIVE, 1)
 
     candidates = topo.equal_cost_paths(flow.src, flow.dst)
     n = len(candidates)
     if kind.name in (ECMP, HEDERA_GFF):
-        return SchedulerDecision(
-            flow.id, select_ecmp(topo, flow, candidates), MECH_PROACTIVE, n)
+        return SchedulerDecision(select_ecmp(topo, flow, candidates),
+                                 MECH_PROACTIVE, n)
     if kind.name == HEDERA:
         path, mech = select_hedera(topo, flow, path_views(state, candidates),
                                    kind.hedera_fraction)
-        return SchedulerDecision(flow.id, path, mech, n)
+        return SchedulerDecision(path, mech, n)
 
     # hybrid variants: fair coin between the data plane and the controller
     if state.dispatch_rng.random() < 0.5:
@@ -306,6 +310,6 @@ def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
             path = select_lexicographic(views)
         else:
             path = select_scalarized(views, kind.alpha)
-        return SchedulerDecision(flow.id, path, MECH_CONTROLLER, n)
-    return SchedulerDecision(
-        flow.id, select_ecmp(topo, flow, candidates), MECH_PROACTIVE, n)
+        return SchedulerDecision(path, MECH_CONTROLLER, n)
+    return SchedulerDecision(select_ecmp(topo, flow, candidates),
+                             MECH_PROACTIVE, n)

@@ -46,10 +46,6 @@ class NodeId:
     index: int
 
     @property
-    def sort_key(self) -> tuple[str, int, int]:
-        return (self.tier, -1 if self.pod is None else self.pod, self.index)
-
-    @property
     def label(self) -> str:
         if self.pod is None:
             return f"{self.tier}{self.index}"
@@ -92,6 +88,14 @@ class Path:
     @functools.cached_property
     def link_ids(self) -> tuple[int, ...]:
         return tuple(l.id for l in self.hops)
+
+    @functools.cached_property
+    def uplink_id(self) -> Optional[int]:
+        """The aggregate-to-core upstream link's id, None below the core."""
+        for l in self.hops:
+            if l.kind == LinkKind.AGG_CORE and l.up:
+                return l.id
+        return None
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
@@ -139,14 +143,11 @@ class Topology:
         self.agg_upstream_link_ids = tuple(
             l.id for l in self.links if l.kind == LinkKind.AGG_CORE and l.up
         )
-        self.switch_link_ids = tuple(
-            l.id for l in self.links if l.kind != LinkKind.HOST_EDGE
-        )
         # what the utilization CDF ranges over: switch-to-switch links on the
         # fat-tree; the star has none, so its access links stand in
-        self.monitored_link_ids = self.switch_link_ids or tuple(
-            l.id for l in self.links
-        )
+        self.monitored_link_ids = tuple(
+            l.id for l in self.links if l.kind != LinkKind.HOST_EDGE
+        ) or tuple(l.id for l in self.links)
 
         # upstream edge-to-aggregate link ids per edge and per aggregate
         # switch, in link-id order

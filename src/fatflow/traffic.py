@@ -54,7 +54,6 @@ class WorkloadSpec:
     elephant_demand: float = 10_000_000.0  # bits/second
     flow_duration: Optional[float] = None  # None = until horizon
     mice_probe_interval: Optional[float] = None  # None = no mice streams
-    stride: Optional[int] = None  # stride pattern offset; None = half the hosts
 
     def validate(self) -> None:
         if self.pattern not in PATTERNS:
@@ -87,8 +86,8 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
 
     random_bisection: src uniform over all hosts, dst uniform over the
     opposite pod-half. random_permutation: pairs from a fixed-point-free
-    random permutation of the hosts. stride: dst is `stride` host numbers
-    after src, round-robin over sources.
+    random permutation of the hosts. stride: dst is half the hosts after
+    src, round-robin over sources.
     """
     spec.validate()
     hosts = list(topo.hosts)
@@ -126,12 +125,9 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
             pairs.append((src, dst_of[src]))
     else:  # stride
         n = len(hosts)
-        step = spec.stride if spec.stride is not None else n // 2
-        if step % n == 0:
-            raise WorkloadError(f"stride {step} maps hosts onto themselves")
         for i in range(spec.elephant_count):
             src = hosts[i % n]
-            pairs.append((src, hosts[(i % n + step) % n]))
+            pairs.append((src, hosts[(i % n + n // 2) % n]))
 
     flows: list[Flow] = []
     t = 0.0
@@ -153,7 +149,9 @@ def probe_schedule(flow: Flow, horizon: float, interval: float) -> list[float]:
 
     Emissions run from start_time to start_time + duration at `interval`;
     a duration of 0 emits a single probe. Flows with open-ended duration
-    probe until the horizon.
+    probe until the horizon. Each time is start_time + i * interval, not a
+    running sum, and is clamped to the end, so a last time that rounds a
+    few ulps past it still falls inside the run.
     """
     if flow.kind != MICE:
         raise WorkloadError("probe_schedule applies to mice flows only")
@@ -163,4 +161,5 @@ def probe_schedule(flow: Flow, horizon: float, interval: float) -> list[float]:
     span = max(0.0, end - flow.start_time)
     # guard the floor against float noise (5 / 0.2 -> 24.999...)
     count = int(math.floor(span / interval + 1e-9)) + 1
-    return [flow.start_time + i * interval for i in range(count)]
+    return [flow.start_time] + [min(flow.start_time + i * interval, end)
+                                for i in range(1, count)]

@@ -30,6 +30,17 @@ def tree_digest(root: Path) -> dict:
     return out
 
 
+def test_report_counts_a_zero_rtt_probe_as_delivered():
+    # no hop latency and no queuing term: a delivered probe's RTT is 0.0
+    cfg = fast_config(base_hop_latency=0.0, queuing_scale=0.0, demand=1e6)
+    engine = run_one(cfg, "ecmp", 1)
+    assert engine.probe_rtts and set(engine.probe_rtts) == {0.0}
+    mice = run_report(cfg, "ecmp", 1, engine)["mice"]
+    assert mice["delivered"] == mice["probes"] == len(engine.probe_rtts)
+    assert mice["loss"] == 0.0
+    assert mice["rtt_mean_deviation_s"] == 0.0
+
+
 def test_bundle_layout(tmp_path):
     cfg = fast_config(schedulers=["hybrid", "ecmp"], out_dir=str(tmp_path / "b"))
     out = run_experiment(cfg)

@@ -444,7 +444,7 @@ def test_replay_is_deterministic():
                          probe_interval=0.5)
         eng.run()
         runs.append((eng.state_fingerprint(), eng.event_log,
-                     eng.probe_results, eng.bisection_series))
+                     eng.probe_rtts, eng.bisection_series))
     assert runs[0] == runs[1]
 
 
@@ -517,10 +517,9 @@ def test_probe_on_empty_network():
     mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
     eng = run_engine([mouse], topo=topo, horizon=2.0, probe_interval=1.0)
     eng.run()
-    assert eng.probe_results
-    for r in eng.probe_results:
-        assert r.delivered
-        assert r.rtt == pytest.approx(12 * 50e-6)  # 6 hops, both directions
+    assert eng.probe_rtts
+    for rtt in eng.probe_rtts:
+        assert rtt == pytest.approx(12 * 50e-6)  # 6 hops, both directions
 
 
 def test_probe_rtt_closed_form_single_path_pair():
@@ -532,9 +531,8 @@ def test_probe_rtt_closed_form_single_path_pair():
     eng.run()
     # forward links carry offered 9e6 (rho 0.9), reverse links are idle
     want = 4 * 50e-6 + 2 * (500e-6 * 0.9 / 0.1)
-    for r in eng.probe_results:
-        assert r.delivered
-        assert r.rtt == pytest.approx(want)
+    for rtt in eng.probe_rtts:
+        assert rtt == pytest.approx(want)
 
 
 def test_probe_loss_under_overload():
@@ -545,21 +543,25 @@ def test_probe_loss_under_overload():
              Flow(2, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)]
     eng = run_engine(flows, topo=topo, horizon=40.0, probe_interval=0.1, seed=3)
     eng.run()
-    lost = sum(1 for r in eng.probe_results if not r.delivered)
+    lost = sum(1 for rtt in eng.probe_rtts if rtt is None)
     # both access links overloaded 2x: survival <= 0.25 per probe
-    assert lost / len(eng.probe_results) > 0.5
+    assert lost / len(eng.probe_rtts) > 0.5
 
 
-# 1.1 * 3 rounds to just past 3.3, so that poll is clamped onto the horizon
+# 1.1 * 3 rounds to just past 3.3, so that poll and the mouse's last probe
+# are clamped onto the horizon
 @pytest.mark.parametrize("interval,horizon", [(0.1, 40.0), (0.3, 30.0),
                                               (0.7, 7.0), (1.1, 3.3),
                                               (1.0, 40.0)])
 def test_poll_schedule_does_not_drift(interval, horizon):
     topo = build_fat_tree(4, 10e6)
-    eng = run_engine([], topo=topo, horizon=horizon,
+    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
+    eng = run_engine([mouse], topo=topo, horizon=horizon, probe_interval=interval,
                      params=EngineParams(poll_interval=interval))
     eng.run()
     assert eng.polls == round(horizon / interval)
+    assert len(eng.probe_rtts) == round(horizon / interval) + 1
+    assert eng.pending_events() == 0
     assert eng.event_log[-1]["t"] == pytest.approx(horizon)
     assert all(rec["t"] <= horizon for rec in eng.event_log)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fatflow import metrics
-from fatflow.engine import Engine, ProbeResult
+from fatflow.engine import Engine
 from fatflow.schedulers import SchedulerKind
 from fatflow.topology import build_fat_tree
 from fatflow.traffic import ELEPHANT, Flow
@@ -232,26 +232,26 @@ def test_cdf_value_interpolates():
         metrics.cdf_value_at(cdf, 1.5)
 
 
-def probe(delivered, rtt=None, t=0.0):
-    return ProbeResult(0, t, delivered, rtt)
-
-
 def test_mice_loss_and_rtt():
-    results = [probe(True, 1e-3), probe(True, 2e-3), probe(True, 3e-3)]
-    loss, dev = metrics.mice_loss_and_rtt(results)
+    loss, dev = metrics.mice_loss_and_rtt([1e-3, 2e-3, 3e-3])
     assert loss == 0.0
     assert dev == pytest.approx((2 / 3) * 1e-3)
 
 
 def test_mice_loss_fraction():
-    results = [probe(True, 1e-3)] * 7 + [probe(False)] * 3
-    loss, dev = metrics.mice_loss_and_rtt(results)
+    loss, dev = metrics.mice_loss_and_rtt([1e-3] * 7 + [None] * 3)
     assert loss == pytest.approx(0.3)
     assert dev == 0.0  # identical rtts
 
 
+def test_mice_zero_rtt_counts_as_delivered():
+    loss, dev = metrics.mice_loss_and_rtt([0.0, None, 0.0, 0.0])
+    assert loss == 0.25
+    assert dev == 0.0
+
+
 def test_mice_all_lost():
-    loss, dev = metrics.mice_loss_and_rtt([probe(False)] * 4)
+    loss, dev = metrics.mice_loss_and_rtt([None] * 4)
     assert loss == 1.0
     assert dev is None
 

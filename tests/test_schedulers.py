@@ -4,14 +4,14 @@ import re
 import pytest
 
 from fatflow.engine import Engine
-from fatflow.experiment import run_experiment
+from fatflow.experiment import ExperimentConfig, build_topology, run_experiment
 from fatflow.schedulers import (MECH_CONTROLLER, MECH_PROACTIVE, PathView,
                                 SchedulerError, SchedulerKind, dispatch,
                                 estimate_demands, flow_hash, global_first_fit,
-                                hedera_period_polls, select_ecmp, select_hedera,
-                                select_lexicographic, select_non_blocking,
-                                select_scalarized)
-from fatflow.topology import build_fat_tree, build_nonblocking
+                                hedera_period_polls, path_views, select_ecmp,
+                                select_hedera, select_lexicographic,
+                                select_non_blocking, select_scalarized)
+from fatflow.topology import LinkKind, build_fat_tree, build_nonblocking
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
 from test_cli import fast_config, tree_digest
@@ -352,6 +352,78 @@ def test_non_blocking_permutation_gets_full_capacity():
     eng.run()
     for f in eng.active.values():
         assert f.achieved_rate == 10e6
+
+
+# -- the controller's snapshot ---------------------------------------------------
+
+def scanned_uplink(path):
+    up = [l.id for l in path.hops if l.kind == LinkKind.AGG_CORE and l.up]
+    assert len(up) <= 1
+    return up[0] if up else None
+
+
+@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
+                                     (build_fat_tree, 6), (build_fat_tree, 8),
+                                     (build_nonblocking, 4)])
+def test_path_uplink_id_is_the_up_agg_core_hop(build, k):
+    topo = build(k, 10e6)
+    found = 0
+    for src in (topo.hosts[0], topo.hosts[-1]):
+        for dst in topo.hosts:
+            if dst != src:
+                for p in topo.equal_cost_paths(src, dst):
+                    assert p.uplink_id == scanned_uplink(p)
+                    found += p.uplink_id is not None
+    assert (found > 0) == (topo.layout == "fat-tree")
+
+
+def recomputed_views(eng, candidates):
+    views = []
+    for p in candidates:
+        uplink = scanned_uplink(p)
+        views.append(PathView(
+            p, min(eng.polled_residual[l.id] for l in p.hops),
+            0 if uplink is None else eng.polled_elephants[uplink], len(p.hops)))
+    return views
+
+
+def test_path_views_read_the_poll_snapshot():
+    config = ExperimentConfig()
+    topo = build_topology(config, "hybrid")
+    eng = Engine(topo, config.scheduler_kind("hybrid"),
+                 generate_workload(topo, config.workload_spec(0)),
+                 horizon=config.duration, params=config.engine_params(),
+                 seed=0, probe_interval=config.probe_interval)
+    hosts = topo.hosts
+    pairs = [(hosts[0], hosts[1]), (hosts[0], hosts[2]), (hosts[0], hosts[-1]),
+             (hosts[5], hosts[9]), (hosts[-1], hosts[3])]
+    loaded = crowded = 0
+    while eng.pending_events():
+        if eng.step()["type"] not in ("arrival", "poll"):
+            continue
+        for src, dst in pairs:
+            candidates = topo.equal_cost_paths(src, dst)
+            views = path_views(eng, candidates)
+            assert views == recomputed_views(eng, candidates)
+            loaded += any(v.min_residual < topo.link_capacity for v in views)
+            crowded += any(v.uplink_elephants for v in views)
+    assert loaded and crowded
+
+
+def test_path_views_change_only_at_a_poll(k4):
+    f = Flow(0, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.5, None)
+    eng = Engine(k4, SchedulerKind("ecmp"), [f], horizon=3.0, seed=0)
+    candidates = k4.equal_cost_paths(f.src, f.dst)
+    before = path_views(eng, candidates)
+    assert eng.step()["type"] == "arrival"
+    assert max(eng.allocated) == 10e6
+    assert path_views(eng, candidates) == before
+    assert eng.step()["type"] == "poll"
+    after = {v.path: v for v in path_views(eng, candidates)}
+    view = after[eng.active[0].path]
+    assert view.min_residual == 0.0
+    assert view.uplink_elephants == 1
+    assert sum(v.uplink_elephants for v in after.values()) == 1
 
 
 # -- dispatch -------------------------------------------------------------------

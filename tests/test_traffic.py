@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatflow.topology import build_fat_tree
 from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadError, WorkloadSpec,
@@ -104,6 +106,24 @@ def test_probe_schedule_fractional_interval():
 def test_probe_schedule_open_ended_capped_at_horizon():
     times = probe_schedule(probe_flow(None, start=1.0), horizon=4.0, interval=1.0)
     assert times == [1.0, 2.0, 3.0, 4.0]
+
+
+# short decimals: their multiples often round a few ulps past the decimal
+# they should hit (3 * 1.1 = 3.3000000000000003)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(interval=st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+       horizon_tenths=st.integers(1, 100), start_tenths=st.integers(0, 100),
+       duration_tenths=st.none() | st.integers(0, 100))
+def test_probe_schedule_stays_inside_the_stream(interval, horizon_tenths,
+                                                start_tenths, duration_tenths):
+    horizon = horizon_tenths / 10
+    start = min(start_tenths, horizon_tenths) / 10
+    duration = None if duration_tenths is None else duration_tenths / 10
+    times = probe_schedule(probe_flow(duration, start), horizon, interval)
+    end = horizon if duration is None else min(start + duration, horizon)
+    assert times[0] == start
+    assert all(start <= t <= end for t in times)
+    assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_probe_schedule_rejects_bad_interval():
