@@ -12,7 +12,9 @@ difference. The configs are:
 - the `fatbench` workloads, with the flags and seed-0 block of
   `fatbench/run.py`;
 - a `--events` config with departures in which `hedera-gff` reroutes,
-  every scheduler x seeds 0-2.
+  every scheduler x seeds 0-2;
+- the same at k=8, every scheduler x seeds 0-1, so the arrival records'
+  `path` fields compare every scheduler's path choices on a larger tree.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ CONFIGS = {
     "hedera-gff reroutes": [
         "--events", "--elephants", "100", "--arrival-rate", "10",
         "--flow-duration", "6", "--duration", "20", *every_scheduler(range(3))],
+    "k=8 every scheduler": [
+        "--events", "--k", "8", "--elephants", "100", "--arrival-rate", "20",
+        "--flow-duration", "3", "--duration", "12", *every_scheduler(range(2))],
 }
 
 

@@ -120,6 +120,11 @@ class ExperimentConfig:
             WorkloadSpec(pattern=self.pattern).validate()
         except WorkloadError as exc:
             raise ConfigError(f"pattern: {exc}") from exc
+        hosts = self.k ** 3 // 4
+        if self.pattern == "random_permutation" and self.elephants > hosts:
+            raise ConfigError(
+                f"elephants: random_permutation pairs each of the {hosts} "
+                f"hosts at most once, got {self.elephants}")
 
     def scheduler_kind(self, name: str) -> SchedulerKind:
         return SchedulerKind(name, alpha=self.alpha,

@@ -45,6 +45,17 @@ class NodeId:
     pod: Optional[int]
     index: int
 
+    def __post_init__(self):
+        # the dataclass hash, computed once for the many table lookups
+        object.__setattr__(self, "_hash", hash((self.tier, self.pod, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: another process may hash strings differently
+        return NodeId, (self.tier, self.pod, self.index)
+
     @property
     def label(self) -> str:
         if self.pod is None:
@@ -134,11 +145,10 @@ class Topology:
         self.core_switches = tuple(n for n in self.nodes if n.tier == CORE)
         self.switches = self.edge_switches + self.agg_switches + self.core_switches
 
-        self._link_by_pair = {(l.src, l.dst): l for l in self.links}
-        self._host_set = set(self.hosts)
+        link_by_pair = {(l.src, l.dst): l for l in self.links}
         # reverse_ids[i] = id of the opposite-direction link of link i
         self.reverse_ids = tuple(
-            self._link_by_pair[(l.dst, l.src)].id for l in self.links
+            link_by_pair[(l.dst, l.src)].id for l in self.links
         )
         self.agg_upstream_link_ids = tuple(
             l.id for l in self.links if l.kind == LinkKind.AGG_CORE and l.up
@@ -149,30 +159,28 @@ class Topology:
             l.id for l in self.links if l.kind != LinkKind.HOST_EDGE
         ) or tuple(l.id for l in self.links)
 
-        # upstream edge-to-aggregate link ids per edge and per aggregate
-        # switch, in link-id order
-        uplinks: dict[NodeId, list[int]] = {}
-        inlinks: dict[NodeId, list[int]] = {}
+        # per-node link tables: each host's access link up and down, each
+        # switch's links up and down, in link-id order, which is the far
+        # end's index order (pod order at a core)
+        self._access_up: dict[NodeId, Link] = {}
+        self._access_down: dict[NodeId, Link] = {}
+        self._up: dict[NodeId, list[Link]] = {}
+        self._down: dict[NodeId, list[Link]] = {}
         for l in self.links:
-            if l.kind == LinkKind.EDGE_AGG and l.up:
-                uplinks.setdefault(l.src, []).append(l.id)
-                inlinks.setdefault(l.dst, []).append(l.id)
-        self._edge_uplinks = {n: tuple(ids) for n, ids in uplinks.items()}
-        self._agg_inlinks = {n: tuple(ids) for n, ids in inlinks.items()}
+            if l.src.tier == HOST:
+                self._access_up[l.src] = l
+                continue
+            if l.dst.tier == HOST:
+                self._access_down[l.dst] = l
+            (self._up if l.up else self._down).setdefault(l.src, []).append(l)
+        self.ports_per_switch = {
+            n: len(self._up.get(n, ())) + len(self._down.get(n, ()))
+            for n in self.switches}
+        self.total_switch_ports = sum(self.ports_per_switch.values())
         # (src, dst) -> its equal-cost paths, built on first request
         self._paths: dict[tuple[NodeId, NodeId], tuple[Path, ...]] = {}
 
-        degree: dict[NodeId, int] = {}
-        for l in self.links:
-            if l.src.tier != HOST:
-                degree[l.src] = degree.get(l.src, 0) + 1
-        self.ports_per_switch = degree
-        self.total_switch_ports = sum(degree.values())
-
     # -- queries ------------------------------------------------------------
-
-    def link(self, src: NodeId, dst: NodeId) -> Link:
-        return self._link_by_pair[(src, dst)]
 
     def host_number(self, host: NodeId) -> int:
         """Global host index in [0, k^3/4), stable across builds."""
@@ -180,13 +188,6 @@ class Topology:
         if host.pod is None:
             return host.index
         return host.pod * per_pod + host.index
-
-    def host_edge_switch(self, host: NodeId) -> NodeId:
-        if host not in self._host_set:
-            raise TopologyError(f"unknown host {host!r}")
-        if self.layout == "star":
-            return self.edge_switches[0]
-        return NodeId(EDGE, host.pod, host.index // (self.k // 2))
 
     def equal_cost_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
         """All shortest paths from host `src` to host `dst`, canonically ordered.
@@ -202,42 +203,29 @@ class Topology:
     def _build_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
         if src == dst:
             raise TopologyError("src and dst must differ")
-        for h in (src, dst):
-            if h not in self._host_set:
+        first = self._access_up.get(src)
+        last = self._access_down.get(dst)
+        for h, access in ((src, first), (dst, last)):
+            if access is None:
                 raise TopologyError(f"unknown host {h!r}")
-
-        e_src = self.host_edge_switch(src)
-        e_dst = self.host_edge_switch(dst)
-        first = self.link(src, e_src)
-        last = self.link(e_dst, dst)
-
+        e_src, e_dst = first.dst, last.src
         if e_src == e_dst:
             return [Path((first, last), None, None)]
 
-        half = self.k // 2
-        paths = []
+        up, down = self._up, self._down
+        # aggregate j of the destination pod -> the destination edge switch
+        into_dst = [down[l.dst][e_dst.index] for l in up[e_dst]]
         if src.pod == dst.pod:
             # one path per aggregate switch of the pod
-            for j in range(half):
-                agg = NodeId(AGG, src.pod, j)
-                hops = (first, self.link(e_src, agg), self.link(agg, e_dst), last)
-                paths.append(Path(hops, j, None))
-        else:
-            # one path per core switch; core c attaches to aggregate c // half
-            for c in range(half * half):
-                j = c // half
-                agg_s = NodeId(AGG, src.pod, j)
-                agg_d = NodeId(AGG, dst.pod, j)
-                core = NodeId(CORE, None, c)
-                hops = (
-                    first,
-                    self.link(e_src, agg_s),
-                    self.link(agg_s, core),
-                    self.link(core, agg_d),
-                    self.link(agg_d, e_dst),
-                    last,
-                )
-                paths.append(Path(hops, j, c))
+            return [Path((first, l1, l4, last), j, None)
+                    for j, (l1, l4) in enumerate(zip(up[e_src], into_dst))]
+        # one path per core switch, via the aggregate switch j it hangs off
+        paths = []
+        for j, l1 in enumerate(up[e_src]):
+            for l2 in up[l1.dst]:
+                l3 = down[l2.dst][dst.pod]
+                hops = (first, l1, l2, l3, into_dst[j], last)
+                paths.append(Path(hops, j, l2.dst.index))
         return paths
 
     def aggregate_upstream_links(self) -> tuple[Link, ...]:
@@ -245,10 +233,16 @@ class Topology:
         return tuple(self.links[i] for i in self.agg_upstream_link_ids)
 
     def edge_uplink_ids(self, edge: NodeId) -> tuple[int, ...]:
-        return self._edge_uplinks.get(edge, ())
+        """Ids of an edge switch's upstream links; () for any other node."""
+        if edge.tier != EDGE:
+            return ()
+        return tuple(l.id for l in self._up.get(edge, ()))
 
     def agg_inlink_ids(self, agg: NodeId) -> tuple[int, ...]:
-        return self._agg_inlinks.get(agg, ())
+        """Ids of the edge-to-aggregate links into `agg`; () for others."""
+        if agg.tier != AGG:
+            return ()
+        return tuple(self.reverse_ids[l.id] for l in self._down.get(agg, ()))
 
 
 def _check_args(k: int, link_capacity: float) -> None:

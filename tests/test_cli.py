@@ -349,6 +349,24 @@ def test_every_field_rejects_a_bad_value(tmp_path, capsys, monkeypatch, field,
     assert "config error" in err and f"{field.name}:" in err
 
 
+@pytest.mark.parametrize("k,hosts", [(4, 16), (8, 128)])
+def test_permutation_larger_than_the_hosts_fails_fast(tmp_path, capsys,
+                                                      monkeypatch, k, hosts):
+    def no_run(config):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr("fatflow.cli.run_experiment", no_run)
+    out = tmp_path / "r"
+    argv = ["--k", str(k), "--pattern", "random_permutation",
+            "--out", str(out)]
+    assert main(argv + ["--elephants", str(hosts + 1)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "elephants:" in err
+    assert not out.exists()
+    # one flow per host still fits, and other patterns take any count
+    config_from_args(argv + ["--elephants", str(hosts)], env={})
+    config_from_args(["--k", str(k), "--elephants", str(hosts + 1)], env={})
+
+
 def test_readme_and_docstring_list_every_flag():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"^Flags \(.*?^```\n(.*?)^```", readme,

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import networkx as nx
 import pytest
 
-from fatflow.topology import (AGG, CORE, LinkKind, TopologyError,
-                              build_fat_tree, build_nonblocking)
+from fatflow.topology import (AGG, CORE, EDGE, LinkKind, NodeId, Path,
+                              TopologyError, build_fat_tree, build_nonblocking)
 
 
 def undirected_graph(topo):
@@ -210,3 +213,96 @@ def test_bad_path_queries_raise_on_every_call():
             t.equal_cost_paths(t.hosts[0], t.switches[0])
         with pytest.raises(TopologyError, match="must differ"):
             t.equal_cost_paths(t.hosts[3], t.hosts[3])
+
+
+# -- path enumeration pinned against the NodeId-lookup version it replaced ---
+
+def reference_paths(topo):
+    """The previous `Topology._build_paths` over `topo`, verbatim but for
+    its helpers: `link` and `host_edge_switch` were methods reading the
+    `_link_by_pair` and `_host_set` attributes the topology no longer keeps."""
+    link_by_pair = {(l.src, l.dst): l for l in topo.links}
+    host_set = set(topo.hosts)
+
+    def link(src, dst):
+        return link_by_pair[(src, dst)]
+
+    def host_edge_switch(host):
+        if host not in host_set:
+            raise TopologyError(f"unknown host {host!r}")
+        if topo.layout == "star":
+            return topo.edge_switches[0]
+        return NodeId(EDGE, host.pod, host.index // (topo.k // 2))
+
+    def build_paths(src, dst):
+        if src == dst:
+            raise TopologyError("src and dst must differ")
+        for h in (src, dst):
+            if h not in host_set:
+                raise TopologyError(f"unknown host {h!r}")
+
+        e_src = host_edge_switch(src)
+        e_dst = host_edge_switch(dst)
+        first = link(src, e_src)
+        last = link(e_dst, dst)
+
+        if e_src == e_dst:
+            return [Path((first, last), None, None)]
+
+        half = topo.k // 2
+        paths = []
+        if src.pod == dst.pod:
+            # one path per aggregate switch of the pod
+            for j in range(half):
+                agg = NodeId(AGG, src.pod, j)
+                hops = (first, link(e_src, agg), link(agg, e_dst), last)
+                paths.append(Path(hops, j, None))
+        else:
+            # one path per core switch; core c attaches to aggregate c // half
+            for c in range(half * half):
+                j = c // half
+                agg_s = NodeId(AGG, src.pod, j)
+                agg_d = NodeId(AGG, dst.pod, j)
+                core = NodeId(CORE, None, c)
+                hops = (
+                    first,
+                    link(e_src, agg_s),
+                    link(agg_s, core),
+                    link(core, agg_d),
+                    link(agg_d, e_dst),
+                    last,
+                )
+                paths.append(Path(hops, j, c))
+        return paths
+
+    return build_paths
+
+
+@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
+                                     (build_fat_tree, 6), (build_fat_tree, 8),
+                                     (build_nonblocking, 4)])
+def test_paths_match_the_reference_for_every_pair(build, k):
+    t = build(k, 10e6)
+    reference = reference_paths(t)
+    pairs = 0
+    for src in t.hosts:
+        for dst in t.hosts:
+            if src == dst:
+                continue
+            want = reference(src, dst)
+            got = t.equal_cost_paths(src, dst)
+            assert [(p.agg_index, p.core_index) for p in got] == \
+                [(p.agg_index, p.core_index) for p in want]
+            for p, q in zip(got, want):
+                assert len(p.hops) == len(q.hops)
+                assert all(a is b for a, b in zip(p.hops, q.hops))
+            pairs += 1
+    assert pairs == len(t.hosts) * (len(t.hosts) - 1)
+
+
+def test_node_id_hash_is_the_field_tuple_hash_and_survives_pickling():
+    for n in build_fat_tree(4, 10e6).nodes:
+        assert hash(n) == hash((n.tier, n.pod, n.index))
+        for twin in (pickle.loads(pickle.dumps(n)), copy.deepcopy(n)):
+            assert twin == n and hash(twin) == hash(n)
+            assert twin.label == n.label
