@@ -13,8 +13,9 @@ difference. The configs are:
   `fatbench/run.py`;
 - a `--events` config with departures in which `hedera-gff` reroutes,
   every scheduler x seeds 0-2;
-- the same at k=8, every scheduler x seeds 0-1, so the arrival records'
-  `path` fields compare every scheduler's path choices on a larger tree.
+- a `--events` config at k=8 with departures, every scheduler x seeds
+  0-1, so the arrival records' `path` fields compare every scheduler's
+  path choices on a larger tree.
 """
 
 from __future__ import annotations
