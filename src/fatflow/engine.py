@@ -190,13 +190,18 @@ def traversal_delay(rho: float, params: EngineParams) -> float:
 class FlowState:
     """One admitted flow's run state; `Engine.active` maps its id to this."""
 
-    __slots__ = ("spec", "path", "probe_links", "achieved_rate", "bits",
-                 "round_bits", "crosses", "classified")
+    __slots__ = ("spec", "path", "probe_links", "probe_keep", "probe_rtt",
+                 "probe_epoch", "achieved_rate", "bits", "round_bits",
+                 "crosses", "classified")
 
     def __init__(self, spec: Flow, crosses: bool):
         self.spec = spec
         self.path: Path  # set with `probe_links` by `Engine._route`
         self.probe_links: tuple[int, ...] = ()  # forward then reverse ids
+        # a probe's survival chance and RTT over `probe_links` as of the
+        # engine's re-solve epoch `probe_epoch` (-1: not computed yet)
+        self.probe_keep = self.probe_rtt = 0.0
+        self.probe_epoch = -1
         self.achieved_rate = 0.0  # bits/s, 0 for a mouse
         self.bits = 0.0  # sent since the last poll
         self.round_bits = 0.0  # sent this Hedera scheduling round
@@ -224,13 +229,15 @@ class Engine:
     def __init__(self, topo: Topology, scheduler: SchedulerKind,
                  flows: list[Flow], horizon: float,
                  params: EngineParams = EngineParams(), seed: int = 0,
-                 probe_interval: Optional[float] = None):
+                 probe_interval: Optional[float] = None,
+                 log_events: bool = True):
         POSITIVE.check("horizon", horizon, EngineError)
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon
         self.params = params
         self.probe_interval = probe_interval
+        self.log_events = log_events
         self.dispatch_rng = random.Random(f"{seed}/dispatch")
         self._probe_rng = random.Random(f"{seed}/probe")
 
@@ -257,6 +264,7 @@ class Engine:
         # the chance to survive the traversal and the traversal delay
         self._probe_keep = [1.0] * nlinks
         self._probe_delay = [traversal_delay(0.0, params)] * nlinks
+        self._epoch = 0  # re-solves so far; only they move the probe factors
         # what the controller knows: link state as of the last stats poll,
         # which path selection reads instead of live data-plane state
         self.polled_residual = list(self._cap)
@@ -283,7 +291,8 @@ class Engine:
         # or None when it was lost
         self.probe_rtts: list[Optional[float]] = []
         self.util_snapshots: list[tuple[float, ...]] = []
-        self.event_log: list[dict] = []
+        self.event_log: list[dict] = []  # kept only when `log_events` is on
+        self.events_processed = 0
 
         self._seq = itertools.count()
         self._queue: list[tuple[float, int, str, object]] = []
@@ -306,10 +315,12 @@ class Engine:
         return len(self._queue)
 
     def step(self) -> dict:
-        """Process exactly one event in (time, sequence) order."""
+        """Process exactly one event in (time, sequence) order and return its
+        log record, or only `{"type": kind}` when `log_events` is off."""
         if not self._queue:
             raise EngineError("event queue is empty")
         t, seq, kind, payload = heapq.heappop(self._queue)
+        self.events_processed += 1
         self._advance(t)
         if kind != "probe":
             self._integrate()
@@ -323,6 +334,8 @@ class Engine:
             record = self._on_poll()
         else:  # pragma: no cover - queue is engine-private
             raise EngineError(f"unknown event kind {kind!r}")
+        if record is None:
+            return {"type": kind}
         record.update(seq=seq, t=t, type=kind)
         self.event_log.append(record)
         return record
@@ -353,7 +366,7 @@ class Engine:
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_arrival(self, flow: Flow) -> dict:
+    def _on_arrival(self, flow: Flow) -> Optional[dict]:
         decision = dispatch(self, flow, self.scheduler)
         if decision.mechanism == MECH_CONTROLLER:
             self.controller_decisions += 1
@@ -371,6 +384,8 @@ class Engine:
             for pt in probe_schedule(flow, self.horizon, self.probe_interval):
                 self._push(pt, "probe", st)
         self._reallocate_for(st)
+        if not self.log_events:
+            return None
         return {
             "flow": flow.id,
             "kind": flow.kind,
@@ -380,7 +395,7 @@ class Engine:
             "bisection_rate": self.bisection_rate,
         }
 
-    def _on_departure(self, fid: int) -> dict:
+    def _on_departure(self, fid: int) -> Optional[dict]:
         if fid not in self.active:
             raise EngineError(f"departure for unknown flow id {fid}")
         st = self.active.pop(fid)
@@ -392,22 +407,29 @@ class Engine:
             for lid in st.path.link_ids:
                 self.reserved[lid] -= need
         self._reallocate_for(st)
+        if not self.log_events:
+            return None
         return {"flow": fid, "bisection_rate": self.bisection_rate}
 
-    def _on_probe(self, st: FlowState) -> dict:
-        links = st.probe_links
-        survival = 1.0
-        for lid in links:
-            survival *= self._probe_keep[lid]
-        rtt = None  # lost
-        if self._probe_rng.random() < survival:
+    def _on_probe(self, st: FlowState) -> Optional[dict]:
+        if st.probe_epoch != self._epoch:
+            links = st.probe_links
+            survival = 1.0
+            for lid in links:
+                survival *= self._probe_keep[lid]
             rtt = 0.0
             for lid in links:
                 rtt += self._probe_delay[lid]
+            st.probe_keep, st.probe_rtt = survival, rtt
+            st.probe_epoch = self._epoch
+        # one draw per probe, hit or miss, keeps the random stream in order
+        rtt = st.probe_rtt if self._probe_rng.random() < st.probe_keep else None
         self.probe_rtts.append(rtt)
+        if not self.log_events:
+            return None
         return {"flow": st.spec.id, "delivered": rtt is not None, "rtt": rtt}
 
-    def _on_poll(self) -> dict:
+    def _on_poll(self) -> Optional[dict]:
         newly = []
         # a mouse sends no bits, so only routed elephants can classify
         for fid in sorted(self._routed):
@@ -429,9 +451,12 @@ class Engine:
         self.util_snapshots.append(tuple(
             self.allocated[lid] / self._cap[lid]
             for lid in self.topology.monitored_link_ids))
-        record = {"classified": newly, "port_reads": self.port_stat_reads}
+        record = ({"classified": newly, "port_reads": self.port_stat_reads}
+                  if self.log_events else None)
         if self._round_polls and self.polls % self._round_polls == 0:
-            record["rerouted"] = self._hedera_round()
+            moved = self._hedera_round()
+            if record is not None:
+                record["rerouted"] = moved
         return record
 
     def _hedera_round(self) -> list[int]:
@@ -471,6 +496,7 @@ class Engine:
             moved.append(flow.id)
         if moved:
             self.reroutes += len(moved)
+            self._epoch += 1
             self._resolve(changed)
         return moved
 
@@ -482,6 +508,7 @@ class Engine:
         reverse = self.topology.reverse_ids
         st.probe_links = path.link_ids + tuple(reverse[lid]
                                                for lid in path.link_ids)
+        st.probe_epoch = -1
 
     def _reallocate_for(self, st: FlowState) -> None:
         """Re-solve after a flow arrived or left, unless it carries no rate.
@@ -503,6 +530,7 @@ class Engine:
             self._unindex(fid, links)
             if st.crosses:
                 self._crossing.remove(fid)
+        self._epoch += 1
         self._resolve(links)
 
     def _index(self, fid: int, links: tuple[int, ...]) -> None:
@@ -585,5 +613,5 @@ class Engine:
             tuple(self.elephants),
             self.bisection_rate,
             self.port_stat_reads,
-            len(self.event_log),
+            self.events_processed,
         )

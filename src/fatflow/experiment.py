@@ -5,8 +5,9 @@ schema_version field, plot data is CSV, and nothing timestamped or
 machine-specific is ever written, so identical configs produce bit-identical
 bundles.
 
-Event-log record format (one JSON object per processed engine event, written
-when `write_events` is on): {"seq": int, "t": seconds, "type":
+Event-log record format (one JSON object per processed engine event; the
+engine builds records only when `write_events` is on, which `run_one` passes
+as `log_events`): {"seq": int, "t": seconds, "type":
 "arrival"|"departure"|"probe"|"poll", ...} with per-type payload fields as
 produced by Engine.step().
 """
@@ -170,7 +171,8 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
     flows = generate_workload(topo, config.workload_spec(seed))
     engine = Engine(topo, config.scheduler_kind(scheduler), flows,
                     horizon=config.duration, params=config.engine_params(),
-                    seed=seed, probe_interval=config.probe_interval)
+                    seed=seed, probe_interval=config.probe_interval,
+                    log_events=config.write_events)
     return engine.run()
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from fatflow import cli
+from fatflow import cli, experiment
 from fatflow.cli import build_arg_parser, config_from_args, main
+from fatflow.engine import Engine
 from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
                                 emit_plot_data, run_experiment, run_one,
                                 run_report, summarize)
@@ -242,6 +243,42 @@ def test_events_flag_writes_jsonl(tmp_path):
     assert all({"seq", "t", "type"} <= set(r) for r in recs)
     times = [r["t"] for r in recs]
     assert times == sorted(times)  # processed strictly in time order
+
+
+class StepKeepingEngine(Engine):
+    """Keeps what every `step` call returned."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.returned = []
+
+    def step(self):
+        record = super().step()
+        self.returned.append(record)
+        return record
+
+
+@pytest.mark.parametrize("overrides", [{}, {"flow_duration": 6.0}],
+                         ids=["default", "departures"])
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_run_without_events_logs_nothing_and_reports_the_same(
+        scheduler, overrides, monkeypatch):
+    monkeypatch.setattr(experiment, "Engine", StepKeepingEngine)
+    engines, texts = {}, {}
+    for write_events in (True, False):
+        cfg = ExperimentConfig(write_events=write_events, **overrides)
+        engines[write_events] = eng = run_one(cfg, scheduler, 3)
+        texts[write_events] = json.dumps(run_report(cfg, scheduler, 3, eng),
+                                         sort_keys=True, indent=2)
+    logged, quiet = engines[True], engines[False]
+    assert logged.event_log and logged.returned == logged.event_log
+    assert quiet.event_log == []
+    # every step still names its event, in a dict of its own
+    assert quiet.returned == [{"type": rec["type"]} for rec in logged.event_log]
+    assert len({id(rec) for rec in quiet.returned}) == len(quiet.returned)
+    assert quiet.events_processed == len(logged.event_log)
+    assert quiet.state_fingerprint() == logged.state_fingerprint()
+    assert texts[False] == texts[True]
 
 
 @pytest.mark.parametrize("flag,value,field", [

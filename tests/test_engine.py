@@ -738,16 +738,31 @@ def test_mouse_arrival_changes_no_rate(monkeypatch):
 
 
 def test_probe_links_follow_a_moved_path():
+    # an elephant at the full link rate loads one of the mouse's paths, so
+    # probes on it take longer than on a path through another core switch
     topo = build_fat_tree(4, 10e6)
-    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
-    eng = run_engine([mouse], topo=topo, horizon=2.0, probe_interval=1.0)
+    mouse = Flow(1, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
+    eng = run_engine([elephant(0, topo), mouse], topo=topo, horizon=2.0,
+                     probe_interval=0.1)
     eng.step()
-    state = eng.active[0]
-    first, other = topo.equal_cost_paths(topo.hosts[0], topo.hosts[15])[:2]
-    for path in (first, other, first):
+    eng.step()
+    state = eng.active[1]
+    loaded = eng.active[0].path
+    idle = next(p for p in topo.equal_cost_paths(topo.hosts[0], topo.hosts[15])
+                if p.core_index != loaded.core_index)
+    assert eng.step()["type"] == "probe"  # fills the mouse's probe cache
+    rtts = []
+    for path in (loaded, idle, loaded):
         eng._route(state, path)
         want = path.link_ids + tuple(topo.reverse_ids[l] for l in path.link_ids)
         assert state.probe_links == want
+        assert eng.step()["type"] == "probe"
+        fresh = 0.0
+        for lid in want:
+            fresh += eng._probe_delay[lid]
+        assert eng.probe_rtts[-1] == fresh
+        rtts.append(fresh)
+    assert rtts[0] == rtts[2] > rtts[1]
 
 
 # -- incremental re-solve against a full re-solve ------------------------------
@@ -830,6 +845,56 @@ def test_incremental_resolve_matches_full_resolve(scheduler, config,
         assert eng.reroutes > 0
     if config != "default":
         assert any(solved < routed for solved, routed in solves)
+
+
+class UncachedProbeEngine(Engine):
+    """Evaluates every probe from the per-link factors, with no cache: the
+    engine's `_on_probe` from before the cache, kept as the reference."""
+
+    def _on_probe(self, st):
+        links = st.probe_links
+        survival = 1.0
+        for lid in links:
+            survival *= self._probe_keep[lid]
+        rtt = None  # lost
+        if self._probe_rng.random() < survival:
+            rtt = 0.0
+            for lid in links:
+                rtt += self._probe_delay[lid]
+        self.probe_rtts.append(rtt)
+        return {"flow": st.spec.id, "delivered": rtt is not None, "rtt": rtt}
+
+
+def rtt_bits(rtts):
+    """Which probes were lost, and the delivered RTTs as raw float bytes."""
+    return ([rtt is None for rtt in rtts],
+            array("d", (rtt for rtt in rtts if rtt is not None)).tobytes())
+
+
+# a mouse probes again after a re-solve: elephant arrivals in all three,
+# departures in "departures" and hedera-gff reroutes in "default"
+PROBE_CACHE_CONFIGS = {"default": RESOLVE_CONFIGS["default"],
+                       "k8": RESOLVE_CONFIGS["k8"],
+                       "departures": CONFIGS["departures"]}
+
+
+@pytest.mark.parametrize("config", sorted(PROBE_CACHE_CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_cached_probes_match_uncached_reference(scheduler, config):
+    eng = default_engine(Engine, scheduler, **PROBE_CACHE_CONFIGS[config])
+    ref = default_engine(UncachedProbeEngine, scheduler,
+                         **PROBE_CACHE_CONFIGS[config])
+    hits = 0
+    while eng.pending_events():
+        _, _, kind, payload = eng._queue[0]
+        if kind == "probe" and payload.probe_epoch == eng._epoch:
+            hits += 1
+        assert eng.step() == ref.step()
+    assert not ref.pending_events()
+    assert rtt_bits(eng.probe_rtts) == rtt_bits(ref.probe_rtts)
+    assert 0 < hits < len(eng.probe_rtts)
+    if scheduler == HEDERA_GFF and config == "default":
+        assert eng.reroutes > 0
 
 
 def test_incremental_resolve_sums_in_flow_id_order():
