@@ -6,10 +6,9 @@ it finishes in a few seconds) printing one row per scheduler.
 Run: python demos/03_scheduler_showdown.py
 """
 
-import numpy as np
-
 from fatflow import ExperimentConfig, run_one
 from fatflow.experiment import run_report
+from fatflow.metrics import mean
 
 cfg = ExperimentConfig(schedulers=["nonblocking", "hybrid", "hedera", "ecmp"],
                        seeds=[0, 1, 2, 3, 4])
@@ -28,8 +27,8 @@ for sched in cfg.schedulers:
         loss.append(r["mice"]["loss"])
         dev.append(r["mice"]["rtt_mean_deviation_s"])
         ctl.append(r["decisions"]["controller"])
-    print(f"{sched:<12} {np.mean(bis) / 1e6:>8.1f} M {np.mean(loss):>10.3f} "
-          f"{np.mean(dev) * 1e3:>7.1f}ms {np.mean(ctl):>11.1f}")
+    print(f"{sched:<12} {mean(bis) / 1e6:>8.1f} M {mean(loss):>10.3f} "
+          f"{mean(dev) * 1e3:>7.1f}ms {mean(ctl):>11.1f}")
 
 print("\nnonblocking is the physical ceiling; the hybrid splits flows 50/50 "
       "between ECMP hashing\nand a controller that picks the emptiest "

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import metrics
 from .engine import Engine, EngineParams
 from .rules import (COUNT, EVEN_K, FRACTION, NON_EMPTY, NON_NEGATIVE,
@@ -193,9 +191,8 @@ def run_report(config: ExperimentConfig, scheduler: str, seed: int,
     cdf = None
     if engine.util_snapshots:
         # per-link time-averaged utilization, in monitored-link-id order
-        util_vector = [float(u) for u in
-                       np.mean(engine.util_snapshots, axis=0)]
-        cdf = metrics.utilization_cdf(engine.util_snapshots)
+        util_vector = metrics.column_means(engine.util_snapshots)
+        cdf = metrics.utilization_cdf(util_vector)
     rtts = engine.probe_rtts
     if rtts:
         loss, rtt_dev = metrics.mice_loss_and_rtt(rtts)
@@ -276,16 +273,16 @@ def summarize(reports: list[dict]) -> dict:
                    if r["link_utilization_mean"] is not None]
         pooled_p50 = None
         if vectors:
-            pooled = metrics.utilization_cdf(vectors)
+            pooled = metrics.utilization_cdf(metrics.column_means(vectors))
             pooled_p50 = metrics.cdf_value_at(pooled, 0.5)
         per_scheduler[name] = {
             "runs": len(runs),
-            "bisection_mean_bps": float(np.mean(bis)),
-            "mice_loss": float(np.mean(losses)) if losses else None,
-            "rtt_mean_deviation_s": float(np.mean(devs)) if devs else None,
+            "bisection_mean_bps": metrics.mean(bis),
+            "mice_loss": metrics.mean(losses) if losses else None,
+            "rtt_mean_deviation_s": metrics.mean(devs) if devs else None,
             "utilization_p50": pooled_p50,
-            "controller_decisions_mean": float(np.mean(
-                [r["decisions"]["controller"] for r in runs])),
+            "controller_decisions_mean": metrics.mean(
+                [r["decisions"]["controller"] for r in runs]),
         }
 
     improvements = {}
@@ -335,7 +332,7 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
                    if r["scheduler"] == name
                    and r["link_utilization_mean"] is not None]
         if vectors:
-            for u, f in metrics.utilization_cdf(vectors):
+            for u, f in metrics.utilization_cdf(metrics.column_means(vectors)):
                 lines.append(f"{name},{u!r},{f!r}")
     emit("utilization_cdf.csv", lines)
 

@@ -7,10 +7,9 @@ snapshots, probe RTTs, and the per-event throughput series.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from .rules import POSITIVE
 from .topology import Topology
@@ -112,29 +111,86 @@ def bisection_bandwidth(series: Sequence[tuple[float, float]],
     return list(points), area / horizon
 
 
-def utilization_cdf(samples: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
+def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
+    # NumPy's float64 pairwise summation of xs[lo:lo + n], in its order
+    if n < 8:
+        res = -0.0
+        for i in range(lo, lo + n):
+            res += xs[i]
+        return res
+    if n <= 128:
+        end = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+        for i in range(lo + 8, end, 8):
+            r0 += xs[i]; r1 += xs[i + 1]; r2 += xs[i + 2]; r3 += xs[i + 3]
+            r4 += xs[i + 4]; r5 += xs[i + 5]; r6 += xs[i + 6]; r7 += xs[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += xs[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+
+
+def mean(xs: Sequence[float]) -> float:
+    """Arithmetic mean of a non-empty sequence, rounded as `numpy.mean` rounds it.
+
+    Bundles store these means, so their rounding is fixed: the sum starts
+    from NumPy's identity +0.0 and adds pairwise in NumPy's order. The
+    built-in `sum` (compensated from Python 3.12 on), `math.fsum` and
+    `statistics.fmean` each round differently.
+    """
+    if not xs:
+        raise ValueError("mean of an empty sequence")
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
+
+
+def column_means(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Per-column mean of equal-length rows, such as utilization snapshots.
+
+    Rows are added left to right from 0.0, which is how `numpy.mean(rows,
+    axis=0)` rounds whenever there are two or more columns.
+    """
+    if not rows:
+        raise ValueError("need at least one row")
+    acc = [0.0] * len(rows[0])
+    for row in rows:
+        acc = [a + x for a, x in zip(acc, row, strict=True)]
+    return [a / len(rows) for a in acc]
+
+
+def utilization_cdf(link_means: Sequence[float]) -> list[tuple[float, float]]:
     """Empirical CDF of per-link time-averaged utilization.
 
-    `samples` is a list of snapshots, one utilization value per monitored
-    link each; links are averaged across snapshots, then sorted.
+    `link_means` holds one value per monitored link, already averaged over
+    the snapshots (see `column_means`).
     """
-    if not samples:
-        raise ValueError("need at least one utilization snapshot")
-    means = np.asarray(samples, dtype=float).mean(axis=0)
-    order = np.sort(means)
-    n = len(order)
-    return [(float(u), (i + 1) / n) for i, u in enumerate(order)]
+    if not link_means:
+        raise ValueError("need at least one link")
+    n = len(link_means)
+    # float() also rejects rows of snapshots passed in place of the means
+    return [(float(u), (i + 1) / n) for i, u in enumerate(sorted(link_means))]
 
 
 def cdf_value_at(cdf: Sequence[tuple[float, float]], fraction: float) -> float:
-    """Utilization at a cumulative-fraction query, linearly interpolated."""
+    """Utilization at a cumulative-fraction query, linearly interpolated.
+
+    Rounds as `numpy.interp` does, including its exact-hit branch.
+    """
     if not cdf:
         raise ValueError("empty CDF")
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
     fracs = [f for _, f in cdf]
-    utils = [u for u, _ in cdf]
-    return float(np.interp(fraction, fracs, utils))
+    j = max(bisect.bisect_right(fracs, fraction) - 1, 0)
+    u0, f0 = cdf[j]
+    # at or left of a point, or past the last, NumPy skips the slope, which
+    # could be infinite
+    if j == len(cdf) - 1 or fraction <= f0:
+        return float(u0)
+    u1, f1 = cdf[j + 1]
+    return (u1 - u0) / (f1 - f0) * (fraction - f0) + u0
 
 
 def mice_loss_and_rtt(rtts: Sequence[Optional[float]]) -> tuple[float, Optional[float]]:
@@ -146,5 +202,5 @@ def mice_loss_and_rtt(rtts: Sequence[Optional[float]]) -> tuple[float, Optional[
     loss = 1.0 - len(delivered) / len(rtts)
     if not delivered:
         return loss, None
-    delivered = np.asarray(delivered)
-    return loss, float(np.abs(delivered - delivered.mean()).mean())
+    centre = mean(delivered)
+    return loss, mean([abs(r - centre) for r in delivered])

@@ -1,7 +1,10 @@
 import math
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatflow import metrics
 from fatflow.engine import Engine
@@ -197,13 +200,13 @@ def test_bisection_from_event_log_matches_series(k4):
 
 
 def test_utilization_cdf_idle():
-    cdf = metrics.utilization_cdf([[0.0] * 10])
+    cdf = metrics.utilization_cdf(metrics.column_means([[0.0] * 10]))
     assert all(u == 0.0 for u, _ in cdf)
     assert cdf[-1][1] == 1.0
 
 
 def test_utilization_cdf_two_point():
-    cdf = metrics.utilization_cdf([[1.0] * 5 + [0.0] * 5])
+    cdf = metrics.utilization_cdf(metrics.column_means([[1.0] * 5 + [0.0] * 5]))
     assert metrics.cdf_value_at(cdf, 0.5) == pytest.approx(0.0)
     assert cdf[-1] == (1.0, 1.0)
 
@@ -211,7 +214,7 @@ def test_utilization_cdf_two_point():
 def test_utilization_cdf_is_monotone():
     rng = random.Random(4)
     samples = [[rng.random() for _ in range(64)] for _ in range(5)]
-    cdf = metrics.utilization_cdf(samples)
+    cdf = metrics.utilization_cdf(metrics.column_means(samples))
     us = [u for u, _ in cdf]
     fs = [f for _, f in cdf]
     assert us == sorted(us)
@@ -221,7 +224,11 @@ def test_utilization_cdf_is_monotone():
 
 def test_utilization_cdf_requires_samples():
     with pytest.raises(ValueError):
+        metrics.column_means([])
+    with pytest.raises(ValueError):
         metrics.utilization_cdf([])
+    with pytest.raises(TypeError):
+        metrics.utilization_cdf([[0.1, 0.2], [0.3, 0.4]])
 
 
 def test_cdf_value_interpolates():
@@ -259,3 +266,93 @@ def test_mice_all_lost():
 def test_mice_requires_results():
     with pytest.raises(ValueError):
         metrics.mice_loss_and_rtt([])
+
+
+# -- the pure-Python reductions against the NumPy calls they replaced ---------
+
+@pytest.fixture(scope="module")
+def np():
+    return pytest.importorskip("numpy")
+
+
+def as_bytes(xs):
+    return array("d", xs).tobytes()
+
+
+# every branch of NumPy's pairwise sum: under 8 values, one 8-accumulator
+# block (8-128), a split (above 128), and the split on either side of 8192
+MEAN_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 255, 256,
+                257, 1000, 8191, 8192, 8193, 16384, 35686]
+
+
+@pytest.mark.parametrize("n", MEAN_LENGTHS)
+def test_mean_matches_numpy(np, n):
+    rng = random.Random(n)
+    for _ in range(4):
+        xs = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6) for _ in range(n)]
+        assert as_bytes([metrics.mean(xs)]) == as_bytes([np.mean(xs)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=1,
+                max_size=300))
+def test_mean_matches_numpy_on_any_floats(xs):
+    np = pytest.importorskip("numpy")
+    assert as_bytes([metrics.mean(xs)]) == as_bytes([np.mean(xs)])
+
+
+def test_mean_of_signed_zeros_matches_numpy(np):
+    # NumPy's sum starts from its identity +0.0, so all -0.0 averages to +0.0
+    assert as_bytes([metrics.mean([-0.0] * 3)]) == as_bytes([0.0])
+    rng = random.Random(5)
+    for n in (1, 3, 7, 8, 9, 128, 129, 1000, 9000):
+        assert as_bytes([metrics.mean([-0.0] * n)]) == as_bytes([np.mean([-0.0] * n)])
+        for _ in range(20):
+            xs = [rng.choice((0.0, -0.0)) for _ in range(n)]
+            assert as_bytes([metrics.mean(xs)]) == as_bytes([np.mean(xs)])
+
+
+def test_mean_requires_values():
+    with pytest.raises(ValueError):
+        metrics.mean([])
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (2, 2), (3, 7), (5, 8), (20, 48),
+                                       (9, 64), (200, 3), (2, 768)])
+def test_column_means_match_numpy(np, rows, cols):
+    rng = random.Random(rows * 1000 + cols)
+    samples = [tuple(rng.choice((0.0, -0.0, 1.0, 1 / 3, rng.random()))
+                     for _ in range(cols)) for _ in range(rows)]
+    assert as_bytes(metrics.column_means(samples)) == \
+        as_bytes(np.mean(samples, axis=0))
+
+
+def test_column_means_reject_ragged_rows():
+    with pytest.raises(ValueError):
+        metrics.column_means([[0.1, 0.2], [0.3]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 16, 47, 48, 63, 64, 1024])
+def test_cdf_matches_numpy_sort_and_interp(np, n):
+    rng = random.Random(n)
+    means = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
+    cdf = metrics.utilization_cdf(means)
+    utils = [u for u, _ in cdf]
+    fracs = [f for _, f in cdf]
+    assert as_bytes(utils) == as_bytes(np.sort(means))
+    queries = [0.5, 0.0, 1.0, fracs[0]] + [rng.random() for _ in range(50)]
+    for q in queries:
+        assert as_bytes([metrics.cdf_value_at(cdf, q)]) == \
+            as_bytes([np.interp(q, fracs, utils)])
+
+
+def test_cdf_value_at_matches_numpy_off_the_grid(np):
+    # below the first point, exact hits and between points; the second CDF
+    # has an infinite slope, where only the exact-hit branch avoids inf * 0
+    for cdf in ([(0.0, 0.25), (0.2, 0.5), (0.2, 0.6), (1.0, 1.0)],
+                [(0.0, 0.0), (1e300, 5e-324), (1.0, 1.0)]):
+        fracs = [f for _, f in cdf]
+        utils = [u for u, _ in cdf]
+        for q in (0.0, 5e-324, 0.1, 0.25, 0.3, 0.5, 0.55, 0.6, 0.7, 1.0):
+            assert as_bytes([metrics.cdf_value_at(cdf, q)]) == \
+                as_bytes([np.interp(q, fracs, utils)])
