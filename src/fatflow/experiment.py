@@ -187,24 +187,13 @@ def run_report(config: ExperimentConfig, scheduler: str, seed: int,
     topo = engine.topology
     series, mean_bis = metrics.bisection_bandwidth(
         engine.bisection_series, engine.horizon)
-    util_vector = None
-    cdf = None
-    if engine.util_snapshots:
-        # per-link time-averaged utilization, in monitored-link-id order
-        util_vector = metrics.column_means(engine.util_snapshots)
-        cdf = metrics.utilization_cdf(util_vector)
-    rtts = engine.probe_rtts
-    if rtts:
-        loss, rtt_dev = metrics.mice_loss_and_rtt(rtts)
-        mice = {
-            "probes": len(rtts),
-            "delivered": sum(r is not None for r in rtts),
-            "loss": loss,
-            "rtt_mean_deviation_s": rtt_dev,
-        }
-    else:
-        mice = {"probes": 0, "delivered": 0, "loss": None,
-                "rtt_mean_deviation_s": None}
+    snapshots, rtts = engine.util_snapshots, engine.probe_rtts
+    # per-link time-averaged utilization, in monitored-link-id order
+    util_vector = metrics.column_means(snapshots) if snapshots else None
+    cdf = metrics.utilization_cdf(util_vector) if snapshots else None
+    loss, rtt_dev = metrics.mice_loss_and_rtt(rtts) if rtts else (None, None)
+    mice = {"probes": len(rtts), "delivered": sum(r is not None for r in rtts),
+            "loss": loss, "rtt_mean_deviation_s": rtt_dev}
 
     offered = engine.mean_offered_by_link()
     t_max, t_min = metrics.throughput_bounds(topo, offered)
@@ -252,35 +241,41 @@ def _dump_json(path: Path, obj) -> None:
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _by_scheduler(reports: list[dict]) -> dict[str, tuple[list[dict], Optional[list]]]:
+    """Each scheduler's runs in seed order, by scheduler name, with the
+    utilization CDF pooled over them (the per-link means averaged across
+    seeds), None when no run monitored a link."""
+    by_sched: dict[str, list[dict]] = {}
+    for r in sorted(reports, key=lambda r: (r["scheduler"], r["seed"])):
+        by_sched.setdefault(r["scheduler"], []).append(r)
+    pooled = {}
+    for name, runs in by_sched.items():
+        vectors = [r["link_utilization_mean"] for r in runs
+                   if r["link_utilization_mean"] is not None]
+        pooled[name] = runs, (metrics.utilization_cdf(metrics.column_means(vectors))
+                              if vectors else None)
+    return pooled
+
+
 def summarize(reports: list[dict]) -> dict:
     """Cross-scheduler means plus pairwise relative bisection improvements.
 
     Every number here is recomputable from the per-run reports alone, in
     any order: each scheduler's runs are taken in seed order.
     """
-    by_sched: dict[str, list[dict]] = {}
-    for r in sorted(reports, key=lambda r: r["seed"]):
-        by_sched.setdefault(r["scheduler"], []).append(r)
-
+    by_sched = _by_scheduler(reports)
     per_scheduler = {}
-    for name, runs in sorted(by_sched.items()):
+    for name, (runs, cdf) in by_sched.items():
         bis = [r["bisection"]["mean_bps"] for r in runs]
         losses = [r["mice"]["loss"] for r in runs if r["mice"]["loss"] is not None]
         devs = [r["mice"]["rtt_mean_deviation_s"] for r in runs
                 if r["mice"]["rtt_mean_deviation_s"] is not None]
-        # pool link utilizations across seeds: mean per link, then one CDF
-        vectors = [r["link_utilization_mean"] for r in runs
-                   if r["link_utilization_mean"] is not None]
-        pooled_p50 = None
-        if vectors:
-            pooled = metrics.utilization_cdf(metrics.column_means(vectors))
-            pooled_p50 = metrics.cdf_value_at(pooled, 0.5)
         per_scheduler[name] = {
             "runs": len(runs),
             "bisection_mean_bps": metrics.mean(bis),
             "mice_loss": metrics.mean(losses) if losses else None,
             "rtt_mean_deviation_s": metrics.mean(devs) if devs else None,
-            "utilization_p50": pooled_p50,
+            "utilization_p50": None if cdf is None else metrics.cdf_value_at(cdf, 0.5),
             "controller_decisions_mean": metrics.mean(
                 [r["decisions"]["controller"] for r in runs]),
         }
@@ -320,28 +315,23 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
         lines.append(f"{name},{row['bisection_mean_bps']!r}")
     emit("bisection_means.csv", lines)
 
-    runs = sorted(reports, key=lambda r: (r["scheduler"], r["seed"]))
+    by_sched = _by_scheduler(reports)
     lines = [
         "# one row per monitored unidirectional link, per-link utilization "
         "averaged over seeds; fat-tree runs cover switch-to-switch links in "
         "both directions, star runs cover access links",
         "scheduler,utilization,cumulative_fraction",
     ]
-    for name in sorted(summary["per_scheduler"]):
-        vectors = [r["link_utilization_mean"] for r in runs
-                   if r["scheduler"] == name
-                   and r["link_utilization_mean"] is not None]
-        if vectors:
-            for u, f in metrics.utilization_cdf(metrics.column_means(vectors)):
-                lines.append(f"{name},{u!r},{f!r}")
+    for name, (_, cdf) in by_sched.items():
+        lines.extend(f"{name},{u!r},{f!r}" for u, f in cdf or ())
     emit("utilization_cdf.csv", lines)
 
     for name, key in (("mice_loss.csv", "loss"),
                       ("rtt_deviation.csv", "rtt_mean_deviation_s")):
         lines = [f"scheduler,seed,{key}"]
-        for r in runs:
-            if r["mice"][key] is not None:
-                lines.append(f"{r['scheduler']},{r['seed']},{r['mice'][key]!r}")
+        lines.extend(f"{r['scheduler']},{r['seed']},{r['mice'][key]!r}"
+                     for runs, _ in by_sched.values() for r in runs
+                     if r["mice"][key] is not None)
         emit(name, lines)
     return written
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .rules import POSITIVE
 from .topology import Topology
@@ -18,7 +18,7 @@ from .topology import Topology
 def edge_upstream_loads(topo: Topology, link_loads: Mapping[int, float]) -> list[float]:
     """Total load each edge switch pushes upward, in edge order."""
     return [
-        sum(link_loads.get(lid, 0.0) for lid in topo.edge_uplink_ids(e))
+        ordered_sum(link_loads.get(lid, 0.0) for lid in topo.edge_uplink_ids(e))
         for e in topo.edge_switches
     ]
 
@@ -33,7 +33,7 @@ def aggregate_load(topo: Topology, link_loads: Mapping[int, float]) -> list[floa
     """Per-aggregate sum of incoming edge loads over the k/2 paths, agg order."""
     paths = topo.k // 2
     return [
-        sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a)) / paths
+        ordered_sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a)) / paths
         for a in topo.agg_switches
     ]
 
@@ -47,7 +47,7 @@ def throughput_bounds(topo: Topology, link_loads: Mapping[int, float]) -> tuple[
     dist = edge_load_distribution(topo, link_loads)
     if not dist:
         return 0.0, 0.0
-    return sum(dist), min(dist)
+    return ordered_sum(dist), min(dist)
 
 
 def latency_proxies(t_max: float, t_min: float) -> tuple[float, float]:
@@ -74,16 +74,16 @@ def load_balance_efficiency(topo: Topology, link_loads: Mapping[int, float]) -> 
     for pod in pods:
         aggs = [a for a in topo.agg_switches if a.pod == pod]
         agg_loads = [
-            sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a))
+            ordered_sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a))
             for a in aggs
         ]
-        total = sum(agg_loads)
+        total = ordered_sum(agg_loads)
         if total <= 0:
             per_pod.append(1.0)
             continue
-        dev = sum((load / total - 1.0 / half) ** 2 for load in agg_loads)
+        dev = ordered_sum((load / total - 1.0 / half) ** 2 for load in agg_loads)
         per_pod.append(1.0 - dev / half)
-    eff = sum(per_pod) / len(per_pod) if per_pod else 1.0
+    eff = ordered_sum(per_pod) / len(per_pod) if per_pod else 1.0
     return min(1.0, max(0.0, eff))
 
 
@@ -109,6 +109,18 @@ def bisection_bandwidth(series: Sequence[tuple[float, float]],
     if last_t < horizon:
         area += last_v * (horizon - last_t)
     return list(points), area / horizon
+
+
+def ordered_sum(xs: Iterable[float]) -> float:
+    """Sum of floats, added left to right from 0.0.
+
+    Bundles store these sums, so their rounding is fixed. The built-in `sum`
+    adds left to right only up to Python 3.11; from 3.12 on it compensates.
+    """
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:

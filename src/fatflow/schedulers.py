@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Optional, Sequence
 
+from .metrics import ordered_sum
 from .rules import FRACTION, NON_NEGATIVE
 from .topology import NodeId, Path, Topology
 from .traffic import Flow
@@ -115,29 +116,20 @@ def select_lexicographic(views: Sequence[PathView]) -> Path:
     """
     if not views:
         raise SchedulerError("no candidate paths")
-    pool = list(views)
-    least_hops = min(v.hop_count for v in pool)
-    pool = [v for v in pool if v.hop_count == least_hops]
-    least_eleph = min(v.uplink_elephants for v in pool)
-    pool = [v for v in pool if v.uplink_elephants == least_eleph]
-    widest = max(v.min_residual for v in pool)
-    pool = [v for v in pool if v.min_residual == widest]
-    return min(pool, key=lambda v: v.path.sort_key).path
+    return min(views, key=lambda v: (v.hop_count, v.uplink_elephants,
+                                     -v.min_residual, v.path.sort_key)).path
 
 
 def select_scalarized(views: Sequence[PathView], alpha: float) -> Path:
-    """Maximize residual (in Mb/s) minus alpha per core-uplink elephant."""
+    """Maximize residual (in Mb/s) minus alpha per core-uplink elephant;
+    ties fall to the canonical path order."""
     if not views:
         raise SchedulerError("no candidate paths")
     if alpha != alpha or alpha == float("inf"):
         raise SchedulerError(f"alpha must be finite, got {alpha!r}")
-
-    def score(v: PathView) -> float:
-        return v.min_residual / 1e6 - alpha * v.uplink_elephants
-
-    best = max(score(v) for v in views)
-    pool = [v for v in views if score(v) == best]
-    return min(pool, key=lambda v: v.path.sort_key).path
+    return min(views, key=lambda v: (
+        -(v.min_residual / 1e6 - alpha * v.uplink_elephants),
+        v.path.sort_key)).path
 
 
 def select_hedera(topo: Topology, flow: Flow, views: Sequence[PathView],
@@ -147,20 +139,19 @@ def select_hedera(topo: Topology, flow: Flow, views: Sequence[PathView],
     Small flows (demand under threshold_fraction of link capacity) stay on
     ECMP. Large flows take the first candidate, in canonical order, whose
     every link still fits the whole demand; when nothing fits, the widest
-    path wins.
+    path wins, ties falling to canonical order.
     """
     if not views:
         raise SchedulerError("no candidate paths")
     candidates = [v.path for v in views]
     if flow.demand < threshold_fraction * topo.link_capacity:
         return select_ecmp(topo, flow, candidates), MECH_PROACTIVE
-    ordered = sorted(views, key=lambda v: v.path.sort_key)
-    for v in ordered:
-        if v.min_residual >= flow.demand:
-            return v.path, MECH_CONTROLLER
-    widest = max(v.min_residual for v in ordered)
-    pool = [v for v in ordered if v.min_residual == widest]
-    return pool[0].path, MECH_CONTROLLER
+
+    def key(v: PathView):
+        fits = v.min_residual >= flow.demand
+        return not fits, 0.0 if fits else -v.min_residual, v.path.sort_key
+
+    return min(views, key=key).path, MECH_CONTROLLER
 
 
 def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float]:
@@ -185,7 +176,7 @@ def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float
     for _ in range(4 * len(pairs) + 4):
         changed = False
         for fids in by_src.values():
-            fixed = sum(demand[f] for f in fids if converged[f])
+            fixed = ordered_sum(demand[f] for f in fids if converged[f])
             open_ = [f for f in fids if not converged[f]]
             if not open_:
                 continue
@@ -194,7 +185,7 @@ def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float
                 changed |= demand[f] != share
                 demand[f] = share
         for fids in by_dst.values():
-            if sum(demand[f] for f in fids) <= 1.0:
+            if ordered_sum(demand[f] for f in fids) <= 1.0:
                 continue
             limited = list(fids)
             fixed = 0.0
@@ -203,7 +194,7 @@ def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float
                 small = [f for f in limited if demand[f] < share]
                 if not small or len(small) == len(limited):
                     break
-                fixed += sum(demand[f] for f in small)
+                fixed += ordered_sum(demand[f] for f in small)
                 limited = [f for f in limited if demand[f] >= share]
                 share = (1.0 - fixed) / len(limited)
             for f in limited:
@@ -222,10 +213,10 @@ def global_first_fit(candidates: Sequence[Path], need: float,
     Only reservations count, not measured load. A relative slack of 1e-9
     keeps a NIC whose estimates sum to exactly one from failing by an ulp.
     """
-    for p in sorted(candidates, key=lambda p: p.sort_key):
-        if all(reserved[l.id] + need <= l.capacity * (1.0 + 1e-9) for l in p.hops):
-            return p
-    return None
+    return min((p for p in candidates
+                if all(reserved[l.id] + need <= l.capacity * (1.0 + 1e-9)
+                       for l in p.hops)),
+               key=lambda p: p.sort_key, default=None)
 
 
 def hedera_schedule(topo: Topology, large: Sequence[Flow], placed: Container[int],

@@ -1,7 +1,12 @@
+import builtins
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+import operator
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +83,41 @@ def test_bundle_is_bit_identical_across_runs(tmp_path):
     a = run_experiment(fast_config(out_dir=str(tmp_path / "a")))
     b = run_experiment(fast_config(out_dir=str(tmp_path / "b")))
     assert tree_digest(a) == tree_digest(b)
+
+
+def left_to_right_sum(items, start=0):
+    """The built-in `sum` as Python 3.10 and 3.11 round it."""
+    return functools.reduce(operator.add, items, start)
+
+
+def compensated_sum(items, start=0):
+    """The built-in `sum` as Python 3.12 rounds it: integers exactly, floats
+    with Neumaier's compensation."""
+    items = list(items)
+    if all(isinstance(x, int) for x in items):
+        return builtins.sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_reports_do_not_depend_on_how_the_interpreter_sums(monkeypatch):
+    # the built-in `sum` compensates float sums from Python 3.12 on, and
+    # reports must come out byte for byte the same on every interpreter
+    cfg = ExperimentConfig()
+    modules = [m for name, m in sys.modules.items()
+               if name == "fatflow" or name.startswith("fatflow.")]
+
+    def reports(sum_):
+        for m in modules:
+            monkeypatch.setattr(m, "sum", sum_, raising=False)
+        return [json.dumps(run_report(cfg, s, seed, run_one(cfg, s, seed)))
+                for s in ("hybrid", "hedera-gff") for seed in range(6)]
+
+    assert reports(compensated_sum) == reports(left_to_right_sum)
 
 
 def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):

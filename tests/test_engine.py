@@ -221,8 +221,10 @@ def test_waterfill_on_a_disjoint_union_equals_per_part_solves(pair):
 # -- waterfill pinned against the dict/set version it replaced ---------------
 
 def reference_waterfill(demands, paths, capacities):
-    """The previous `waterfill`, verbatim: every round rebuilds the share of
-    every link and the sets of unfrozen flows."""
+    """The previous `waterfill`: every round rebuilds the share of every link
+    and the sets of unfrozen flows. Verbatim, except that the repair pass
+    spells out the left-to-right sum the built-in `sum` made before Python
+    3.12 compensated it."""
     rates = {fid: 0.0 for fid in demands}
     users: dict[int, set[int]] = {}
     link_members: dict[int, list[int]] = {}
@@ -264,7 +266,9 @@ def reference_waterfill(demands, paths, capacities):
     # pass in link order suffices
     for lid in sorted(link_members):
         members = link_members[lid]
-        s = sum(rates[fid] for fid in members)
+        s = 0.0
+        for fid in members:
+            s += rates[fid]
         if s > capacities[lid]:
             worst = max(members, key=lambda fid: (rates[fid], fid))
             rates[worst] = max(0.0, rates[worst] - (s - capacities[lid]))
@@ -291,10 +295,6 @@ def reference_instance(rng):
     return demands, paths, caps
 
 
-# from Python 3.12 on, sum() of floats is compensated, so the reference's
-# repair pass no longer sums left to right
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="sum() of floats is compensated from Python 3.12")
 def test_waterfill_is_bitwise_the_reference():
     rng = random.Random(5)
     seen = dict.fromkeys(("zero demand", "empty path", "repeated link",
