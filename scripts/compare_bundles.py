@@ -6,8 +6,7 @@ Usage (from anywhere in the repository):
 Extracts REV's `src/` with `git archive` into a temporary directory, runs
 the same `fatflow` CLI invocations from that copy and from the working tree,
 and compares the two bundles of each invocation file by file. Prints
-"identical (N files)" or the differing files per config, and exits 1 on any
-difference. The configs are:
+"identical (N files)" or the differing files per config. The configs are:
 - the default config with `--events`, every scheduler x seeds 0-19;
 - the `fatbench` workloads, with the flags and seed-0 block of
   `fatbench/run.py`;
@@ -16,6 +15,10 @@ difference. The configs are:
 - a `--events` config at k=8 with departures, every scheduler x seeds
   0-1, so the arrival records' `path` fields compare every scheduler's
   path choices on a larger tree.
+
+Then it runs each `demos/*.py` of the working tree once under each `src/`
+and compares their stdout, printing "demos: identical (N)" or each demo
+that differs. It exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -53,14 +56,19 @@ CONFIGS = {
 }
 
 
+def run_python(src: Path, argv: list[str]) -> str:
+    """Run Python on `argv` with the sources under `src`; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"python {argv} from {src} failed:\n{done.stderr}")
+    return done.stdout
+
+
 def run_cli(src: Path, argv: list[str], out: Path) -> dict[str, bytes]:
     """Run the CLI from the sources under `src`; the bundle's files by path."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-m", "fatflow.cli", *argv,
-                           "--out", str(out)], env=env, capture_output=True,
-                          text=True)
-    if done.returncode != 0:
-        sys.exit(f"fatflow from {src} failed on {argv}:\n{done.stderr}")
+    run_python(src, ["-m", "fatflow.cli", *argv, "--out", str(out)])
     return {str(p.relative_to(out)): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -91,6 +99,16 @@ def main(argv=None) -> int:
             print(f"{name}: {len(changed)} of {len(names)} files differ")
             for f in changed:
                 print(f"  {f}")
+        demos = sorted((ROOT / "demos").glob("*.py"))
+        changed = [d.name for d in demos if run_python(old_src, [str(d)])
+                   != run_python(ROOT / "src", [str(d)])]
+        if changed:
+            differ = True
+            print(f"demos: {len(changed)} of {len(demos)} differ")
+            for name in changed:
+                print(f"  {name}")
+        else:
+            print(f"demos: identical ({len(demos)})")
     return 1 if differ else 0
 
 

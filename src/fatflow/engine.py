@@ -67,40 +67,39 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     A round only revisits what the last one changed: a link's share is
     recomputed when a flow on it froze, demand-limited flows come off one
     list sorted by demand, and a link that sets the level freezes all of its
-    flows, so its member list is read once. A path that lists a link twice
-    counts once in that link's share and twice in its sums. A flow with
-    demand 0 stays at 0, but counts in the shares of its links until one of
-    them sets the level.
+    flows, so its member list is read once.
+
+    Demands must be finite and >= 0, and a path lists each link at most
+    once; EngineError names the flow otherwise. A flow with demand 0 freezes
+    at 0 in the first round and takes no share of its links.
     """
+    for fid, d in demands.items():
+        if not 0.0 <= d < math.inf:  # false for NaN too
+            raise EngineError(f"waterfill: flow {fid}: demand must be "
+                              f"finite and >= 0, got {d!r}")
     rates = dict.fromkeys(demands, 0.0)
-    # per link, its flows in flow-id order, once per listing on their path
-    listed: dict[int, list[int]] = {}
-    repeats = []  # flows whose path lists some link twice
+    # per link, its flows in flow-id order
+    members: dict[int, list[int]] = {}
     for fid in sorted(paths):
         for lid in paths[fid]:
-            flows = listed.get(lid)
+            flows = members.get(lid)
             if flows is None:
-                listed[lid] = [fid]
+                members[lid] = [fid]
+            elif flows[-1] == fid:
+                raise EngineError(
+                    f"waterfill: flow {fid}: path lists link {lid} twice")
             else:
-                if flows[-1] == fid:
-                    repeats.append(fid)
                 flows.append(fid)
-    members = listed
-    if repeats:
-        members = {lid: list(dict.fromkeys(flows))
-                   for lid, flows in listed.items()}
-        repeats = set(repeats)
     # per link that still carries an unfrozen flow: how many, and the fair
     # share of what is left
     unfrozen = {lid: len(flows) for lid, flows in members.items()}
     shares = {lid: capacities[lid] / n for lid, n in unfrozen.items()}
-    frozen_sum = dict.fromkeys(listed, 0.0)
+    frozen_sum = dict.fromkeys(members, 0.0)
     frozen: set[int] = set()
-    by_demand = sorted((fid for fid, d in demands.items() if d > 0),
-                       key=demands.__getitem__)
-    first, waiting, end = 0, len(by_demand), len(by_demand)
+    by_demand = sorted(demands, key=demands.__getitem__)
+    first, end = 0, len(by_demand)
 
-    while waiting:
+    while len(frozen) < end:
         while by_demand[first] in frozen:
             first += 1
         level = min(shares.values(), default=None)
@@ -132,19 +131,10 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
             v = d if d < level else level
             rates[fid] = v
             path = paths[fid]
-            if repeats and fid in repeats:
-                for lid in path:
-                    frozen_sum[lid] += v
-                path = dict.fromkeys(path)
-                for lid in path:
-                    unfrozen[lid] -= 1
-            else:
-                for lid in path:
-                    frozen_sum[lid] += v
-                    unfrozen[lid] -= 1
+            for lid in path:
+                frozen_sum[lid] += v
+                unfrozen[lid] -= 1
             touched.update(path)
-            if d > 0:
-                waiting -= 1
         for lid in touched:
             n = unfrozen[lid]
             if n:
@@ -160,7 +150,7 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     near = [lid for lid, total in frozen_sum.items()
             if total > capacities[lid] * (1 - 1e-9)]
     for lid in sorted(near):
-        flows = listed[lid]
+        flows = members[lid]
         s = 0.0
         for fid in flows:
             s += rates[fid]
