@@ -18,12 +18,15 @@ and compares the two bundles of each invocation file by file. Prints
 
 Then it runs each `demos/*.py` of the working tree once under each `src/`
 and compares their stdout, printing "demos: identical (N)" or each demo
-that differs. It exits 1 on any difference.
+that differs. Last it compares `fatflow --help` under each `src/`, printing
+"--help: identical" or a unified diff from REV's text to the working
+tree's. It exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import os
 import subprocess
@@ -109,6 +112,17 @@ def main(argv=None) -> int:
                 print(f"  {name}")
         else:
             print(f"demos: identical ({len(demos)})")
+        help_argv = ["-m", "fatflow.cli", "--help"]
+        old_help = run_python(old_src, help_argv).splitlines(keepends=True)
+        new_help = run_python(ROOT / "src", help_argv).splitlines(keepends=True)
+        if old_help == new_help:
+            print("--help: identical")
+        else:
+            differ = True
+            print("--help differs:")
+            sys.stdout.writelines(difflib.unified_diff(
+                old_help, new_help, f"{rev}: fatflow --help",
+                "working tree: fatflow --help"))
     return 1 if differ else 0
 
 

@@ -25,11 +25,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE
+from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE, check_fields, setting
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
                          hedera_period_polls, hedera_schedule)
 from .topology import Path, Topology
-from .traffic import MICE, Flow, crosses_bisection, probe_schedule
+from .traffic import MICE, Flow, crosses_bisection, even_times, probe_schedule
 
 
 class EngineError(RuntimeError):
@@ -40,19 +40,19 @@ class EngineError(RuntimeError):
 class EngineParams:
     """Simulator knobs that are not part of the workload."""
 
-    poll_interval: float = 1.0  # seconds between stats polls
-    detection_threshold: float = 50_000.0  # bits/s over a poll interval
-    base_hop_latency: float = 50e-6  # seconds per link traversal
-    queuing_scale: float = 500e-6  # seconds, scales the rho/(1-rho) term
-    rho_cap: float = 0.99  # keeps the queuing term finite at saturation
+    poll_interval: float = setting(1.0, "stats poll period in seconds", POSITIVE)
+    detection_threshold: float = setting(
+        50_000.0, "elephant classification rate in bits/s", POSITIVE)
+    base_hop_latency: float = setting(
+        50e-6, "seconds per link traversal", NON_NEGATIVE)
+    queuing_scale: float = setting(
+        500e-6, "seconds, scales the rho/(1-rho) queuing term", NON_NEGATIVE)
+    rho_cap: float = setting(
+        0.99, "utilization cap that keeps the queuing term finite",
+        OPEN_FRACTION)
 
     def __post_init__(self) -> None:
-        for name, rule in (("poll_interval", POSITIVE),
-                           ("detection_threshold", POSITIVE),
-                           ("base_hop_latency", NON_NEGATIVE),
-                           ("queuing_scale", NON_NEGATIVE),
-                           ("rho_cap", OPEN_FRACTION)):
-            rule.check(name, getattr(self, name), EngineError)
+        check_fields(self, EngineError)
 
 
 def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
@@ -70,8 +70,9 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     flows, so its member list is read once.
 
     Demands must be finite and >= 0, and a path lists each link at most
-    once; EngineError names the flow otherwise. A flow with demand 0 freezes
-    at 0 in the first round and takes no share of its links.
+    once; EngineError names the flow otherwise, and the link when a path's
+    link has a capacity that is not finite and >= 0. A flow with demand 0
+    freezes at 0 in the first round and takes no share of its links.
     """
     for fid, d in demands.items():
         if not 0.0 <= d < math.inf:  # false for NaN too
@@ -90,6 +91,10 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
                     f"waterfill: flow {fid}: path lists link {lid} twice")
             else:
                 flows.append(fid)
+    for lid in members:
+        if not 0.0 <= capacities[lid] < math.inf:  # false for NaN too
+            raise EngineError(f"waterfill: link {lid}: capacity must be "
+                              f"finite and >= 0, got {capacities[lid]!r}")
     # per link that still carries an unfrozen flow: how many, and the fair
     # share of what is left
     unfrozen = {lid: len(flows) for lid, flows in members.items()}
@@ -120,8 +125,8 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
         to_freeze = set(to_freeze)
         to_freeze -= frozen
         if not to_freeze:
-            # a NaN level (a NaN capacity makes one) freezes nothing: stop
-            # here instead of looping forever
+            # a level that freezes nothing would loop forever; checked
+            # inputs never make one, so stop here should one slip through
             raise EngineError(f"waterfill: no flow freezes at level {level!r}")
         frozen |= to_freeze
 
@@ -290,11 +295,8 @@ class Engine:
         for f in flows:
             if f.start_time < horizon:
                 self._push(f.start_time, "arrival", f)
-        # i * interval, not a running sum, so the schedule cannot drift; the
-        # clamp keeps a last poll that rounds past the horizon on it
-        npolls = int(math.floor(horizon / params.poll_interval + 1e-9))
-        for i in range(1, npolls + 1):
-            self._push(min(i * params.poll_interval, horizon), "poll", None)
+        for t in even_times(0.0, horizon, params.poll_interval)[1:]:
+            self._push(t, "poll", None)
 
     # -- event machinery ------------------------------------------------------
 

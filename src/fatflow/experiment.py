@@ -19,18 +19,17 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import metrics
 from .engine import Engine, EngineParams
-from .rules import (COUNT, EVEN_K, FRACTION, NON_EMPTY, NON_NEGATIVE,
-                    OPEN_FRACTION, POSITIVE, Rule)
-from .schedulers import (ECMP, HYBRID, NONBLOCKING, SCHEDULER_NAMES,
-                         SchedulerKind)
+from .rules import (COUNT, EVEN_K, NON_EMPTY, NON_NEGATIVE, POSITIVE,
+                    check_fields, distinct_list, setting, setting_of)
+from .schedulers import ECMP, HYBRID, NONBLOCKING, SCHEDULER, SchedulerKind
 from .topology import Topology, build_fat_tree, build_nonblocking
-from .traffic import PATTERNS, WorkloadError, WorkloadSpec, generate_workload
+from .traffic import PATTERN, WorkloadSpec, generate_workload
 
 SCHEMA_VERSION = 1
 
@@ -39,86 +38,52 @@ class ConfigError(ValueError):
     pass
 
 
-def _setting(default, doc: str, rule: Optional[Rule] = None, **names):
-    """One config field: its default (a callable makes it a factory), help
-    text, the rule its value must satisfy, and its file `key` and `flag`
-    where those differ from the field name. `cli` reads these."""
-    kind = "default_factory" if callable(default) else "default"
-    return field(**{kind: default}, metadata=dict(help=doc, rule=rule, **names))
-
-
 @dataclass
 class ExperimentConfig:
     """Benchmark defaults: a k=4 fat-tree with 10 Mb/s links carrying 28
     open-ended cross-bisection elephants at 0.55x link capacity each, with a
-    mice probe stream alongside every elephant."""
+    mice probe stream alongside every elephant. The engine and scheduler
+    fields are declared on `EngineParams` and `SchedulerKind`."""
 
-    k: int = _setting(4, "switch port count", EVEN_K)
-    capacity: float = _setting(10e6, "link capacity in bits/s", POSITIVE)
-    schedulers: list[str] = _setting(
-        lambda: [HYBRID, ECMP],
-        "scheduler to run; repeatable (" + "|".join(SCHEDULER_NAMES) + ")",
-        flag="scheduler")
-    seeds: list[int] = _setting(lambda: list(range(20)), "run seed; repeatable",
-                                flag="seed")
-    duration: float = _setting(40.0, "simulated seconds per run", POSITIVE)
-    poll_interval: float = _setting(
-        1.0, "stats poll period in seconds, at most the duration", POSITIVE)
-    detection_threshold: float = _setting(
-        50_000.0, "elephant classification rate in bits/s", POSITIVE)
-    alpha: float = _setting(
-        1.0, "hybrid-scalar controller trade-off, Mb/s per elephant",
-        NON_NEGATIVE)
-    elephant_threshold: float = _setting(
-        0.1, "Hedera large-flow cutoff as a fraction of capacity "
-             "(hedera: declared demand; hedera-gff: measured rate)", FRACTION)
-    pattern: str = _setting("random_bisection", "|".join(PATTERNS))
-    elephants: int = _setting(28, "elephant flows per run", COUNT)
-    arrival_rate: float = _setting(2.0, "flow arrivals per second", POSITIVE)
-    flow_duration: Optional[float] = _setting(
+    k: int = setting(4, "switch port count", EVEN_K)
+    capacity: float = setting(10e6, "link capacity in bits/s", POSITIVE)
+    schedulers: list[str] = setting(
+        lambda: [HYBRID, ECMP], "scheduler to run; repeatable",
+        distinct_list(SCHEDULER), flag="scheduler")
+    seeds: list[int] = setting(lambda: list(range(20)), "run seed; repeatable",
+                               distinct_list(), flag="seed")
+    duration: float = setting(40.0, "simulated seconds per run", POSITIVE)
+    poll_interval: float = setting_of(EngineParams, "poll_interval",
+                                      ", at most the duration")
+    detection_threshold: float = setting_of(EngineParams, "detection_threshold")
+    alpha: float = setting_of(SchedulerKind, "alpha")
+    elephant_threshold: float = setting_of(SchedulerKind, "hedera_fraction")
+    pattern: str = setting("random_bisection", "traffic pattern", PATTERN)
+    elephants: int = setting(28, "elephant flows per run", COUNT)
+    arrival_rate: float = setting(2.0, "flow arrivals per second", POSITIVE)
+    flow_duration: Optional[float] = setting(
         None, "per-flow lifetime in seconds, or `none` until the horizon",
         NON_NEGATIVE.or_none())
-    demand: Optional[float] = _setting(
+    demand: Optional[float] = setting(
         5.5e6, "elephant demand in bits/s, or `none` for the link capacity",
         POSITIVE.or_none())
-    probe_interval: Optional[float] = _setting(
+    probe_interval: Optional[float] = setting(
         1.0, "mice probe period in seconds, or `none` for no mice",
         POSITIVE.or_none())
-    base_hop_latency: float = _setting(
-        50e-6, "seconds per link traversal", NON_NEGATIVE)
-    queuing_scale: float = _setting(
-        500e-6, "seconds, scales the rho/(1-rho) queuing term", NON_NEGATIVE)
-    rho_cap: float = _setting(
-        0.99, "utilization cap that keeps the queuing term finite",
-        OPEN_FRACTION)
-    out_dir: str = _setting("results", "output bundle directory", NON_EMPTY,
-                            key="out")
-    write_events: bool = _setting(
+    base_hop_latency: float = setting_of(EngineParams, "base_hop_latency")
+    queuing_scale: float = setting_of(EngineParams, "queuing_scale")
+    rho_cap: float = setting_of(EngineParams, "rho_cap")
+    out_dir: str = setting("results", "output bundle directory", NON_EMPTY,
+                           key="out")
+    write_events: bool = setting(
         False, "also write per-run event logs (JSONL)", key="events")
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            rule = f.metadata["rule"]
-            if rule is not None:
-                rule.check(f"{f.name}:", getattr(self, f.name), ConfigError)
-        # the rules that span fields or list items
+        check_fields(self, ConfigError, ":")
+        # the rules that span fields
         if self.poll_interval > self.duration:
             raise ConfigError("poll_interval: must be at most duration, got "
                               f"{self.poll_interval!r}")
-        for name, items in (("schedulers", self.schedulers),
-                            ("seeds", self.seeds)):
-            if not items:
-                raise ConfigError(f"{name}: need at least one")
-            if len(set(items)) != len(items):
-                raise ConfigError(f"{name}: duplicates not allowed")
-        for s in self.schedulers:
-            if s not in SCHEDULER_NAMES:
-                raise ConfigError(
-                    f"schedulers: unknown {s!r}, expected one of {SCHEDULER_NAMES}")
-        try:
-            WorkloadSpec(pattern=self.pattern).validate()
-        except WorkloadError as exc:
-            raise ConfigError(f"pattern: {exc}") from exc
         hosts = self.k ** 3 // 4
         if self.pattern == "random_permutation" and self.elephants > hosts:
             raise ConfigError(
@@ -141,13 +106,8 @@ class ExperimentConfig:
         )
 
     def engine_params(self) -> EngineParams:
-        return EngineParams(
-            poll_interval=self.poll_interval,
-            detection_threshold=self.detection_threshold,
-            base_hop_latency=self.base_hop_latency,
-            queuing_scale=self.queuing_scale,
-            rho_cap=self.rho_cap,
-        )
+        return EngineParams(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(EngineParams)})
 
 
 def build_topology(config: ExperimentConfig, scheduler: str) -> Topology:

@@ -13,11 +13,11 @@ natural demands and places them by Global First Fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Container, Optional, Sequence
 
 from .metrics import ordered_sum
-from .rules import FRACTION, NON_NEGATIVE
+from .rules import FRACTION, NON_NEGATIVE, check_fields, one_of, setting
 from .topology import NodeId, Path, Topology
 from .traffic import Flow
 
@@ -29,6 +29,7 @@ HEDERA_GFF = "hedera-gff"  # ECMP at arrival, periodic Global First Fit
 NONBLOCKING = "nonblocking"
 
 SCHEDULER_NAMES = (ECMP, HYBRID, HYBRID_SCALAR, HEDERA, HEDERA_GFF, NONBLOCKING)
+SCHEDULER = one_of(SCHEDULER_NAMES)
 
 HEDERA_PERIOD_S = 5.0  # Hedera's scheduling period
 
@@ -53,15 +54,16 @@ class SchedulerKind:
     `hedera-gff` with the rate measured over a scheduling period.
     """
 
-    name: str
-    alpha: float = 1.0
-    hedera_fraction: float = 0.1
+    name: str = setting(MISSING, "scheduler to run", SCHEDULER)
+    alpha: float = setting(
+        1.0, "hybrid-scalar controller trade-off, Mb/s per elephant",
+        NON_NEGATIVE)
+    hedera_fraction: float = setting(
+        0.1, "Hedera large-flow cutoff as a fraction of capacity "
+             "(hedera: declared demand; hedera-gff: measured rate)", FRACTION)
 
     def __post_init__(self) -> None:
-        if self.name not in SCHEDULER_NAMES:
-            raise SchedulerError(f"unknown scheduler {self.name!r}")
-        NON_NEGATIVE.check("alpha", self.alpha, SchedulerError)
-        FRACTION.check("hedera_fraction", self.hedera_fraction, SchedulerError)
+        check_fields(self, SchedulerError)
 
 
 @dataclass(frozen=True)
@@ -251,16 +253,6 @@ def hedera_period_polls(poll_interval: float) -> int:
     return max(1, round(HEDERA_PERIOD_S / poll_interval))
 
 
-def select_non_blocking(topo: Topology, flow: Flow) -> Path:
-    """The unique host-hub-host path of the star baseline."""
-    if topo.layout != "star":
-        raise SchedulerError(
-            "non-blocking selection requires the star topology, "
-            f"got layout {topo.layout!r}")
-    paths = topo.equal_cost_paths(flow.src, flow.dst)
-    return paths[0]
-
-
 def path_views(state, candidates: Sequence[Path]) -> list[PathView]:
     """Snapshot the link-state fields each controller selector reads.
 
@@ -278,15 +270,17 @@ def path_views(state, candidates: Sequence[Path]) -> list[PathView]:
 
 
 def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
-    """Choose a path for a newly arrived, unassigned flow."""
+    """Choose a path for a newly arrived, unassigned flow. `nonblocking`
+    hashes like ECMP, onto the one path a star has per host pair."""
     topo: Topology = state.topology
-    if kind.name == NONBLOCKING:
-        return SchedulerDecision(select_non_blocking(topo, flow),
-                                 MECH_PROACTIVE, 1)
+    if kind.name == NONBLOCKING and topo.layout != "star":
+        raise SchedulerError(
+            "non-blocking selection requires the star topology, "
+            f"got layout {topo.layout!r}")
 
     candidates = topo.equal_cost_paths(flow.src, flow.dst)
     n = len(candidates)
-    if kind.name in (ECMP, HEDERA_GFF):
+    if kind.name in (ECMP, HEDERA_GFF, NONBLOCKING):
         return SchedulerDecision(select_ecmp(topo, flow, candidates),
                                  MECH_PROACTIVE, n)
     if kind.name == HEDERA:

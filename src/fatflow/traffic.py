@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .rules import COUNT, NON_NEGATIVE, POSITIVE
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, one_of
 from .topology import NodeId, Topology
 
 ELEPHANT = "elephant"
@@ -22,6 +22,7 @@ MICE = "mice"
 MICE_DEMAND = 1_000.0
 
 PATTERNS = ("random_bisection", "random_permutation", "stride")
+PATTERN = one_of(PATTERNS)
 
 
 class WorkloadError(ValueError):
@@ -56,9 +57,7 @@ class WorkloadSpec:
     mice_probe_interval: Optional[float] = None  # None = no mice streams
 
     def validate(self) -> None:
-        if self.pattern not in PATTERNS:
-            raise WorkloadError(f"unknown pattern {self.pattern!r}")
-        for name, rule in (("elephant_count", COUNT),
+        for name, rule in (("pattern", PATTERN), ("elephant_count", COUNT),
                            ("mean_arrival_rate", POSITIVE),
                            ("elephant_demand", POSITIVE)):
             rule.check(name, getattr(self, name), WorkloadError)
@@ -149,17 +148,20 @@ def probe_schedule(flow: Flow, horizon: float, interval: float) -> list[float]:
 
     Emissions run from start_time to start_time + duration at `interval`;
     a duration of 0 emits a single probe. Flows with open-ended duration
-    probe until the horizon. Each time is start_time + i * interval, not a
-    running sum, and is clamped to the end, so a last time that rounds a
-    few ulps past it still falls inside the run.
+    probe until the horizon.
     """
     if flow.kind != MICE:
         raise WorkloadError("probe_schedule applies to mice flows only")
     POSITIVE.check("probe interval", interval, WorkloadError)
     end = horizon if flow.duration is None else flow.start_time + flow.duration
-    end = min(end, horizon)
-    span = max(0.0, end - flow.start_time)
+    return even_times(flow.start_time, min(end, horizon), interval)
+
+
+def even_times(start: float, end: float, interval: float) -> list[float]:
+    """`start`, then every `interval` up to `end`. Each time is start +
+    i * interval, not a running sum, so it cannot drift, and is clamped to
+    `end`, so a last time that rounds a few ulps past it stays inside."""
+    span = max(0.0, end - start)
     # guard the floor against float noise (5 / 0.2 -> 24.999...)
     count = int(math.floor(span / interval + 1e-9)) + 1
-    return [flow.start_time] + [min(flow.start_time + i * interval, end)
-                                for i in range(1, count)]
+    return [start] + [min(start + i * interval, end) for i in range(1, count)]

@@ -13,12 +13,12 @@ import pytest
 
 from fatflow import cli, experiment
 from fatflow.cli import build_arg_parser, config_from_args, main
-from fatflow.engine import Engine
+from fatflow.engine import Engine, EngineParams
 from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
                                 emit_plot_data, run_experiment, run_one,
                                 run_report, summarize)
 from fatflow.metrics import cdf_value_at
-from fatflow.schedulers import SCHEDULER_NAMES
+from fatflow.schedulers import SCHEDULER_NAMES, SchedulerKind
 
 FAST = dict(elephants=6, arrival_rate=2.0, flow_duration=2.0, duration=5.0,
             demand=5e6, seeds=[1, 2])
@@ -442,6 +442,32 @@ def test_permutation_larger_than_the_hosts_fails_fast(tmp_path, capsys,
     # one flow per host still fits, and other patterns take any count
     config_from_args(argv + ["--elephants", str(hosts)], env={})
     config_from_args(["--k", str(k), "--elephants", str(hosts + 1)], env={})
+
+
+@pytest.mark.parametrize("field,via", [
+    ("seeds", ["--seed", "1", "--seed", "1"]),
+    ("schedulers", ["--scheduler", "ecmp", "--scheduler", "ecmp"]),
+    ("schedulers", "schedulers =\n"),
+])
+def test_list_fields_reject_repeats_and_emptiness(tmp_path, capsys,
+                                                  monkeypatch, field, via):
+    def no_run(config):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr("fatflow.cli.run_experiment", no_run)
+    if isinstance(via, str):
+        cfg_file = tmp_path / "bad.conf"
+        cfg_file.write_text(via)
+        via = ["--config", str(cfg_file)]
+    assert main(via) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {field}: must be a non-empty list without" in err
+
+
+def test_config_builds_the_default_engine_and_scheduler_parameters():
+    config = ExperimentConfig()
+    assert config.engine_params() == EngineParams()
+    for name in SCHEDULER_NAMES:
+        assert config.scheduler_kind(name) == SchedulerKind(name)
 
 
 def test_readme_and_docstring_list_every_flag():

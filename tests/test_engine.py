@@ -151,7 +151,20 @@ def test_waterfill_rejects_a_nan_capacity():
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert "no flow freezes at level nan" in proc.stdout
+    assert ("waterfill: link 0: capacity must be finite and >= 0, got nan"
+            in proc.stdout)
+
+
+@pytest.mark.parametrize("path,caps,bad", [
+    ((0, 1), {0: 5e5, 1: math.nan}, 1),  # returned {0: 500000.0} unchecked
+    ((0, 1), {0: 5e5, 1: -5e5}, 1),
+    ((0, 1), {0: 5e5, 1: math.inf}, 1),
+    ((0,), {0: -5e5}, 0),  # returned {0: 0.0} unchecked
+], ids=["nan", "negative", "inf", "negative alone"])
+def test_waterfill_rejects_a_bad_capacity(path, caps, bad):
+    with pytest.raises(EngineError, match=f"^waterfill: link {bad}: capacity "
+                                          "must be finite and >= 0"):
+        waterfill({0: 1e6}, {0: path}, caps)
 
 
 def test_waterfill_matches_oracle_on_random_instances():

@@ -10,7 +10,7 @@ from fatflow.schedulers import (MECH_CONTROLLER, MECH_PROACTIVE, PathView,
                                 estimate_demands, flow_hash, global_first_fit,
                                 hedera_period_polls, path_views, select_ecmp,
                                 select_hedera, select_lexicographic,
-                                select_non_blocking, select_scalarized)
+                                select_scalarized)
 from fatflow.topology import LinkKind, build_fat_tree, build_nonblocking
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
@@ -333,15 +333,21 @@ def test_gff_bundle_is_bit_identical(tmp_path):
 
 def test_non_blocking_unique_path():
     star = build_nonblocking(4, 10e6)
+    kind = SchedulerKind("nonblocking")
+    eng = Engine(star, kind, [], horizon=1.0, seed=0)
     f = Flow(0, star.hosts[3], star.hosts[12], ELEPHANT, 10e6, 0.0, None)
-    path = select_non_blocking(star, f)
-    assert len(path.hops) == 2
+    d = dispatch(eng, f, kind)
+    assert [d.path] == star.equal_cost_paths(f.src, f.dst)
+    assert len(d.path.hops) == 2
+    assert (d.mechanism, d.candidates_considered) == (MECH_PROACTIVE, 1)
 
 
 def test_non_blocking_rejects_fat_tree(k4):
+    kind = SchedulerKind("nonblocking")
+    eng = Engine(k4, kind, [], horizon=1.0, seed=0)
     f = Flow(0, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, None)
-    with pytest.raises(SchedulerError):
-        select_non_blocking(k4, f)
+    with pytest.raises(SchedulerError, match="requires the star topology"):
+        dispatch(eng, f, kind)
 
 
 def test_non_blocking_permutation_gets_full_capacity():
@@ -476,7 +482,7 @@ def test_dispatch_chooses_among_equal_cost_paths(k4):
 
 
 def test_scheduler_kind_validation():
-    with pytest.raises(SchedulerError):
+    with pytest.raises(SchedulerError, match="^name must be one of "):
         SchedulerKind("sieve")
     with pytest.raises(SchedulerError):
         SchedulerKind("hybrid", alpha=-1.0)
