@@ -227,6 +227,7 @@ class Engine:
                  probe_interval: Optional[float] = None,
                  log_events: bool = True):
         POSITIVE.check("horizon", horizon, EngineError)
+        POSITIVE.or_none().check("probe_interval", probe_interval, EngineError)
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon
@@ -458,7 +459,7 @@ class Engine:
         moved flow carries its elephant counts over to the new path.
         """
         period = self._round_polls * self.params.poll_interval
-        cutoff = self.scheduler.hedera_fraction * self.topology.link_capacity
+        cutoff = self.scheduler.elephant_threshold * self.topology.link_capacity
         # only routed elephants send bits, and the cutoff is above zero
         large = []
         for fid in sorted(self._routed):

@@ -25,11 +25,11 @@ from typing import Optional
 
 from . import metrics
 from .engine import Engine, EngineParams
-from .rules import (COUNT, EVEN_K, NON_EMPTY, NON_NEGATIVE, POSITIVE,
-                    check_fields, distinct_list, setting, setting_of)
+from .rules import (EVEN_K, NON_EMPTY, POSITIVE, check_fields, distinct_list,
+                    setting, setting_of)
 from .schedulers import ECMP, HYBRID, NONBLOCKING, SCHEDULER, SchedulerKind
 from .topology import Topology, build_fat_tree, build_nonblocking
-from .traffic import PATTERN, WorkloadSpec, generate_workload
+from .traffic import WorkloadSpec, generate_workload
 
 SCHEMA_VERSION = 1
 
@@ -42,8 +42,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Benchmark defaults: a k=4 fat-tree with 10 Mb/s links carrying 28
     open-ended cross-bisection elephants at 0.55x link capacity each, with a
-    mice probe stream alongside every elephant. The engine and scheduler
-    fields are declared on `EngineParams` and `SchedulerKind`."""
+    mice probe stream alongside every elephant. The engine, scheduler and
+    workload fields are declared on `EngineParams`, `SchedulerKind` and
+    `WorkloadSpec`, and each of those is built from the fields of the same
+    names."""
 
     k: int = setting(4, "switch port count", EVEN_K)
     capacity: float = setting(10e6, "link capacity in bits/s", POSITIVE)
@@ -57,19 +59,13 @@ class ExperimentConfig:
                                       ", at most the duration")
     detection_threshold: float = setting_of(EngineParams, "detection_threshold")
     alpha: float = setting_of(SchedulerKind, "alpha")
-    elephant_threshold: float = setting_of(SchedulerKind, "hedera_fraction")
-    pattern: str = setting("random_bisection", "traffic pattern", PATTERN)
-    elephants: int = setting(28, "elephant flows per run", COUNT)
-    arrival_rate: float = setting(2.0, "flow arrivals per second", POSITIVE)
-    flow_duration: Optional[float] = setting(
-        None, "per-flow lifetime in seconds, or `none` until the horizon",
-        NON_NEGATIVE.or_none())
-    demand: Optional[float] = setting(
-        5.5e6, "elephant demand in bits/s, or `none` for the link capacity",
-        POSITIVE.or_none())
-    probe_interval: Optional[float] = setting(
-        1.0, "mice probe period in seconds, or `none` for no mice",
-        POSITIVE.or_none())
+    elephant_threshold: float = setting_of(SchedulerKind, "elephant_threshold")
+    pattern: str = setting_of(WorkloadSpec, "pattern")
+    elephants: int = setting_of(WorkloadSpec, "elephants")
+    arrival_rate: float = setting_of(WorkloadSpec, "arrival_rate")
+    flow_duration: Optional[float] = setting_of(WorkloadSpec, "flow_duration")
+    demand: Optional[float] = setting_of(WorkloadSpec, "demand")
+    probe_interval: Optional[float] = setting_of(WorkloadSpec, "probe_interval")
     base_hop_latency: float = setting_of(EngineParams, "base_hop_latency")
     queuing_scale: float = setting_of(EngineParams, "queuing_scale")
     rho_cap: float = setting_of(EngineParams, "rho_cap")
@@ -90,24 +86,21 @@ class ExperimentConfig:
                 f"elephants: random_permutation pairs each of the {hosts} "
                 f"hosts at most once, got {self.elephants}")
 
+    def _build(self, cls: type, **given):
+        """A `cls` of `given` and, for each of its other fields, this
+        config's field of the same name."""
+        return cls(**given, **{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(cls)
+                               if f.name not in given})
+
     def scheduler_kind(self, name: str) -> SchedulerKind:
-        return SchedulerKind(name, alpha=self.alpha,
-                             hedera_fraction=self.elephant_threshold)
+        return self._build(SchedulerKind, name=name)
 
     def workload_spec(self, seed: int) -> WorkloadSpec:
-        return WorkloadSpec(
-            pattern=self.pattern,
-            elephant_count=self.elephants,
-            seed=seed,
-            mean_arrival_rate=self.arrival_rate,
-            elephant_demand=self.capacity if self.demand is None else self.demand,
-            flow_duration=self.flow_duration,
-            mice_probe_interval=self.probe_interval,
-        )
+        return self._build(WorkloadSpec, seed=seed)
 
     def engine_params(self) -> EngineParams:
-        return EngineParams(**{f.name: getattr(self, f.name)
-                               for f in dataclasses.fields(EngineParams)})
+        return self._build(EngineParams)
 
 
 def build_topology(config: ExperimentConfig, scheduler: str) -> Topology:

@@ -48,9 +48,10 @@ POSITIVE = Rule("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 NON_NEGATIVE = Rule("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 FRACTION = Rule("finite and in (0, 1]", lambda v: 0 < v <= 1)
 OPEN_FRACTION = Rule("finite and in (0, 1)", lambda v: 0 < v < 1)
-COUNT = Rule("an integer >= 0", lambda v: isinstance(v, int) and v >= 0)
+# `type(v) is int`, not isinstance: a bool is an int subclass
+COUNT = Rule("an integer >= 0", lambda v: type(v) is int and v >= 0)
 EVEN_K = Rule("an even integer >= 2",
-              lambda v: isinstance(v, int) and v >= 2 and v % 2 == 0)
+              lambda v: type(v) is int and v >= 2 and v % 2 == 0)
 NON_EMPTY = Rule("non-empty", bool)
 
 

@@ -48,7 +48,7 @@ class SchedulerKind:
     """Which strategy to run, plus its knobs.
 
     alpha trades residual bandwidth (in Mb/s) against the elephant count on
-    a path's core uplink in the scalarized controller. hedera_fraction is
+    a path's core uplink in the scalarized controller. elephant_threshold is
     the cutoff (fraction of link capacity) below which the Hedera baselines
     leave a flow to ECMP: `hedera` compares it with the declared demand,
     `hedera-gff` with the rate measured over a scheduling period.
@@ -58,7 +58,7 @@ class SchedulerKind:
     alpha: float = setting(
         1.0, "hybrid-scalar controller trade-off, Mb/s per elephant",
         NON_NEGATIVE)
-    hedera_fraction: float = setting(
+    elephant_threshold: float = setting(
         0.1, "Hedera large-flow cutoff as a fraction of capacity "
              "(hedera: declared demand; hedera-gff: measured rate)", FRACTION)
 
@@ -285,7 +285,7 @@ def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
                                  MECH_PROACTIVE, n)
     if kind.name == HEDERA:
         path, mech = select_hedera(topo, flow, path_views(state, candidates),
-                                   kind.hedera_fraction)
+                                   kind.elephant_threshold)
         return SchedulerDecision(path, mech, n)
 
     # hybrid variants: fair coin between the data plane and the controller

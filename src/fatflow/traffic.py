@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, one_of
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, check_fields, one_of, setting
 from .topology import NodeId, Topology
 
 ELEPHANT = "elephant"
@@ -22,7 +22,6 @@ MICE = "mice"
 MICE_DEMAND = 1_000.0
 
 PATTERNS = ("random_bisection", "random_permutation", "stride")
-PATTERN = one_of(PATTERNS)
 
 
 class WorkloadError(ValueError):
@@ -48,23 +47,26 @@ class Flow:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    pattern: str = "random_bisection"
-    elephant_count: int = 8
-    seed: int = 0
-    mean_arrival_rate: float = 4.0  # flows/second
-    elephant_demand: float = 10_000_000.0  # bits/second
-    flow_duration: Optional[float] = None  # None = until horizon
-    mice_probe_interval: Optional[float] = None  # None = no mice streams
+    """What `generate_workload` emits. Each field but `seed` is also an
+    `ExperimentConfig` field, declared here; the defaults are the benchmark's."""
 
-    def validate(self) -> None:
-        for name, rule in (("pattern", PATTERN), ("elephant_count", COUNT),
-                           ("mean_arrival_rate", POSITIVE),
-                           ("elephant_demand", POSITIVE)):
-            rule.check(name, getattr(self, name), WorkloadError)
-        for name, rule in (("mice_probe_interval", POSITIVE),
-                           ("flow_duration", NON_NEGATIVE)):
-            if getattr(self, name) is not None:
-                rule.check(name, getattr(self, name), WorkloadError)
+    pattern: str = setting("random_bisection", "traffic pattern",
+                           one_of(PATTERNS))
+    elephants: int = setting(28, "elephant flows per run", COUNT)
+    seed: int = 0
+    arrival_rate: float = setting(2.0, "flow arrivals per second", POSITIVE)
+    flow_duration: Optional[float] = setting(
+        None, "per-flow lifetime in seconds, or `none` until the horizon",
+        NON_NEGATIVE.or_none())
+    demand: Optional[float] = setting(
+        5.5e6, "elephant demand in bits/s, or `none` for the link capacity",
+        POSITIVE.or_none())
+    probe_interval: Optional[float] = setting(
+        1.0, "mice probe period in seconds, or `none` for no mice",
+        POSITIVE.or_none())
+
+    def __post_init__(self) -> None:
+        check_fields(self, WorkloadError)
 
 
 def bisection_halves(topo: Topology) -> tuple[list[NodeId], list[NodeId]]:
@@ -88,7 +90,6 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
     random permutation of the hosts. stride: dst is half the hosts after
     src, round-robin over sources.
     """
-    spec.validate()
     hosts = list(topo.hosts)
     if len(hosts) < 2:
         raise WorkloadError("topology needs at least 2 hosts")
@@ -100,13 +101,13 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
         left, right = bisection_halves(topo)
         if not left or not right:
             raise WorkloadError("bisection pattern needs hosts in both pod halves")
-        for _ in range(spec.elephant_count):
+        for _ in range(spec.elephants):
             # direction coin first, then endpoints uniform within each half,
             # so both access directions see the same expected load
             a, b = (left, right) if rng.random() < 0.5 else (right, left)
             pairs.append((rng.choice(a), rng.choice(b)))
     elif spec.pattern == "random_permutation":
-        if spec.elephant_count > len(hosts):
+        if spec.elephants > len(hosts):
             raise WorkloadError(
                 f"permutation pattern supports at most {len(hosts)} flows")
         perm = hosts[:]
@@ -120,23 +121,24 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
         srcs = hosts[:]
         rng.shuffle(srcs)
         dst_of = dict(zip(hosts, perm))
-        for src in srcs[: spec.elephant_count]:
+        for src in srcs[: spec.elephants]:
             pairs.append((src, dst_of[src]))
     else:  # stride
         n = len(hosts)
-        for i in range(spec.elephant_count):
+        for i in range(spec.elephants):
             src = hosts[i % n]
             pairs.append((src, hosts[(i % n + n // 2) % n]))
 
+    demand = topo.link_capacity if spec.demand is None else spec.demand
     flows: list[Flow] = []
     t = 0.0
     fid = 0
     for src, dst in pairs:
-        t += rng.expovariate(spec.mean_arrival_rate)
-        flows.append(Flow(fid, src, dst, ELEPHANT, spec.elephant_demand,
-                          t, spec.flow_duration))
+        t += rng.expovariate(spec.arrival_rate)
+        flows.append(Flow(fid, src, dst, ELEPHANT, demand, t,
+                          spec.flow_duration))
         fid += 1
-        if spec.mice_probe_interval is not None:
+        if spec.probe_interval is not None:
             flows.append(Flow(fid, src, dst, MICE, MICE_DEMAND,
                               t, spec.flow_duration))
             fid += 1

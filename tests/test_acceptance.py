@@ -225,7 +225,8 @@ def test_criterion_10_monitoring_cost():
     for k in (2, 4, 6, 8):
         assert k ** 3 // 4 < 5 * k ** 3 // 4  # uplink reads << port reads
     topo = build_fat_tree(4, 10e6)
-    flows = generate_workload(topo, WorkloadSpec(elephant_count=6, seed=1))
+    flows = generate_workload(topo, WorkloadSpec(
+        elephants=6, seed=1, arrival_rate=4.0, demand=10e6, probe_interval=None))
     eng = Engine(topo, SchedulerKind("hybrid"), flows, horizon=7.0, seed=1)
     eng.run()
     assert eng.polls == 7
@@ -241,7 +242,8 @@ def test_criterion_11_dispatch_split():
     start = time.time()
     topo = build_fat_tree(4, 10e6)
     flows = generate_workload(topo, WorkloadSpec(
-        elephant_count=10_000, seed=0, mean_arrival_rate=1000.0))
+        elephants=10_000, seed=0, arrival_rate=1000.0, demand=10e6,
+        probe_interval=None))
     eng = Engine(topo, SchedulerKind("hybrid"), [], horizon=1.0, seed=0)
     controller = sum(
         1 for f in flows

@@ -19,6 +19,7 @@ from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
                                 run_report, summarize)
 from fatflow.metrics import cdf_value_at
 from fatflow.schedulers import SCHEDULER_NAMES, SchedulerKind
+from fatflow.traffic import WorkloadSpec
 
 FAST = dict(elephants=6, arrival_rate=2.0, flow_duration=2.0, duration=5.0,
             demand=5e6, seeds=[1, 2])
@@ -353,6 +354,16 @@ def test_config_rejects_non_finite_fields(field):
             ExperimentConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field,text", [("elephants", "an integer >= 0"),
+                                        ("k", "an even integer >= 2")])
+def test_integer_fields_reject_booleans(field, text):
+    # a bool is an int to isinstance; True would run one elephant and be
+    # echoed as `true` in config.json
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig(**{field: True}).validate()
+    assert str(raised.value) == f"{field}: must be {text}, got True"
+
+
 def test_plot_csvs_agree_with_the_summary(tmp_path):
     # with 10 or more seeds, report file names no longer sort in run order,
     # and means summed in another order can differ in the last digit; at
@@ -468,6 +479,8 @@ def test_config_builds_the_default_engine_and_scheduler_parameters():
     assert config.engine_params() == EngineParams()
     for name in SCHEDULER_NAMES:
         assert config.scheduler_kind(name) == SchedulerKind(name)
+    for seed in config.seeds:
+        assert config.workload_spec(seed) == WorkloadSpec(seed=seed)
 
 
 def test_readme_and_docstring_list_every_flag():

@@ -411,7 +411,8 @@ def test_departure_releases_everything():
 def test_conservation_after_every_step():
     topo = build_fat_tree(4, 10e6)
     flows = generate_workload(topo, WorkloadSpec(
-        elephant_count=12, seed=4, mean_arrival_rate=3.0, flow_duration=2.0))
+        elephants=12, seed=4, arrival_rate=3.0, flow_duration=2.0,
+        demand=10e6, probe_interval=None))
     eng = run_engine(flows, topo=topo)
     while eng.pending_events():
         eng.step()
@@ -475,8 +476,8 @@ def test_engine_rejects_bad_duration(value):
 
 def test_replay_is_deterministic():
     topo = build_fat_tree(4, 10e6)
-    spec = WorkloadSpec(elephant_count=20, seed=11, mean_arrival_rate=5.0,
-                        flow_duration=2.0, mice_probe_interval=0.5)
+    spec = WorkloadSpec(elephants=20, seed=11, arrival_rate=5.0,
+                        flow_duration=2.0, demand=10e6, probe_interval=0.5)
     runs = []
     for _ in range(2):
         flows = generate_workload(topo, spec)
@@ -613,6 +614,19 @@ def test_engine_rejects_non_finite_schedule(horizon, interval):
     with pytest.raises(EngineError, match="must be finite"):
         run_engine([], horizon=horizon,
                    params=EngineParams(poll_interval=interval))
+
+
+@pytest.mark.parametrize("mice", [False, True], ids=["no mice", "mice"])
+@pytest.mark.parametrize("interval", [-1.0, math.nan, 0.0, math.inf])
+def test_engine_rejects_a_bad_probe_interval(interval, mice):
+    topo = build_fat_tree(4, 10e6)
+    flows = generate_workload(topo, WorkloadSpec(
+        elephants=4, probe_interval=1.0 if mice else None))
+    # the check runs at construction, so no event is processed
+    with pytest.raises(EngineError) as raised:
+        run_engine(flows, topo=topo, probe_interval=interval)
+    assert str(raised.value) == (
+        f"probe_interval must be none or finite and > 0, got {interval!r}")
 
 
 @pytest.mark.parametrize("field,value", [

@@ -280,10 +280,10 @@ def test_gff_round_reserves_and_departure_releases(k4):
     assert all(r == 0.0 for r in eng.reserved)
 
 
-def test_gff_reroutes_keep_elephant_counts_consistent(k4):
+def test_gff_reroutes_keep_per_link_elephant_tallies_consistent(k4):
     flows = generate_workload(k4, WorkloadSpec(
-        elephant_count=28, seed=3, mean_arrival_rate=2.0, elephant_demand=5.5e6,
-        flow_duration=12.0))
+        elephants=28, seed=3, arrival_rate=2.0, demand=5.5e6,
+        flow_duration=12.0, probe_interval=None))
     eng = Engine(k4, SchedulerKind("hedera-gff"), flows, horizon=30.0, seed=3)
     while eng.pending_events() and eng._queue[0][0] <= eng.horizon:
         eng.step()
@@ -301,8 +301,9 @@ def test_gff_reroutes_keep_elephant_counts_consistent(k4):
 
 
 def test_gff_places_arrivals_by_ecmp(k4):
-    flows = generate_workload(k4, WorkloadSpec(elephant_count=200, seed=6,
-                                               mice_probe_interval=1.0))
+    flows = generate_workload(k4, WorkloadSpec(
+        elephants=200, seed=6, arrival_rate=4.0, demand=10e6,
+        probe_interval=1.0))
     kind = SchedulerKind("hedera-gff")
     eng = Engine(k4, kind, [], horizon=1.0, seed=0)
     for f in flows:
@@ -352,7 +353,8 @@ def test_non_blocking_rejects_fat_tree(k4):
 
 def test_non_blocking_permutation_gets_full_capacity():
     star = build_nonblocking(4, 10e6)
-    spec = WorkloadSpec(pattern="random_permutation", elephant_count=16, seed=9)
+    spec = WorkloadSpec(pattern="random_permutation", elephants=16, seed=9,
+                        arrival_rate=4.0, demand=10e6, probe_interval=None)
     flows = generate_workload(star, spec)
     eng = Engine(star, SchedulerKind("nonblocking"), flows, horizon=20.0, seed=9)
     eng.run()
@@ -436,7 +438,8 @@ def test_path_views_change_only_at_a_poll(k4):
 
 def test_dispatch_split_about_half(k4):
     flows = generate_workload(k4, WorkloadSpec(
-        elephant_count=10_000, seed=0, mean_arrival_rate=1000.0))
+        elephants=10_000, seed=0, arrival_rate=1000.0, demand=10e6,
+        probe_interval=None))
     eng = Engine(k4, SchedulerKind("hybrid"), [], horizon=1.0, seed=0)
     controller = 0
     for f in flows:
@@ -471,7 +474,8 @@ def test_dispatch_controller_branch_equals_lex(k4):
 
 
 def test_dispatch_chooses_among_equal_cost_paths(k4):
-    flows = generate_workload(k4, WorkloadSpec(elephant_count=100, seed=2))
+    flows = generate_workload(k4, WorkloadSpec(
+        elephants=100, seed=2, arrival_rate=4.0, demand=10e6, probe_interval=None))
     for kind in ("ecmp", "hybrid", "hybrid-scalar", "hedera"):
         eng = Engine(k4, SchedulerKind(kind), [], horizon=1.0, seed=1)
         for f in flows:
@@ -487,4 +491,4 @@ def test_scheduler_kind_validation():
     with pytest.raises(SchedulerError):
         SchedulerKind("hybrid", alpha=-1.0)
     with pytest.raises(SchedulerError):
-        SchedulerKind("hedera", hedera_fraction=0.0)
+        SchedulerKind("hedera", elephant_threshold=0.0)

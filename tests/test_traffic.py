@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatflow.topology import build_fat_tree
+from fatflow.topology import build_fat_tree, build_nonblocking
 from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadError, WorkloadSpec,
                              crosses_bisection, generate_workload,
                              probe_schedule)
@@ -14,7 +14,8 @@ def k4():
 
 
 def test_bisection_flows_cross_halves(k4):
-    spec = WorkloadSpec(pattern="random_bisection", elephant_count=8, seed=1)
+    spec = WorkloadSpec(pattern="random_bisection", elephants=8, seed=1,
+                        arrival_rate=4.0, demand=10e6, probe_interval=None)
     flows = generate_workload(k4, spec)
     assert len(flows) == 8
     for f in flows:
@@ -24,27 +25,32 @@ def test_bisection_flows_cross_halves(k4):
 
 
 def test_same_seed_same_workload(k4):
-    spec = WorkloadSpec(elephant_count=20, seed=7, mice_probe_interval=1.0)
+    spec = WorkloadSpec(elephants=20, seed=7, arrival_rate=4.0, demand=10e6,
+                        probe_interval=1.0)
     a = generate_workload(k4, spec)
     b = generate_workload(k4, spec)
     assert a == b
 
 
 def test_different_seeds_differ(k4):
-    a = generate_workload(k4, WorkloadSpec(elephant_count=20, seed=1))
-    b = generate_workload(k4, WorkloadSpec(elephant_count=20, seed=2))
+    a, b = (generate_workload(k4, WorkloadSpec(
+        elephants=20, seed=seed, arrival_rate=4.0, demand=10e6,
+        probe_interval=None)) for seed in (1, 2))
     assert [(f.src, f.dst) for f in a] != [(f.src, f.dst) for f in b]
 
 
 def test_arrival_times_nondecreasing(k4):
-    flows = generate_workload(k4, WorkloadSpec(elephant_count=50, seed=3))
+    flows = generate_workload(k4, WorkloadSpec(
+        elephants=50, seed=3, arrival_rate=4.0, demand=10e6,
+        probe_interval=None))
     times = [f.start_time for f in flows]
     assert times == sorted(times)
     assert all(t > 0 for t in times)
 
 
 def test_mice_accompany_elephants(k4):
-    spec = WorkloadSpec(elephant_count=5, seed=2, mice_probe_interval=0.5)
+    spec = WorkloadSpec(elephants=5, seed=2, arrival_rate=4.0, demand=10e6,
+                        probe_interval=0.5)
     flows = generate_workload(k4, spec)
     assert len(flows) == 10
     for eleph, mouse in zip(flows[0::2], flows[1::2]):
@@ -55,7 +61,8 @@ def test_mice_accompany_elephants(k4):
 
 
 def test_permutation_property(k4):
-    spec = WorkloadSpec(pattern="random_permutation", elephant_count=16, seed=5)
+    spec = WorkloadSpec(pattern="random_permutation", elephants=16, seed=5,
+                        arrival_rate=4.0, demand=10e6, probe_interval=None)
     flows = generate_workload(k4, spec)
     srcs = [f.src for f in flows]
     dsts = [f.dst for f in flows]
@@ -65,13 +72,15 @@ def test_permutation_property(k4):
 
 
 def test_permutation_rejects_oversize(k4):
-    spec = WorkloadSpec(pattern="random_permutation", elephant_count=17, seed=5)
+    spec = WorkloadSpec(pattern="random_permutation", elephants=17, seed=5,
+                        arrival_rate=4.0, demand=10e6, probe_interval=None)
     with pytest.raises(WorkloadError):
         generate_workload(k4, spec)
 
 
 def test_stride_pattern(k4):
-    spec = WorkloadSpec(pattern="stride", elephant_count=16, seed=0)
+    spec = WorkloadSpec(pattern="stride", elephants=16, seed=0,
+                        arrival_rate=4.0, demand=10e6, probe_interval=None)
     flows = generate_workload(k4, spec)
     hosts = list(k4.hosts)
     for i, f in enumerate(flows):
@@ -79,9 +88,19 @@ def test_stride_pattern(k4):
         assert f.dst == hosts[(i + 8) % 16]
 
 
-def test_unknown_pattern_rejected(k4):
-    with pytest.raises(WorkloadError):
-        generate_workload(k4, WorkloadSpec(pattern="ring", elephant_count=4))
+def test_unknown_pattern_rejected():
+    with pytest.raises(WorkloadError, match="^pattern must be one of "):
+        WorkloadSpec(pattern="ring", elephants=4)
+
+
+@pytest.mark.parametrize("build", [build_fat_tree, build_nonblocking],
+                         ids=lambda b: b.__name__)
+def test_demand_none_is_the_link_capacity(build):
+    topo = build(4, 7e6)
+    flows = generate_workload(topo, WorkloadSpec(seed=3, demand=None))
+    elephants = [f for f in flows if f.is_elephant]
+    assert len(elephants) == 28
+    assert all(f.demand == topo.link_capacity for f in elephants)
 
 
 def probe_flow(duration, start=0.0):
@@ -140,17 +159,26 @@ def test_probe_schedule_elephant_rejected():
 
 
 def test_spec_validation():
-    with pytest.raises(WorkloadError):
-        WorkloadSpec(elephant_count=-1).validate()
-    with pytest.raises(WorkloadError):
-        WorkloadSpec(mean_arrival_rate=0.0).validate()
-    with pytest.raises(WorkloadError):
-        WorkloadSpec(mice_probe_interval=0.0).validate()
+    for field, value, text in (
+            ("elephants", -1, "an integer >= 0"),
+            ("elephants", True, "an integer >= 0"),
+            ("arrival_rate", 0.0, "finite and > 0"),
+            ("probe_interval", 0.0, "none or finite and > 0")):
+        with pytest.raises(WorkloadError) as raised:
+            WorkloadSpec(**{field: value})
+        assert str(raised.value) == f"{field} must be {text}, got {value!r}"
 
 
-@pytest.mark.parametrize("field", ["mean_arrival_rate", "elephant_demand",
-                                   "mice_probe_interval", "flow_duration"])
+RULE_TEXT = {"arrival_rate": "finite and > 0",
+             "demand": "none or finite and > 0",
+             "probe_interval": "none or finite and > 0",
+             "flow_duration": "none or finite and >= 0"}
+
+
+@pytest.mark.parametrize("field", RULE_TEXT)
 def test_spec_rejects_non_finite(field):
     for value in (float("nan"), float("inf")):
-        with pytest.raises(WorkloadError, match=f"^{field} must be finite"):
-            WorkloadSpec(**{field: value}).validate()
+        with pytest.raises(WorkloadError) as raised:
+            WorkloadSpec(**{field: value})
+        assert str(raised.value) == (
+            f"{field} must be {RULE_TEXT[field]}, got {value!r}")
