@@ -3,16 +3,19 @@
 Usage (from anywhere in the repository):
     python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR]
 
-Runs each pinned config once (`hybrid`, seed 0):
+Runs each pinned config once (`hybrid`, seed 0), each in a fresh child
+process so that the peak RSS it records is that config's own:
 - k8-256: `ExperimentConfig(k=8, elephants=256, arrival_rate=25.0)`;
 - k16-1024: `ExperimentConfig(k=16, elephants=1024, arrival_rate=100.0)`.
 
 Per config it records the seconds spent building the topology, in
-`Topology.equal_cost_paths` (inclusive, cache hits counted), in the rest of
-`run_one`, and in `run_report`; the probe count; and the distinct (src, dst)
-pairs asked for and the `Path`s cached for them. `--src` runs another
-checkout's `src/` (say, a `git archive` of the parent revision), so two
-revisions can be compared on one host. Nothing is written into a bundle.
+`Topology.path_at` (inclusive, memo hits counted), in the rest of
+`run_one`, and in `run_report`; the probe count; the `path_at` calls and
+the `Path`s built for them, which is what the topology's path memo holds at
+the end; and the child's peak RSS. `--src` runs another checkout's `src/`
+(say, a `git archive` of the parent revision), so two revisions can be
+compared on one host; a checkout without `Topology.path_at` records null
+path figures. Nothing is written into a bundle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import argparse
 import json
 import os
 import platform
+import resource
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -43,23 +48,25 @@ def measure(experiment, fields: dict) -> dict:
     topo = experiment.build_topology(config, SCHEDULER)
     build_s = perf_counter() - t0
 
-    # time every equal_cost_paths call through an instance attribute, which
-    # shadows the method for this topology only
-    lookup = topo.equal_cost_paths
+    # time every path_at call through an instance attribute, which shadows
+    # the method for this topology only
+    lookup = getattr(topo, "path_at", None)
     paths_s = 0.0
     calls = 0
-    cached: dict = {}  # (src, dst) -> number of Paths built for it
+    built: set = set()  # the (src, dst, rank) keys asked for
 
-    def timed_paths(src, dst):
+    def timed_path_at(src, dst, rank):
         nonlocal paths_s, calls
         t = perf_counter()
-        paths = lookup(src, dst)
+        path = lookup(src, dst, rank)
         paths_s += perf_counter() - t
         calls += 1
-        cached.setdefault((src, dst), len(paths))
-        return paths
+        built.add((src, dst, rank))
+        return path
 
-    topo.equal_cost_paths = timed_paths
+    known = lookup is not None
+    if known:
+        topo.path_at = timed_path_at
     t0 = perf_counter()
     engine = experiment.run_one(config, SCHEDULER, SEED, topo)
     run_s = perf_counter() - t0
@@ -71,14 +78,22 @@ def measure(experiment, fields: dict) -> dict:
         "scheduler": SCHEDULER,
         "seed": SEED,
         "topology_build_s": build_s,
-        "equal_cost_paths_s": paths_s,
+        "path_at_s": paths_s if known else None,
         "run_one_rest_s": run_s - paths_s,
         "run_report_s": report_s,
-        "equal_cost_paths_calls": calls,
+        "path_at_calls": calls if known else None,
+        "paths_built": len(built) if known else None,
         "probes": len(engine.probe_rtts),
-        "distinct_pairs": len(cached),
-        "cached_paths": sum(cached.values()),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+
+
+def run_child(src: str, name: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", src, "--config", name],
+        check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
 
 
 def main(argv=None) -> int:
@@ -87,23 +102,30 @@ def main(argv=None) -> int:
                    help="where to write the JSON (default: %(default)s)")
     p.add_argument("--src", default=str(ROOT / "src"),
                    help="the fatflow sources to run (default: %(default)s)")
+    p.add_argument("--config", choices=CONFIGS, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    sys.path.insert(0, args.src)
-    from fatflow import experiment
+    if args.config is not None:
+        # the child: run one config and print its figures as JSON
+        sys.path.insert(0, args.src)
+        from fatflow import experiment
+        print(json.dumps(measure(experiment, CONFIGS[args.config])))
+        return 0
 
     results = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "runs": {},
     }
-    for name, fields in CONFIGS.items():
-        r = results["runs"][name] = measure(experiment, fields)
-        print(f"{name}: build {r['topology_build_s']:.3f} s, "
-              f"equal_cost_paths {r['equal_cost_paths_s']:.3f} s "
-              f"({r['distinct_pairs']} pairs, {r['cached_paths']} paths), "
+    for name in CONFIGS:
+        r = results["runs"][name] = run_child(args.src, name)
+        paths = ("path_at n/a" if r["path_at_s"] is None else
+                 f"path_at {r['path_at_s']:.3f} s ({r['path_at_calls']} calls, "
+                 f"{r['paths_built']} paths)")
+        print(f"{name}: build {r['topology_build_s']:.3f} s, {paths}, "
               f"rest of run_one {r['run_one_rest_s']:.3f} s, "
               f"run_report {r['run_report_s']:.3f} s, "
-              f"{r['probes']} probes", flush=True)
+              f"{r['probes']} probes, peak RSS {r['peak_rss_mb']:.1f} MB",
+              flush=True)
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
     return 0
 

@@ -114,8 +114,9 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
     """Run a single seeded simulation and return the finished engine.
 
     `topo` is the scheduler's topology from `build_topology`, built here when
-    omitted. Runs can share one: it is never mutated, only its per-pair
-    path lists are filled in on first use.
+    omitted. Runs can share one: its links never change, and the only
+    state it gains is a memo of the candidate `Path`s flows took, built on
+    first use.
     """
     if topo is None:
         topo = build_topology(config, scheduler)

@@ -14,7 +14,7 @@ natural demands and places them by Global First Fit.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass
-from typing import Container, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 from .metrics import ordered_sum
 from .rules import FRACTION, NON_NEGATIVE, check_fields, one_of, setting
@@ -102,12 +102,62 @@ def flow_hash(src_id: int, dst_id: int, flow_id: int) -> int:
     return h
 
 
+def _ecmp_rank(topo: Topology, flow: Flow, count: int) -> int:
+    h = flow_hash(topo.host_number(flow.src), topo.host_number(flow.dst), flow.id)
+    return h % count
+
+
 def select_ecmp(topo: Topology, flow: Flow, candidates: Sequence[Path]) -> Path:
     """Hash the flow onto one of the equal-cost candidates, oblivious to load."""
     if not candidates:
         raise SchedulerError("no candidate paths")
-    h = flow_hash(topo.host_number(flow.src), topo.host_number(flow.dst), flow.id)
-    return candidates[h % len(candidates)]
+    return candidates[_ecmp_rank(topo, flow, len(candidates))]
+
+
+# A controller policy maps a candidate's (hop count, uplink elephants, min
+# residual, order) to a key; the candidate with the least key wins. Every key
+# ends with `order`, the candidate's canonical position, which is unique, so
+# it settles every tie and names the winner. The selectors pass
+# `Path.sort_key`, `dispatch` passes the candidate's rank.
+Policy = Callable[[int, int, float, object], tuple]
+
+
+def lexicographic_key(hops: int, elephants: int, residual: float, order) -> tuple:
+    """Shortest, then fewest core-uplink elephants, then widest residual."""
+    return hops, elephants, -residual, order
+
+
+def scalarized_key(alpha: float) -> Policy:
+    """Maximize residual (in Mb/s) minus alpha per core-uplink elephant."""
+    if alpha != alpha or alpha == float("inf"):
+        raise SchedulerError(f"alpha must be finite, got {alpha!r}")
+
+    def key(hops, elephants, residual, order):
+        return -(residual / 1e6 - alpha * elephants), order
+    return key
+
+
+def hedera_key(topo: Topology, flow: Flow,
+               threshold_fraction: float) -> Optional[Policy]:
+    """Hedera's greedy placement of a large flow, None for a small one.
+
+    Small flows (demand under threshold_fraction of link capacity) stay on
+    ECMP. A large flow takes the first candidate whose every link still fits
+    the whole demand; when nothing fits, the widest path wins.
+    """
+    if flow.demand < threshold_fraction * topo.link_capacity:
+        return None
+    demand = flow.demand
+
+    def key(hops, elephants, residual, order):
+        fits = residual >= demand
+        return not fits, 0.0 if fits else -residual, order
+    return key
+
+
+def _best(views: Sequence[PathView], policy: Policy) -> Path:
+    return min(views, key=lambda v: policy(v.hop_count, v.uplink_elephants,
+                                           v.min_residual, v.path.sort_key)).path
 
 
 def select_lexicographic(views: Sequence[PathView]) -> Path:
@@ -118,8 +168,7 @@ def select_lexicographic(views: Sequence[PathView]) -> Path:
     """
     if not views:
         raise SchedulerError("no candidate paths")
-    return min(views, key=lambda v: (v.hop_count, v.uplink_elephants,
-                                     -v.min_residual, v.path.sort_key)).path
+    return _best(views, lexicographic_key)
 
 
 def select_scalarized(views: Sequence[PathView], alpha: float) -> Path:
@@ -127,33 +176,19 @@ def select_scalarized(views: Sequence[PathView], alpha: float) -> Path:
     ties fall to the canonical path order."""
     if not views:
         raise SchedulerError("no candidate paths")
-    if alpha != alpha or alpha == float("inf"):
-        raise SchedulerError(f"alpha must be finite, got {alpha!r}")
-    return min(views, key=lambda v: (
-        -(v.min_residual / 1e6 - alpha * v.uplink_elephants),
-        v.path.sort_key)).path
+    return _best(views, scalarized_key(alpha))
 
 
 def select_hedera(topo: Topology, flow: Flow, views: Sequence[PathView],
                   threshold_fraction: float) -> tuple[Path, str]:
-    """Hedera-style greedy placement.
-
-    Small flows (demand under threshold_fraction of link capacity) stay on
-    ECMP. Large flows take the first candidate, in canonical order, whose
-    every link still fits the whole demand; when nothing fits, the widest
-    path wins, ties falling to canonical order.
-    """
+    """Hedera-style greedy placement (see `hedera_key`); ties fall to the
+    canonical path order."""
     if not views:
         raise SchedulerError("no candidate paths")
-    candidates = [v.path for v in views]
-    if flow.demand < threshold_fraction * topo.link_capacity:
-        return select_ecmp(topo, flow, candidates), MECH_PROACTIVE
-
-    def key(v: PathView):
-        fits = v.min_residual >= flow.demand
-        return not fits, 0.0 if fits else -v.min_residual, v.path.sort_key
-
-    return min(views, key=key).path, MECH_CONTROLLER
+    policy = hedera_key(topo, flow, threshold_fraction)
+    if policy is None:
+        return select_ecmp(topo, flow, [v.path for v in views]), MECH_PROACTIVE
+    return _best(views, policy), MECH_CONTROLLER
 
 
 def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float]:
@@ -271,30 +306,35 @@ def path_views(state, candidates: Sequence[Path]) -> list[PathView]:
 
 def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
     """Choose a path for a newly arrived, unassigned flow. `nonblocking`
-    hashes like ECMP, onto the one path a star has per host pair."""
+    hashes like ECMP, onto the one path a star has per host pair.
+
+    Only the chosen candidate is built as a `Path`. The controller reads the
+    candidates' loads off the topology's link tables by rank; a pair's
+    candidates share one hop count and come in canonical order, so it
+    passes hop count 0 and the rank as the order.
+    """
     topo: Topology = state.topology
     if kind.name == NONBLOCKING and topo.layout != "star":
         raise SchedulerError(
             "non-blocking selection requires the star topology, "
             f"got layout {topo.layout!r}")
 
-    candidates = topo.equal_cost_paths(flow.src, flow.dst)
-    n = len(candidates)
-    if kind.name in (ECMP, HEDERA_GFF, NONBLOCKING):
-        return SchedulerDecision(select_ecmp(topo, flow, candidates),
-                                 MECH_PROACTIVE, n)
+    src, dst = flow.src, flow.dst
+    policy = None
     if kind.name == HEDERA:
-        path, mech = select_hedera(topo, flow, path_views(state, candidates),
-                                   kind.elephant_threshold)
-        return SchedulerDecision(path, mech, n)
-
-    # hybrid variants: fair coin between the data plane and the controller
-    if state.dispatch_rng.random() < 0.5:
-        views = path_views(state, candidates)
-        if kind.name == HYBRID:
-            path = select_lexicographic(views)
-        else:
-            path = select_scalarized(views, kind.alpha)
-        return SchedulerDecision(path, MECH_CONTROLLER, n)
-    return SchedulerDecision(select_ecmp(topo, flow, candidates),
-                             MECH_PROACTIVE, n)
+        policy = hedera_key(topo, flow, kind.elephant_threshold)
+    elif kind.name in (HYBRID, HYBRID_SCALAR):
+        # fair coin between the data plane and the controller
+        if state.dispatch_rng.random() < 0.5:
+            policy = (lexicographic_key if kind.name == HYBRID
+                      else scalarized_key(kind.alpha))
+    if policy is None:
+        n = topo.candidate_count(src, dst)
+        return SchedulerDecision(topo.path_at(src, dst, _ecmp_rank(topo, flow, n)),
+                                 MECH_PROACTIVE, n)
+    loads = topo.candidate_loads(src, dst, state.polled_residual,
+                                 state.polled_elephants)
+    rank = min(policy(0, elephants, residual, r)
+               for r, (residual, elephants) in enumerate(loads))[-1]
+    return SchedulerDecision(topo.path_at(src, dst, rank), MECH_CONTROLLER,
+                             len(loads))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .rules import EVEN_K, POSITIVE
 
@@ -177,8 +177,8 @@ class Topology:
             n: len(self._up.get(n, ())) + len(self._down.get(n, ()))
             for n in self.switches}
         self.total_switch_ports = sum(self.ports_per_switch.values())
-        # (src, dst) -> its equal-cost paths, built on first request
-        self._paths: dict[tuple[NodeId, NodeId], tuple[Path, ...]] = {}
+        # (src, dst, rank) -> that candidate's Path, built on first request
+        self._path_memo: dict[tuple[NodeId, NodeId, int], Path] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -189,18 +189,15 @@ class Topology:
             return host.index
         return host.pod * per_pod + host.index
 
-    def equal_cost_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
-        """All shortest paths from host `src` to host `dst`, canonically ordered.
+    # A pair's equal-cost candidates are numbered by rank in canonical
+    # (`Path.sort_key`) order. An inter-pod candidate of rank j * M + m,
+    # where M is an aggregate's up-link count, climbs the source edge's up
+    # link j and that aggregate's up link m. Every candidate of a pair has
+    # the same hop count.
 
-        Each pair's paths are built once; every call returns a new list of
-        the same (immutable) `Path` objects.
-        """
-        paths = self._paths.get((src, dst))
-        if paths is None:
-            paths = self._paths[(src, dst)] = tuple(self._build_paths(src, dst))
-        return list(paths)
-
-    def _build_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
+    def _pair(self, src: NodeId, dst: NodeId) -> tuple[Link, Link, int]:
+        """`src`'s access link up, `dst`'s access link down, and the number
+        of candidates between them."""
         if src == dst:
             raise TopologyError("src and dst must differ")
         first = self._access_up.get(src)
@@ -208,25 +205,91 @@ class Topology:
         for h, access in ((src, first), (dst, last)):
             if access is None:
                 raise TopologyError(f"unknown host {h!r}")
-        e_src, e_dst = first.dst, last.src
-        if e_src == e_dst:
-            return [Path((first, last), None, None)]
+        if first.dst == last.src:
+            return first, last, 1
+        ups = self._up[first.dst]
+        if src.pod == dst.pod:
+            return first, last, len(ups)
+        return first, last, len(ups) * len(self._up[ups[0].dst])
 
+    def candidate_count(self, src: NodeId, dst: NodeId) -> int:
+        """The number of shortest paths from host `src` to host `dst`."""
+        return self._pair(src, dst)[2]
+
+    def candidate_loads(self, src: NodeId, dst: NodeId, residual: Sequence[float],
+                        elephants: Sequence[int]) -> list[tuple[float, int]]:
+        """(min residual, uplink elephants) of each candidate, by rank.
+
+        `residual` and `elephants` are indexed by link id. The minimum is
+        taken over the candidate's links in path order, so it is bit for bit
+        `min(residual[i] for i in path.link_ids)`; the elephants are those on
+        its aggregate-to-core upstream link, 0 for a path below the core.
+        """
+        first, last, _ = self._pair(src, dst)
+        e_src, e_dst = first.dst, last.src
+        r_first, r_last = residual[first.id], residual[last.id]
+        if e_src == e_dst:
+            return [(min(r_first, r_last), 0)]
+        up, down, i = self._up, self._down, e_dst.index
+        if src.pod == dst.pod:
+            return [(min(r_first, residual[l1.id],
+                         residual[down[l1.dst][i].id], r_last), 0)
+                    for l1 in up[e_src]]
+        pod = dst.pod
+        loads = []
+        # the per-j parts before and after the two core links; min keeps the
+        # first of equal values (+0.0, -0.0), and taking each part and then
+        # the whole in path order keeps the one a scan of the path keeps
+        for l1, into in zip(up[e_src], up[e_dst]):
+            head = min(r_first, residual[l1.id])
+            tail = min(residual[down[into.dst][i].id], r_last)
+            for l2 in up[l1.dst]:
+                uplink = l2.id
+                loads.append((min(head, residual[uplink],
+                                  residual[down[l2.dst][pod].id], tail),
+                              elephants[uplink]))
+        return loads
+
+    def path_at(self, src: NodeId, dst: NodeId, rank: int) -> Path:
+        """The candidate of rank `rank` from `src` to `dst`.
+
+        Built on first request and kept, so every call returns the same
+        (immutable) `Path` object.
+        """
+        key = (src, dst, rank)
+        path = self._path_memo.get(key)
+        if path is None:
+            path = self._path_memo[key] = self._build_path(src, dst, rank)
+        return path
+
+    def _build_path(self, src: NodeId, dst: NodeId, rank: int) -> Path:
+        first, last, count = self._pair(src, dst)
+        if not 0 <= rank < count:
+            raise TopologyError(
+                f"rank must be in [0, {count}) for {src!r}->{dst!r}, got {rank!r}")
+        e_dst = last.src
+        if first.dst == e_dst:
+            return Path((first, last), None, None)
         up, down = self._up, self._down
-        # aggregate j of the destination pod -> the destination edge switch
-        into_dst = [down[l.dst][e_dst.index] for l in up[e_dst]]
         if src.pod == dst.pod:
             # one path per aggregate switch of the pod
-            return [Path((first, l1, l4, last), j, None)
-                    for j, (l1, l4) in enumerate(zip(up[e_src], into_dst))]
+            l1 = up[first.dst][rank]
+            return Path((first, l1, down[l1.dst][e_dst.index], last), rank, None)
         # one path per core switch, via the aggregate switch j it hangs off
-        paths = []
-        for j, l1 in enumerate(up[e_src]):
-            for l2 in up[l1.dst]:
-                l3 = down[l2.dst][dst.pod]
-                hops = (first, l1, l2, l3, into_dst[j], last)
-                paths.append(Path(hops, j, l2.dst.index))
-        return paths
+        j, m = divmod(rank, count // len(up[first.dst]))
+        l1 = up[first.dst][j]
+        l2 = up[l1.dst][m]
+        l3 = down[l2.dst][dst.pod]
+        hops = (first, l1, l2, l3, down[l3.dst][e_dst.index], last)
+        return Path(hops, j, l2.dst.index)
+
+    def equal_cost_paths(self, src: NodeId, dst: NodeId) -> list[Path]:
+        """All shortest paths from host `src` to host `dst`, canonically ordered.
+
+        Every call returns a new list of the same (immutable) `Path` objects.
+        """
+        return [self.path_at(src, dst, r)
+                for r in range(self.candidate_count(src, dst))]
 
     def aggregate_upstream_links(self) -> tuple[Link, ...]:
         """The aggregate-to-core upstream links, ordered by link id."""

@@ -141,7 +141,7 @@ def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
             written = path.read_text()
             assert written == text(scheduler, seed)
             assert written == text(scheduler, seed, shared)
-        assert shared._paths  # later runs read the pair paths of earlier ones
+        assert shared._path_memo  # later runs read the paths earlier ones took
 
 
 def test_cdf_csv_labels_and_rows(tmp_path):

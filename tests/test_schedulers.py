@@ -1,11 +1,14 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
+from fatflow import engine as engine_module
 from fatflow.engine import Engine
 from fatflow.experiment import ExperimentConfig, build_topology, run_experiment
-from fatflow.schedulers import (MECH_CONTROLLER, MECH_PROACTIVE, PathView,
+from fatflow.schedulers import (HEDERA, HYBRID, HYBRID_SCALAR, MECH_CONTROLLER,
+                                MECH_PROACTIVE, SCHEDULER_NAMES, PathView,
                                 SchedulerError, SchedulerKind, dispatch,
                                 estimate_demands, flow_hash, global_first_fit,
                                 hedera_period_polls, path_views, select_ecmp,
@@ -15,6 +18,7 @@ from fatflow.topology import LinkKind, build_fat_tree, build_nonblocking
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
 from test_cli import fast_config, tree_digest
+from test_engine import RESOLVE_CONFIGS, default_engine
 
 
 @pytest.fixture(scope="module")
@@ -483,6 +487,70 @@ def test_dispatch_chooses_among_equal_cost_paths(k4):
             candidates = k4.equal_cost_paths(f.src, f.dst)
             assert any(d.path == c for c in candidates)
             assert d.candidates_considered == len(candidates)
+
+
+@pytest.mark.parametrize("config", ["default", "k8"])
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_dispatch_matches_the_selectors_over_every_candidate(scheduler, config,
+                                                             monkeypatch):
+    # at every arrival of a full run, dispatch's pick by rank is the public
+    # selector's pick over the materialised candidates and their views
+    eng = default_engine(Engine, scheduler, **RESOLVE_CONFIGS[config])
+    topo, kind = eng.topology, eng.scheduler
+    mechanisms = Counter()
+
+    def checked(state, flow, kind):
+        d = dispatch(state, flow, kind)
+        candidates = topo.equal_cost_paths(flow.src, flow.dst)
+        views = path_views(state, candidates)
+        if kind.name == HEDERA:
+            want, mechanism = select_hedera(topo, flow, views,
+                                            kind.elephant_threshold)
+            assert d.mechanism == mechanism
+        elif d.mechanism == MECH_PROACTIVE:
+            want = select_ecmp(topo, flow, candidates)
+        elif kind.name == HYBRID:
+            want = select_lexicographic(views)
+        else:
+            assert kind.name == HYBRID_SCALAR
+            want = select_scalarized(views, kind.alpha)
+        assert d.path is want
+        assert d.candidates_considered == len(candidates)
+        mechanisms[d.mechanism] += 1
+        if d.mechanism == MECH_CONTROLLER:
+            # a decision the loads could sway
+            mechanisms["loaded"] += any(v.uplink_elephants or
+                                        v.min_residual < topo.link_capacity
+                                        for v in views)
+        return d
+
+    monkeypatch.setattr(engine_module, "dispatch", checked)
+    eng.run()
+    assert mechanisms[MECH_PROACTIVE] + mechanisms[MECH_CONTROLLER] == \
+        eng.proactive_decisions + eng.controller_decisions > 0
+    if scheduler in (HYBRID, HYBRID_SCALAR, HEDERA):
+        assert mechanisms["loaded"] > 0
+    else:
+        assert mechanisms[MECH_CONTROLLER] == 0
+
+
+def test_a_run_keeps_only_the_paths_its_flows_took(monkeypatch):
+    eng = default_engine(Engine, HYBRID)
+    topo = eng.topology
+    taken = []
+
+    def recorded(state, flow, kind):
+        d = dispatch(state, flow, kind)
+        taken.append(d.path)
+        return d
+
+    monkeypatch.setattr(engine_module, "dispatch", recorded)
+    eng.run()
+    assert len(taken) == eng.proactive_decisions + eng.controller_decisions
+    assert {id(p) for p in topo._path_memo.values()} == {id(p) for p in taken}
+    pairs = {(p.hops[0].src, p.hops[-1].dst) for p in taken}
+    assert len(topo._path_memo) < sum(topo.candidate_count(*pair)
+                                      for pair in pairs)
 
 
 def test_scheduler_kind_validation():

@@ -1,9 +1,13 @@
 import copy
 import pickle
+import random
+import struct
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
+from fatflow.schedulers import path_views
 from fatflow.topology import (AGG, CORE, EDGE, LinkKind, NodeId, Path,
                               TopologyError, build_fat_tree, build_nonblocking)
 
@@ -306,3 +310,64 @@ def test_node_id_hash_is_the_field_tuple_hash_and_survives_pickling():
         for twin in (pickle.loads(pickle.dumps(n)), copy.deepcopy(n)):
             assert twin == n and hash(twin) == hash(n)
             assert twin.label == n.label
+
+
+# -- the per-rank reads that dispatch uses, against the materialised paths ---
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def random_link_state(topo, rng):
+    # few distinct values, so equal minima (+0.0 next to -0.0 among them)
+    # are common, plus arbitrary floats
+    values = [0.0, -0.0, 1e6, 5e6, 5e6, 10e6]
+    residual = [rng.choice(values) if rng.random() < 0.5
+                else rng.uniform(-1e6, 10e6) for _ in topo.links]
+    elephants = [rng.randrange(4) for _ in topo.links]
+    return residual, elephants
+
+
+@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
+                                     (build_fat_tree, 6), (build_fat_tree, 8),
+                                     (build_nonblocking, 4)])
+def test_candidate_reads_match_the_materialised_paths_for_every_pair(build, k):
+    t = build(k, 10e6)
+    reference = reference_paths(t)
+    rng = random.Random(k)
+    state = SimpleNamespace()
+    for src in t.hosts:
+        state.polled_residual, state.polled_elephants = random_link_state(t, rng)
+        for dst in t.hosts:
+            if src == dst:
+                continue
+            want = reference(src, dst)
+            count = t.candidate_count(src, dst)
+            assert count == len(want)
+            got = [t.path_at(src, dst, r) for r in range(count)]
+            assert got == want
+            # built once: the materialising call hands out the same objects
+            assert all(a is b for a, b in zip(t.equal_cost_paths(src, dst), got))
+            # what lets dispatch break ties on rank
+            assert len({len(p.hops) for p in got}) == 1
+            keys = [p.sort_key for p in got]
+            assert keys == sorted(set(keys))
+
+            loads = t.candidate_loads(src, dst, state.polled_residual,
+                                      state.polled_elephants)
+            views = path_views(state, got)
+            assert [e for _, e in loads] == [v.uplink_elephants for v in views]
+            assert [bits(r) for r, _ in loads] == \
+                [bits(v.min_residual) for v in views]
+
+
+def test_path_at_rejects_a_rank_outside_the_pair():
+    t = build_fat_tree(4, 10e6)
+    src, dst = t.hosts[0], t.hosts[-1]
+    for rank in (-1, 4):
+        with pytest.raises(TopologyError, match=r"rank must be in \[0, 4\)"):
+            t.path_at(src, dst, rank)
+    with pytest.raises(TopologyError, match="unknown host"):
+        t.path_at(src, t.switches[0], 0)
+    with pytest.raises(TopologyError, match="must differ"):
+        t.candidate_loads(src, src, [0.0] * len(t.links), [0] * len(t.links))
