@@ -64,21 +64,20 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     share. A final repair pass nudges rates down by at most a few ulps so
     per-link sums never exceed capacity even in float arithmetic.
 
-    A round only revisits what the last one changed: a link's share is
-    recomputed when a flow on it froze, demand-limited flows come off one
-    list sorted by demand, and a link that sets the level freezes all of its
-    flows, so its member list is read once.
-
     Demands must be finite and >= 0, and a path lists each link at most
     once; EngineError names the flow otherwise, and the link when a path's
     link has a capacity that is not finite and >= 0. A flow with demand 0
     freezes at 0 in the first round and takes no share of its links.
+
+    This checks the inputs and builds each link's member list, then runs
+    `_fill`. The engine calls `_fill` directly: its flows and link
+    capacities are checked when they enter it, and it keeps the member
+    lists as its own link index.
     """
     for fid, d in demands.items():
         if not 0.0 <= d < math.inf:  # false for NaN too
             raise EngineError(f"waterfill: flow {fid}: demand must be "
                               f"finite and >= 0, got {d!r}")
-    rates = dict.fromkeys(demands, 0.0)
     # per link, its flows in flow-id order
     members: dict[int, list[int]] = {}
     for fid in sorted(paths):
@@ -95,6 +94,24 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
         if not 0.0 <= capacities[lid] < math.inf:  # false for NaN too
             raise EngineError(f"waterfill: link {lid}: capacity must be "
                               f"finite and >= 0, got {capacities[lid]!r}")
+    return _fill(demands, paths, members, capacities)
+
+
+def _fill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
+          members: dict[int, list[int]],
+          capacities: Sequence[float] | dict[int, float]) -> dict[int, float]:
+    """`waterfill`'s rounds and repair pass on checked inputs.
+
+    `members` maps each link that carries a flow to its flows in flow-id
+    order; the lists are only read, never changed. `capacities` is indexed
+    by link id. No float depends on the order of `members`.
+
+    A round only revisits what the last one changed: a link's share is
+    recomputed when a flow on it froze, demand-limited flows come off one
+    list sorted by demand, and a link that sets the level freezes all of its
+    flows, so its member list is read once.
+    """
+    rates = dict.fromkeys(demands, 0.0)
     # per link that still carries an unfrozen flow: how many, and the fair
     # share of what is left
     unfrozen = {lid: len(flows) for lid, flows in members.items()}
@@ -251,6 +268,9 @@ class Engine:
 
         nlinks = len(topo.links)
         self._cap = [l.capacity for l in topo.links]
+        for lid, c in enumerate(self._cap):
+            if not POSITIVE.holds(c):  # the message only on failure
+                POSITIVE.check(f"link {lid}: capacity", c, EngineError)
         self.allocated = [0.0] * nlinks
         self.offered = [0.0] * nlinks
         self.elephants = [0] * nlinks
@@ -544,34 +564,48 @@ class Engine:
         rates on disjoint components are independent, and every per-link sum
         runs over the link's elephants in flow-id order, so this gives the
         same floats as a re-solve of every routed elephant.
+
+        `_fill` reads the link index itself: the walk reaches every flow on
+        each link it visits, so each `_link_flows` list it passes is the
+        list `waterfill` would build from `paths`, the same flows in the
+        same flow-id order, and no float depends on the order of the links.
+        The inputs need no check here: `_check_flows` checked the demands
+        and `__init__` the capacities, and a topology path lists each link
+        once.
         """
-        link_flows, routed, cap = self._link_flows, self._routed, self._cap
-        # the walk collects the waterfill inputs as it goes; `caps` doubles
+        link_flows, routed = self._link_flows, self._routed
+        allocated = self.allocated
+        # the walk collects the `_fill` inputs as it goes; `members` doubles
         # as the set of links it has reached
-        caps = {lid: cap[lid] for lid in changed}
-        stack = list(caps)
+        members: dict[int, list[int]] = {}
+        stack = []
+        for lid in changed:
+            flows = link_flows.get(lid)
+            if flows is None:
+                allocated[lid] = 0.0
+            elif lid not in members:
+                members[lid] = flows
+                stack.append(lid)
         demands: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
         while stack:
-            for fid in link_flows.get(stack.pop(), ()):
+            for fid in members[stack.pop()]:
                 if fid not in demands:
                     st = routed[fid]
                     demands[fid] = st.spec.demand
                     paths[fid] = links = st.path.link_ids
                     for lid in links:
-                        if lid not in caps:
-                            caps[lid] = cap[lid]
+                        if lid not in members:
+                            members[lid] = link_flows[lid]
                             stack.append(lid)
-        rates = waterfill(demands, paths, caps)
+        rates = _fill(demands, paths, members, self._cap)
         for fid, rate in rates.items():
             routed[fid].achieved_rate = rate
-
-        # the walk reached every flow on the links in `caps`
-        for lid in caps:
+        for lid, flows in members.items():
             total = 0.0
-            for fid in link_flows.get(lid, ()):
+            for fid in flows:
                 total += rates[fid]
-            self.allocated[lid] = total
+            allocated[lid] = total
         # offered load only moves where the set of elephants changed
         for lid in changed:
             total = 0.0

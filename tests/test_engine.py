@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -17,7 +18,7 @@ from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
 from fatflow.experiment import ExperimentConfig, build_topology
 from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
-from fatflow.topology import build_fat_tree
+from fatflow.topology import Topology, build_fat_tree
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
 
@@ -474,6 +475,24 @@ def test_engine_rejects_bad_duration(value):
         run_engine(flows, topo=topo)
 
 
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0])
+def test_engine_rejects_a_bad_link_capacity(value):
+    # a link on the first elephant's path, where a capacity of 0 would
+    # divide by zero at its arrival; the engine rejects it before any event
+    good = build_fat_tree(4, 10e6)
+    first = run_engine([elephant(0, good)], topo=good)
+    first.step()
+    lid = first.active[0].path.link_ids[2]
+    links = list(good.links)
+    links[lid] = dataclasses.replace(links[lid], capacity=value)
+    topo = Topology(good.k, good.link_capacity, good.layout, list(good.nodes),
+                    links)
+    with pytest.raises(EngineError, match="^" + re.escape(
+            f"link {lid}: capacity must be finite and > 0, got {value!r}")
+            + "$"):
+        run_engine([elephant(0, topo)], topo=topo)
+
+
 def test_replay_is_deterministic():
     topo = build_fat_tree(4, 10e6)
     spec = WorkloadSpec(elephants=20, seed=11, arrival_rate=5.0,
@@ -767,6 +786,21 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
                                                    rel=1e-12)
 
 
+def watch_fills(monkeypatch, eng, seen):
+    """Call `seen(demands, paths, members, rates)` after each `_fill` call
+    made by `eng`'s re-solves. Those pass the engine's capacity list; a
+    `FullResolveEngine` reaches `_fill` through `waterfill` with a dict."""
+    fill = engine_module._fill
+
+    def spy(demands, paths, members, capacities):
+        rates = fill(demands, paths, members, capacities)
+        if capacities is eng._cap:
+            seen(demands, paths, members, rates)
+        return rates
+
+    monkeypatch.setattr(engine_module, "_fill", spy)
+
+
 def test_mouse_arrival_changes_no_rate(monkeypatch):
     topo = build_fat_tree(4, 10e6)
     flows = [elephant(0, topo), elephant(1, topo, start=0.2, src=1, dst=14),
@@ -778,8 +812,7 @@ def test_mouse_arrival_changes_no_rate(monkeypatch):
               {fid: f.achieved_rate for fid, f in eng.active.items()})
     npoints = len(eng.bisection_series)
     calls = []
-    monkeypatch.setattr(engine_module, "waterfill",
-                        lambda *a: calls.append(a) or waterfill(*a))
+    watch_fills(monkeypatch, eng, lambda *a: calls.append(a))
     record = eng.step()
     assert record["type"] == "arrival" and record["flow"] == 2
     assert not calls
@@ -892,13 +925,45 @@ def test_incremental_resolve_matches_full_resolve(scheduler, config,
     ref = default_engine(FullResolveEngine, scheduler, **RESOLVE_CONFIGS[config])
     # (flows solved, elephants routed) of every re-solve of `eng`
     solves = []
-    monkeypatch.setattr(engine_module, "waterfill", lambda d, p, c: (
-        solves.append((len(d), len(eng._routed))) or waterfill(d, p, c)))
+    watch_fills(monkeypatch, eng, lambda d, p, m, r: solves.append(
+        (len(d), len(eng._routed))))
     step_in_lockstep(eng, ref)
     if scheduler == HEDERA_GFF and config == "default":
         assert eng.reroutes > 0
     if config != "default":
         assert any(solved < routed for solved, routed in solves)
+
+
+@pytest.mark.parametrize("config", ["default", "k8"])
+@pytest.mark.parametrize("scheduler", ["hybrid", HEDERA_GFF])
+def test_resolve_fills_from_the_link_index_as_waterfill_would(
+        scheduler, config, monkeypatch):
+    eng = default_engine(Engine, scheduler, **RESOLVE_CONFIGS[config])
+    fills = []
+
+    def check(demands, paths, members, rates):
+        # the member lists waterfill builds from `paths`; checked after the
+        # fill, so this also shows that `_fill` left the live index as it was
+        built = {}
+        for fid in sorted(paths):
+            for lid in paths[fid]:
+                built.setdefault(lid, []).append(fid)
+        assert sorted(members) == sorted(built)
+        for lid, flows in members.items():
+            assert flows is eng._link_flows[lid]
+            assert flows == built[lid]
+        want = waterfill(demands, paths,
+                         {lid: eng._cap[lid] for lid in built})
+        assert sorted(rates) == sorted(want)
+        assert (array("d", (rates[fid] for fid in sorted(rates))).tobytes()
+                == array("d", (want[fid] for fid in sorted(want))).tobytes())
+        fills.append(len(demands))
+
+    watch_fills(monkeypatch, eng, check)
+    eng.run()
+    assert max(fills) > 1
+    if scheduler == HEDERA_GFF:
+        assert eng.reroutes > 0
 
 
 class UncachedProbeEngine(Engine):
@@ -982,8 +1047,7 @@ def test_arrival_merges_and_departure_splits_components(monkeypatch):
     ref = FullResolveEngine(topo, SchedulerKind("ecmp"), flows(topo),
                             horizon=3.0)
     solved = []
-    monkeypatch.setattr(engine_module, "waterfill", lambda d, p, c: (
-        solved.append(sorted(d)) or waterfill(d, p, c)))
+    watch_fills(monkeypatch, eng, lambda d, p, m, r: solved.append(sorted(d)))
     rates = []
     for _ in range(5):
         assert eng.step() == ref.step()
