@@ -11,6 +11,13 @@ arrivals, departures, polls and the horizon, never at probes. Under
 `hedera-gff` it also runs Hedera's scheduling round every period and moves
 the flows that round places.
 
+A probe changes no state, so probes wait in a heap of their own, one entry
+per mouse for its next probe. `run()` draws every probe due before the
+next state-changing event in one loop, and `step()` still processes
+exactly one event of either kind. Both heaps take their sequence numbers
+from one counter, so the merged (time, sequence) order is the order of a
+single queue.
+
 All randomness comes from two private streams derived from the run seed, so
 identical inputs replay to identical event logs.
 """
@@ -21,6 +28,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -229,6 +237,9 @@ def _check_flows(flows: Sequence[Flow]) -> None:
         if f.id in ids:
             raise EngineError(f"flow {f.id}: id repeats")
         ids.add(f.id)
+        if (NON_NEGATIVE.holds(f.start_time) and POSITIVE.holds(f.demand)
+                and duration_rule.holds(f.duration)):
+            continue  # the messages only on failure
         NON_NEGATIVE.check(f"flow {f.id}: start_time", f.start_time,
                            EngineError)
         POSITIVE.check(f"flow {f.id}: demand", f.demand, EngineError)
@@ -268,8 +279,8 @@ class Engine:
 
         nlinks = len(topo.links)
         self._cap = [l.capacity for l in topo.links]
-        for lid, c in enumerate(self._cap):
-            if not POSITIVE.holds(c):  # the message only on failure
+        if not all(map(POSITIVE.holds, self._cap)):  # walk only on failure
+            for lid, c in enumerate(self._cap):
                 POSITIVE.check(f"link {lid}: capacity", c, EngineError)
         self.allocated = [0.0] * nlinks
         self.offered = [0.0] * nlinks
@@ -310,8 +321,13 @@ class Engine:
         self.event_log: list[dict] = []  # kept only when `log_events` is on
         self.events_processed = 0
 
+        # state-changing events, and per mouse the time and sequence number
+        # of its next probe, then its state, all its probe times and the
+        # index of the next one. Both take their sequence numbers from
+        # `_seq`, which breaks ties between equal times.
         self._seq = itertools.count()
         self._queue: list[tuple[float, int, str, object]] = []
+        self._probes: list[tuple[float, int, FlowState, list[float], int]] = []
         _check_flows(flows)
         for f in flows:
             if f.start_time < horizon:
@@ -325,24 +341,27 @@ class Engine:
         heapq.heappush(self._queue, (t, next(self._seq), kind, payload))
 
     def pending_events(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + sum(len(times) - i for *_, times, i
+                                      in self._probes)
 
     def step(self) -> dict:
         """Process exactly one event in (time, sequence) order and return its
         log record, or only `{"type": kind}` when `log_events` is off."""
-        if not self._queue:
+        queue, probes = self._queue, self._probes
+        if probes and (not queue or probes[0] < queue[0]):
+            t, seq = probes[0][:2]
+            self._run_probes((t, seq + 1))
+            return self.event_log[-1] if self.log_events else {"type": "probe"}
+        if not queue:
             raise EngineError("event queue is empty")
-        t, seq, kind, payload = heapq.heappop(self._queue)
+        t, seq, kind, payload = heapq.heappop(queue)
         self.events_processed += 1
         self._advance(t)
-        if kind != "probe":
-            self._integrate()
+        self._integrate()
         if kind == "arrival":
             record = self._on_arrival(payload)
         elif kind == "departure":
             record = self._on_departure(payload)
-        elif kind == "probe":
-            record = self._on_probe(payload)
         elif kind == "poll":
             record = self._on_poll()
         else:  # pragma: no cover - queue is engine-private
@@ -354,11 +373,57 @@ class Engine:
         return record
 
     def run(self) -> "Engine":
-        while self._queue and self._queue[0][0] <= self.horizon:
+        queue, probes = self._queue, self._probes
+        while queue and queue[0][0] <= self.horizon:
+            if probes and probes[0] < queue[0]:
+                self._run_probes(queue[0])
             self.step()
+        self._run_probes((self.horizon, math.inf))
         self._advance(self.horizon)
         self._integrate()
         return self
+
+    def _run_probes(self, stop: tuple) -> None:
+        """Draw every queued probe whose (time, sequence) key comes before
+        `stop`, in that order.
+
+        No state changes between them, so each mouse's cached outcome stays
+        valid across the batch and the clock moves once, to the last probe.
+        A probe's seq differs from every other event's, so comparing a heap
+        entry with `stop` or another entry never reaches its third field.
+        """
+        probes = self._probes
+        pop, replace = heapq.heappop, heapq.heapreplace
+        keep, delay, epoch = self._probe_keep, self._probe_delay, self._epoch
+        draw, append = self._probe_rng.random, self.probe_rtts.append
+        log = self.event_log.append if self.log_events else None
+        t, n = self.clock, 0
+        while probes and probes[0] < stop:
+            t, seq, st, times, i = probes[0]
+            i += 1
+            if i < len(times):  # the mouse's next probe, numbered next
+                replace(probes, (times[i], seq + 1, st, times, i))
+            else:
+                pop(probes)
+            n += 1
+            if st.probe_epoch != epoch:
+                links = st.probe_links
+                survival = 1.0
+                for lid in links:
+                    survival *= keep[lid]
+                rtt = 0.0
+                for lid in links:
+                    rtt += delay[lid]
+                st.probe_keep, st.probe_rtt = survival, rtt
+                st.probe_epoch = epoch
+            # one draw per probe, hit or miss, keeps the random stream in order
+            rtt = st.probe_rtt if draw() < st.probe_keep else None
+            append(rtt)
+            if log is not None:
+                log({"flow": st.spec.id, "delivered": rtt is not None,
+                     "rtt": rtt, "seq": seq, "t": t, "type": "probe"})
+        self._advance(t)
+        self.events_processed += n
 
     def _advance(self, t: float) -> None:
         if t < self.clock:
@@ -394,8 +459,11 @@ class Engine:
             if end < self.horizon:
                 self._push(end, "departure", flow.id)
         if flow.kind == MICE and self.probe_interval is not None:
-            for pt in probe_schedule(flow, self.horizon, self.probe_interval):
-                self._push(pt, "probe", st)
+            times = probe_schedule(flow, self.horizon, self.probe_interval)
+            # probe i takes sequence number first + i
+            first = next(self._seq)
+            self._seq = itertools.count(first + len(times))
+            heapq.heappush(self._probes, (times[0], first, st, times, 0))
         self._reallocate_for(st)
         if not self.log_events:
             return None
@@ -424,24 +492,6 @@ class Engine:
             return None
         return {"flow": fid, "bisection_rate": self.bisection_rate}
 
-    def _on_probe(self, st: FlowState) -> Optional[dict]:
-        if st.probe_epoch != self._epoch:
-            links = st.probe_links
-            survival = 1.0
-            for lid in links:
-                survival *= self._probe_keep[lid]
-            rtt = 0.0
-            for lid in links:
-                rtt += self._probe_delay[lid]
-            st.probe_keep, st.probe_rtt = survival, rtt
-            st.probe_epoch = self._epoch
-        # one draw per probe, hit or miss, keeps the random stream in order
-        rtt = st.probe_rtt if self._probe_rng.random() < st.probe_keep else None
-        self.probe_rtts.append(rtt)
-        if not self.log_events:
-            return None
-        return {"flow": st.spec.id, "delivered": rtt is not None, "rtt": rtt}
-
     def _on_poll(self) -> Optional[dict]:
         newly = []
         # a mouse sends no bits, so only routed elephants can classify
@@ -459,11 +509,13 @@ class Engine:
         self.port_stat_reads += self.topology.total_switch_ports
         self.uplink_stat_reads += len(self.topology.agg_upstream_link_ids)
         self.polls += 1
-        self.polled_residual = [c - a for c, a in zip(self._cap, self.allocated)]
-        self.polled_elephants = list(self.elephants)
-        self.util_snapshots.append(tuple(
-            self.allocated[lid] / self._cap[lid]
-            for lid in self.topology.monitored_link_ids))
+        allocated, cap = self.allocated, self._cap
+        self.polled_residual = list(map(operator.sub, cap, allocated))
+        self.polled_elephants = self.elephants[:]
+        monitored = self.topology.monitored_link_ids
+        self.util_snapshots.append(tuple(map(
+            operator.truediv, map(allocated.__getitem__, monitored),
+            map(cap.__getitem__, monitored))))
         record = ({"classified": newly, "port_reads": self.port_stat_reads}
                   if self.log_events else None)
         if self._round_polls and self.polls % self._round_polls == 0:

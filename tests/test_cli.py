@@ -287,16 +287,14 @@ def test_events_flag_writes_jsonl(tmp_path):
 
 
 class StepKeepingEngine(Engine):
-    """Keeps what every `step` call returned."""
+    """Runs by calling `step` once per event, probes included, and keeps
+    what every call returned; `run` then only finishes the horizon."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def run(self):
         self.returned = []
-
-    def step(self):
-        record = super().step()
-        self.returned.append(record)
-        return record
+        while self.pending_events():
+            self.returned.append(self.step())
+        return super().run()
 
 
 @pytest.mark.parametrize("overrides", [{}, {"flow_duration": 6.0}],
@@ -320,6 +318,11 @@ def test_run_without_events_logs_nothing_and_reports_the_same(
     assert quiet.events_processed == len(logged.event_log)
     assert quiet.state_fingerprint() == logged.state_fingerprint()
     assert texts[False] == texts[True]
+    # and `run` itself, which draws probes in bulk, writes the same report
+    monkeypatch.setattr(experiment, "Engine", Engine)
+    cfg = ExperimentConfig(write_events=False, **overrides)
+    assert json.dumps(run_report(cfg, scheduler, 3, run_one(cfg, scheduler, 3)),
+                      sort_keys=True, indent=2) == texts[True]
 
 
 @pytest.mark.parametrize("flag,value,field", [

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 import os
 import random
@@ -703,11 +704,20 @@ class RecordingEngine(Engine):
 
 
 class EagerEngine(Engine):
-    """Integrates at every event, probes included."""
+    """Integrates at every clock move: at every event, probes included, when
+    driven by `step_through`."""
 
     def _advance(self, t):
         super()._advance(t)
         self._integrate()
+
+
+def step_through(eng):
+    """Process every event with one `step` call each, probes included, then
+    let `run` carry the clock and the integrals to the horizon."""
+    while eng.pending_events():
+        eng.step()
+    return eng.run()
 
 
 # the default config, one with departures, one that ends between two polls
@@ -727,7 +737,8 @@ def default_engine(cls, scheduler, seed=3, **overrides):
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_lazy_integration_matches_eager_reference(scheduler, config):
-    eng = default_engine(RecordingEngine, scheduler, **CONFIGS[config]).run()
+    eng = step_through(default_engine(RecordingEngine, scheduler,
+                                      **CONFIGS[config]))
     assert sum(rec["type"] == "probe" for rec in eng.event_log) > \
         len(eng.event_log) / 2
     params = eng.params
@@ -778,7 +789,8 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
 
     # integrating on every event changes no decision: same classifications,
     # same Hedera reroutes, same probe outcomes
-    eager = default_engine(EagerEngine, scheduler, **CONFIGS[config]).run()
+    eager = step_through(default_engine(EagerEngine, scheduler,
+                                        **CONFIGS[config]))
     assert eager.event_log == eng.event_log
     eager_offered = eager.mean_offered_by_link()
     for lid in range(nlinks):
@@ -967,21 +979,30 @@ def test_resolve_fills_from_the_link_index_as_waterfill_would(
 
 
 class UncachedProbeEngine(Engine):
-    """Evaluates every probe from the per-link factors, with no cache: the
-    engine's `_on_probe` from before the cache, kept as the reference."""
+    """Evaluates every probe fresh from the per-link factors, one at a time,
+    with no cache and no batching: the reference for `_run_probes`."""
 
-    def _on_probe(self, st):
-        links = st.probe_links
-        survival = 1.0
-        for lid in links:
-            survival *= self._probe_keep[lid]
-        rtt = None  # lost
-        if self._probe_rng.random() < survival:
-            rtt = 0.0
+    def _run_probes(self, stop):
+        while self._probes and self._probes[0] < stop:
+            t, seq, st, times, i = heapq.heappop(self._probes)
+            if i + 1 < len(times):
+                heapq.heappush(self._probes,
+                               (times[i + 1], seq + 1, st, times, i + 1))
+            self.events_processed += 1
+            self._advance(t)
+            links = st.probe_links
+            survival = 1.0
             for lid in links:
-                rtt += self._probe_delay[lid]
-        self.probe_rtts.append(rtt)
-        return {"flow": st.spec.id, "delivered": rtt is not None, "rtt": rtt}
+                survival *= self._probe_keep[lid]
+            rtt = None  # lost
+            if self._probe_rng.random() < survival:
+                rtt = 0.0
+                for lid in links:
+                    rtt += self._probe_delay[lid]
+            self.probe_rtts.append(rtt)
+            self.event_log.append({"flow": st.spec.id,
+                                   "delivered": rtt is not None, "rtt": rtt,
+                                   "seq": seq, "t": t, "type": "probe"})
 
 
 def rtt_bits(rtts):
@@ -1005,15 +1026,57 @@ def test_cached_probes_match_uncached_reference(scheduler, config):
                          **PROBE_CACHE_CONFIGS[config])
     hits = 0
     while eng.pending_events():
-        _, _, kind, payload = eng._queue[0]
-        if kind == "probe" and payload.probe_epoch == eng._epoch:
-            hits += 1
-        assert eng.step() == ref.step()
+        # the next probe reads its mouse's cache if no re-solve came since
+        head = eng._probes[0] if eng._probes else None
+        hit = head is not None and head[2].probe_epoch == eng._epoch
+        record = eng.step()
+        assert record == ref.step()
+        hits += hit and record["seq"] == head[1]
     assert not ref.pending_events()
     assert rtt_bits(eng.probe_rtts) == rtt_bits(ref.probe_rtts)
     assert 0 < hits < len(eng.probe_rtts)
     if scheduler == HEDERA_GFF and config == "default":
         assert eng.reroutes > 0
+
+
+@pytest.mark.parametrize("config", sorted(PROBE_CACHE_CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_run_matches_a_step_loop(scheduler, config):
+    ran = default_engine(Engine, scheduler, **PROBE_CACHE_CONFIGS[config]).run()
+    stepped = step_through(default_engine(Engine, scheduler,
+                                          **PROBE_CACHE_CONFIGS[config]))
+    assert sum(rec["type"] == "probe" for rec in ran.event_log) > \
+        len(ran.event_log) / 2
+    # every queued event ran once, numbered in push order, in (t, seq) order
+    keys = [(rec["t"], rec["seq"]) for rec in ran.event_log]
+    assert keys == sorted(keys)
+    assert sorted(seq for _, seq in keys) == list(range(len(keys)))
+    # repr round-trips every float exactly, so these compare bit for bit
+    assert repr(ran.event_log) == repr(stepped.event_log)
+    assert rtt_bits(ran.probe_rtts) == rtt_bits(stepped.probe_rtts)
+    assert repr(ran.util_snapshots) == repr(stepped.util_snapshots)
+    assert repr(ran.state_fingerprint()) == repr(stepped.state_fingerprint())
+    assert (repr(ran.mean_offered_by_link())
+            == repr(stepped.mean_offered_by_link()))
+
+
+def test_departure_comes_before_the_last_probe_at_its_time():
+    # a 2 s mouse probing every 0.5 s: its last probe and its departure
+    # both fall at t=2.0, as does a poll scheduled before either
+    topo = build_fat_tree(4, 10e6)
+    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, 2.0)
+    logs = []
+    for finish in (Engine.run, step_through):
+        eng = run_engine([mouse], topo=topo, horizon=3.0, probe_interval=0.5)
+        assert eng.step()["type"] == "arrival"
+        # the polls at 1, 2 and 3 s, the departure and the five probes
+        assert eng.pending_events() == 3 + 1 + 5
+        finish(eng)
+        at_end = [rec["type"] for rec in eng.event_log if rec["t"] == 2.0]
+        assert at_end == ["poll", "departure", "probe"]
+        assert len(eng.probe_rtts) == 5
+        logs.append(eng.event_log)
+    assert logs[0] == logs[1]
 
 
 def test_incremental_resolve_sums_in_flow_id_order():
