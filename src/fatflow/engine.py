@@ -11,6 +11,10 @@ arrivals, departures, polls and the horizon, never at probes. Under
 `hedera-gff` it also runs Hedera's scheduling round every period and moves
 the flows that round places.
 
+Progressive filling reads the engine's own link index and counts in two
+per-link lists allocated once with the engine, which it leaves all zero
+again.
+
 A probe changes no state, so probes wait in a heap of their own, one entry
 per mouse for its next probe. `run()` draws every probe due before the
 next state-changing event in one loop, and `step()` still processes
@@ -77,10 +81,11 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     link has a capacity that is not finite and >= 0. A flow with demand 0
     freezes at 0 in the first round and takes no share of its links.
 
-    This checks the inputs and builds each link's member list, then runs
-    `_fill`. The engine calls `_fill` directly: its flows and link
-    capacities are checked when they enter it, and it keeps the member
-    lists as its own link index.
+    This checks the inputs and builds each link's member list, its count
+    of flows and a zero per-link sum, then runs `_fill`. The engine calls
+    `_fill` directly: its flows and link capacities are checked when they
+    enter it, it keeps the member lists as its own link index, and it
+    counts in two per-link lists of its own.
     """
     for fid, d in demands.items():
         if not 0.0 <= d < math.inf:  # false for NaN too
@@ -102,17 +107,30 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
         if not 0.0 <= capacities[lid] < math.inf:  # false for NaN too
             raise EngineError(f"waterfill: link {lid}: capacity must be "
                               f"finite and >= 0, got {capacities[lid]!r}")
-    return _fill(demands, paths, members, capacities)
+    return _fill(demands, paths, members, list(members), capacities,
+                 {lid: len(flows) for lid, flows in members.items()},
+                 dict.fromkeys(members, 0.0))
 
 
 def _fill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
-          members: dict[int, list[int]],
-          capacities: Sequence[float] | dict[int, float]) -> dict[int, float]:
+          members: dict[int, list[int]], links: list[int],
+          capacities: Sequence[float] | dict[int, float],
+          unfrozen: list[int] | dict[int, int],
+          frozen_sum: list[float] | dict[int, float]) -> dict[int, float]:
     """`waterfill`'s rounds and repair pass on checked inputs.
 
-    `members` maps each link that carries a flow to its flows in flow-id
-    order; the lists are only read, never changed. `capacities` is indexed
-    by link id. No float depends on the order of `members`.
+    `links` lists once each link that carries a flow, in any order. For
+    each of them, `members[lid]` holds its flows in flow-id order (no other
+    entry of `members` is read, and no list is changed), `unfrozen[lid]`
+    holds the length of that list and `frozen_sum[lid]` holds 0.0.
+    `capacities`, `unfrozen` and `frozen_sum` are indexed by link id. No
+    float depends on the order of `links`.
+
+    `_fill` counts in `unfrozen` and `frozen_sum` in place. Every flow
+    freezes, so each count returns to 0 by itself, and the repair scan sets
+    each sum back to 0.0: on return both hold zeros again on `links`. The
+    "no flow freezes" EngineError leaves them dirty; in the engine that
+    error ends the run.
 
     A round only revisits what the last one changed: a link's share is
     recomputed when a flow on it froze, demand-limited flows come off one
@@ -120,11 +138,9 @@ def _fill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     flows, so its member list is read once.
     """
     rates = dict.fromkeys(demands, 0.0)
-    # per link that still carries an unfrozen flow: how many, and the fair
-    # share of what is left
-    unfrozen = {lid: len(flows) for lid, flows in members.items()}
-    shares = {lid: capacities[lid] / n for lid, n in unfrozen.items()}
-    frozen_sum = dict.fromkeys(members, 0.0)
+    # per link that still carries an unfrozen flow: the fair share of what
+    # is left
+    shares = {lid: capacities[lid] / unfrozen[lid] for lid in links}
     frozen: set[int] = set()
     by_demand = sorted(demands, key=demands.__getitem__)
     first, end = 0, len(by_demand)
@@ -173,12 +189,15 @@ def _fill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
                 del shares[lid]
 
     # repair float overshoot: reductions only ever shrink link sums, so one
-    # pass in link order suffices. Sums run left to right in flow-id order,
-    # as the engine sums `allocated`. The rates are >= 0, so a sum in
+    # pass in link-id order suffices. Sums run left to right in flow-id
+    # order, as the engine sums `allocated`. The rates are >= 0, so a sum in
     # another order than `frozen_sum`'s is off by far less than 1e-9 of it,
     # and a link that far below capacity needs no repair.
-    near = [lid for lid, total in frozen_sum.items()
-            if total > capacities[lid] * (1 - 1e-9)]
+    near = []
+    for lid in links:
+        if frozen_sum[lid] > capacities[lid] * (1 - 1e-9):
+            near.append(lid)
+        frozen_sum[lid] = 0.0
     for lid in sorted(near):
         flows = members[lid]
         s = 0.0
@@ -283,6 +302,10 @@ class Engine:
             for lid, c in enumerate(self._cap):
                 POSITIVE.check(f"link {lid}: capacity", c, EngineError)
         self.allocated = [0.0] * nlinks
+        # `_fill`'s per-link counters (flows not yet frozen, sum of frozen
+        # rates); all zero between re-solves
+        self._unfrozen = [0] * nlinks
+        self._frozen_sum = [0.0] * nlinks
         self.offered = [0.0] * nlinks
         self.elephants = [0] * nlinks
         self.cumulative_elephants = [0] * nlinks
@@ -618,44 +641,46 @@ class Engine:
         same floats as a re-solve of every routed elephant.
 
         `_fill` reads the link index itself: the walk reaches every flow on
-        each link it visits, so each `_link_flows` list it passes is the
-        list `waterfill` would build from `paths`, the same flows in the
+        each link it visits, so each `_link_flows` list of a link in play is
+        the list `waterfill` would build from `paths`, the same flows in the
         same flow-id order, and no float depends on the order of the links.
-        The inputs need no check here: `_check_flows` checked the demands
-        and `__init__` the capacities, and a topology path lists each link
-        once.
+        The walk lists the links it reaches in `links` and marks each one by
+        setting its `_unfrozen` count to the length of its list; a loaded
+        link carries a flow, so a nonzero count means "reached". `_fill`
+        counts that down to 0 and sums in `_frozen_sum`, which it leaves at
+        0.0. The inputs need no check here: `_check_flows` checked the
+        demands and `__init__` the capacities, and a topology path lists
+        each link once.
         """
         link_flows, routed = self._link_flows, self._routed
-        allocated = self.allocated
-        # the walk collects the `_fill` inputs as it goes; `members` doubles
-        # as the set of links it has reached
-        members: dict[int, list[int]] = {}
-        stack = []
+        allocated, unfrozen = self.allocated, self._unfrozen
+        links = []
         for lid in changed:
             flows = link_flows.get(lid)
             if flows is None:
                 allocated[lid] = 0.0
-            elif lid not in members:
-                members[lid] = flows
-                stack.append(lid)
+            elif not unfrozen[lid]:
+                unfrozen[lid] = len(flows)
+                links.append(lid)
         demands: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
-        while stack:
-            for fid in members[stack.pop()]:
+        for reached in links:  # grows while it is read
+            for fid in link_flows[reached]:
                 if fid not in demands:
                     st = routed[fid]
                     demands[fid] = st.spec.demand
-                    paths[fid] = links = st.path.link_ids
-                    for lid in links:
-                        if lid not in members:
-                            members[lid] = link_flows[lid]
-                            stack.append(lid)
-        rates = _fill(demands, paths, members, self._cap)
+                    paths[fid] = path = st.path.link_ids
+                    for lid in path:
+                        if not unfrozen[lid]:
+                            unfrozen[lid] = len(link_flows[lid])
+                            links.append(lid)
+        rates = _fill(demands, paths, link_flows, links, self._cap, unfrozen,
+                      self._frozen_sum)
         for fid, rate in rates.items():
             routed[fid].achieved_rate = rate
-        for lid, flows in members.items():
+        for lid in links:
             total = 0.0
-            for fid in flows:
+            for fid in link_flows[lid]:
                 total += rates[fid]
             allocated[lid] = total
         # offered load only moves where the set of elephants changed

@@ -161,9 +161,16 @@ def probe_schedule(flow: Flow, horizon: float, interval: float) -> list[float]:
 
 def even_times(start: float, end: float, interval: float) -> list[float]:
     """`start`, then every `interval` up to `end`. Each time is start +
-    i * interval, not a running sum, so it cannot drift, and is clamped to
-    `end`, so a last time that rounds a few ulps past it stays inside."""
+    i * interval, not a running sum, so it cannot drift, and a time that
+    rounds a few ulps past `end` is clamped to it. The times rise, so only
+    a tail of the list can need the clamp."""
     span = max(0.0, end - start)
     # guard the floor against float noise (5 / 0.2 -> 24.999...)
     count = int(math.floor(span / interval + 1e-9)) + 1
-    return [start] + [min(start + i * interval, end) for i in range(1, count)]
+    times = [start]
+    times += [start + i * interval for i in range(1, count)]
+    i = count - 1
+    while i and times[i] > end:
+        times[i] = end
+        i -= 1
+    return times

@@ -800,14 +800,21 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
 
 def watch_fills(monkeypatch, eng, seen):
     """Call `seen(demands, paths, members, rates)` after each `_fill` call
-    made by `eng`'s re-solves. Those pass the engine's capacity list; a
-    `FullResolveEngine` reaches `_fill` through `waterfill` with a dict."""
+    made by `eng`'s re-solves, with `members` the member lists of the links
+    in play. Those pass the engine's capacity list; a `FullResolveEngine`
+    reaches `_fill` through `waterfill` with a dict. After each engine fill
+    the engine's per-link counters must be all zero again."""
     fill = engine_module._fill
 
-    def spy(demands, paths, members, capacities):
-        rates = fill(demands, paths, members, capacities)
+    def spy(demands, paths, members, links, capacities, unfrozen, frozen_sum):
+        rates = fill(demands, paths, members, links, capacities, unfrozen,
+                     frozen_sum)
         if capacities is eng._cap:
-            seen(demands, paths, members, rates)
+            assert unfrozen is eng._unfrozen and frozen_sum is eng._frozen_sum
+            assert len(set(links)) == len(links)
+            assert not any(eng._unfrozen)
+            assert not any(eng._frozen_sum)
+            seen(demands, paths, {lid: members[lid] for lid in links}, rates)
         return rates
 
     monkeypatch.setattr(engine_module, "_fill", spy)

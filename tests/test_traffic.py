@@ -1,10 +1,14 @@
+import itertools
+import math
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflow.topology import build_fat_tree, build_nonblocking
 from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadError, WorkloadSpec,
-                             crosses_bisection, generate_workload,
+                             crosses_bisection, even_times, generate_workload,
                              probe_schedule)
 
 
@@ -143,6 +147,30 @@ def test_probe_schedule_stays_inside_the_stream(interval, horizon_tenths,
     assert times[0] == start
     assert all(start <= t <= end for t in times)
     assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def per_element_min_times(start, end, interval):
+    """The reference form of `even_times`: every time through its own `min`."""
+    span = max(0.0, end - start)
+    count = int(math.floor(span / interval + 1e-9)) + 1
+    return [start] + [min(start + i * interval, end) for i in range(1, count)]
+
+
+def test_even_times_clamps_only_the_tail_bit_for_bit():
+    # the last multiple rounds past the end: 0.1 + 2 * 0.1 is
+    # 0.30000000000000004
+    assert 0.1 + 2 * 0.1 > 0.3
+    assert even_times(0.1, 0.3, 0.1) == [0.1, 0.2, 0.3]
+    triples = [(0.1, 0.3, 0.1), (0.0, 3.3, 1.1), (-0.0, 0.0, 1.0),
+               (2.0, 1.0, 0.5)]
+    for a, b, interval in itertools.product(
+            range(40), range(40), [0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 1 / 3]):
+        triples += [(a / 10, b / 10, interval), (a * 0.37, b * 1.13, interval)]
+    for start, end, interval in triples:
+        got = even_times(start, end, interval)
+        want = per_element_min_times(start, end, interval)
+        assert array("d", got).tobytes() == array("d", want).tobytes(), \
+            (start, end, interval)
 
 
 def test_probe_schedule_rejects_bad_interval():
