@@ -3,16 +3,17 @@
 Usage (from anywhere in the repository):
     python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR]
 
-Runs each pinned config once (`hybrid`, seed 0), each in a fresh child
-process so that the peak RSS it records is that config's own:
+Runs each pinned config five times (`hybrid`, seed 0), each config in a
+fresh child process so that the peak RSS it records is that config's own:
 - k8-256: `ExperimentConfig(k=8, elephants=256, arrival_rate=25.0)`;
 - k16-1024: `ExperimentConfig(k=16, elephants=1024, arrival_rate=100.0)`.
 
 Per config it records the seconds spent building the topology, in
 `Topology.path_at` (inclusive, memo hits counted), in the rest of
-`run_one`, and in `run_report`; the probe count; the `path_at` calls and
-the `Path`s built for them, which is what the topology's path memo holds at
-the end; and the child's peak RSS. `--src` runs another checkout's `src/`
+`run_one`, and in `run_report`, each as the median, min and max of the five
+runs (each run builds its own topology); the probe count; the `path_at`
+calls and the `Path`s built for them, which is what the topology's path
+memo holds at the end of a run; and the child's peak RSS over the runs. `--src` runs another checkout's `src/`
 (say, a `git archive` of the parent revision), so two revisions can be
 compared on one host; a checkout without `Topology.path_at` records null
 path figures. Nothing is written into a bundle.
@@ -25,6 +26,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +40,8 @@ CONFIGS = {
 }
 SCHEDULER = "hybrid"
 SEED = 0
+RUNS = 5  # per config, in one child process
+TIMES = ("topology_build_s", "path_at_s", "run_one_rest_s", "run_report_s")
 
 
 def measure(experiment, fields: dict) -> dict:
@@ -89,6 +93,19 @@ def measure(experiment, fields: dict) -> dict:
     }
 
 
+def measure_runs(experiment, fields: dict) -> dict:
+    """`measure` RUNS times: each time as its median, min and max; the
+    counts, equal in every run, and the peak RSS as of the last run."""
+    runs = [measure(experiment, fields) for _ in range(RUNS)]
+    result = dict(runs[-1], runs=RUNS)
+    for key in TIMES:
+        if result[key] is not None:
+            values = [r[key] for r in runs]
+            result[key] = {"median": statistics.median(values),
+                           "min": min(values), "max": max(values)}
+    return result
+
+
 def run_child(src: str, name: str) -> dict:
     out = subprocess.run(
         [sys.executable, __file__, "--src", src, "--config", name],
@@ -108,7 +125,7 @@ def main(argv=None) -> int:
         # the child: run one config and print its figures as JSON
         sys.path.insert(0, args.src)
         from fatflow import experiment
-        print(json.dumps(measure(experiment, CONFIGS[args.config])))
+        print(json.dumps(measure_runs(experiment, CONFIGS[args.config])))
         return 0
 
     results = {
@@ -118,12 +135,18 @@ def main(argv=None) -> int:
     }
     for name in CONFIGS:
         r = results["runs"][name] = run_child(args.src, name)
+
+        def secs(key):
+            t = r[key]
+            return f"{t['median']:.3f} s ({t['min']:.3f}-{t['max']:.3f})"
+
         paths = ("path_at n/a" if r["path_at_s"] is None else
-                 f"path_at {r['path_at_s']:.3f} s ({r['path_at_calls']} calls, "
+                 f"path_at {secs('path_at_s')} ({r['path_at_calls']} calls, "
                  f"{r['paths_built']} paths)")
-        print(f"{name}: build {r['topology_build_s']:.3f} s, {paths}, "
-              f"rest of run_one {r['run_one_rest_s']:.3f} s, "
-              f"run_report {r['run_report_s']:.3f} s, "
+        print(f"{name}, median of {RUNS} (min-max): "
+              f"build {secs('topology_build_s')}, {paths}, "
+              f"rest of run_one {secs('run_one_rest_s')}, "
+              f"run_report {secs('run_report_s')}, "
               f"{r['probes']} probes, peak RSS {r['peak_rss_mb']:.1f} MB",
               flush=True)
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")

@@ -15,12 +15,14 @@ Progressive filling reads the engine's own link index and counts in two
 per-link lists allocated once with the engine, which it leaves all zero
 again.
 
-A probe changes no state, so probes wait in a heap of their own, one entry
-per mouse for its next probe. `run()` draws every probe due before the
-next state-changing event in one loop, and `step()` still processes
-exactly one event of either kind. Both heaps take their sequence numbers
-from one counter, so the merged (time, sequence) order is the order of a
-single queue.
+Polls and each mouse's probes are streams, so memory does not grow with the
+horizon: one queue entry stands for a stream's next event, and processing it
+queues the next, at a time computed from the stream's start, period and end.
+A probe changes no state, so probes wait in a heap of their own. `run()`
+draws every probe due before the next state-changing event in one loop, and
+`step()` still processes exactly one event of either kind. Each stream
+reserves its block of sequence numbers from one counter when it starts, so
+the merged (time, sequence) order is that of a single queue filled up front.
 
 All randomness comes from two private streams derived from the run seed, so
 identical inputs replay to identical event logs.
@@ -41,7 +43,7 @@ from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE, check_fields, setting
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
                          hedera_period_polls, hedera_schedule)
 from .topology import Path, Topology
-from .traffic import MICE, Flow, crosses_bisection, even_times, probe_schedule
+from .traffic import MICE, PROBE_PERIOD, Flow, crosses_bisection, even_count
 
 
 class EngineError(RuntimeError):
@@ -257,12 +259,15 @@ def _check_flows(flows: Sequence[Flow]) -> None:
             raise EngineError(f"flow {f.id}: id repeats")
         ids.add(f.id)
         if (NON_NEGATIVE.holds(f.start_time) and POSITIVE.holds(f.demand)
-                and duration_rule.holds(f.duration)):
+                and duration_rule.holds(f.duration)
+                and (f.kind != MICE or PROBE_PERIOD.holds(f.probe_interval))):
             continue  # the messages only on failure
         NON_NEGATIVE.check(f"flow {f.id}: start_time", f.start_time,
                            EngineError)
         POSITIVE.check(f"flow {f.id}: demand", f.demand, EngineError)
         duration_rule.check(f"flow {f.id}: duration", f.duration, EngineError)
+        PROBE_PERIOD.check(f"flow {f.id}: probe_interval", f.probe_interval,
+                           EngineError)
 
 
 class Engine:
@@ -271,15 +276,12 @@ class Engine:
     def __init__(self, topo: Topology, scheduler: SchedulerKind,
                  flows: list[Flow], horizon: float,
                  params: EngineParams = EngineParams(), seed: int = 0,
-                 probe_interval: Optional[float] = None,
                  log_events: bool = True):
         POSITIVE.check("horizon", horizon, EngineError)
-        POSITIVE.or_none().check("probe_interval", probe_interval, EngineError)
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon
         self.params = params
-        self.probe_interval = probe_interval
         self.log_events = log_events
         self.dispatch_rng = random.Random(f"{seed}/dispatch")
         self._probe_rng = random.Random(f"{seed}/probe")
@@ -345,27 +347,38 @@ class Engine:
         self.events_processed = 0
 
         # state-changing events, and per mouse the time and sequence number
-        # of its next probe, then its state, all its probe times and the
-        # index of the next one. Both take their sequence numbers from
-        # `_seq`, which breaks ties between equal times.
+        # of its next probe, its state, the probe's index, and the stream's
+        # probe count and last time; `_seq` numbers both, breaking ties.
         self._seq = itertools.count()
         self._queue: list[tuple[float, int, str, object]] = []
-        self._probes: list[tuple[float, int, FlowState, list[float], int]] = []
+        self._probes: list[tuple[float, int, FlowState, int, int, float]] = []
         _check_flows(flows)
         for f in flows:
             if f.start_time < horizon:
                 self._push(f.start_time, "arrival", f)
-        for t in even_times(0.0, horizon, params.poll_interval)[1:]:
-            self._push(t, "poll", None)
+        # poll i >= 1 has payload i, time min(i * poll_interval, horizon)
+        # and sequence number first + i - 1
+        self._poll_count = even_count(0.0, horizon, params.poll_interval) - 1
+        first = self._reserve(self._poll_count)
+        if self._poll_count:
+            heapq.heappush(self._queue, (min(params.poll_interval, horizon),
+                                         first, "poll", 1))
 
     # -- event machinery ------------------------------------------------------
 
     def _push(self, t: float, kind: str, payload) -> None:
         heapq.heappush(self._queue, (t, next(self._seq), kind, payload))
 
+    def _reserve(self, n: int) -> int:
+        """Take a stream's block of `n` sequence numbers; return the first."""
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
+
     def pending_events(self) -> int:
-        return len(self._queue) + sum(len(times) - i for *_, times, i
-                                      in self._probes)
+        # the queued poll stands for every poll not yet processed
+        return (len(self._queue) + max(0, self._poll_count - self.polls - 1)
+                + sum(count - i for _, _, _, i, count, _ in self._probes))
 
     def step(self) -> dict:
         """Process exactly one event in (time, sequence) order and return its
@@ -386,6 +399,9 @@ class Engine:
         elif kind == "departure":
             record = self._on_departure(payload)
         elif kind == "poll":
+            if payload < self._poll_count:  # the stream's next poll
+                nxt = min((payload + 1) * self.params.poll_interval, self.horizon)
+                heapq.heappush(queue, (nxt, seq + 1, "poll", payload + 1))
             record = self._on_poll()
         else:  # pragma: no cover - queue is engine-private
             raise EngineError(f"unknown event kind {kind!r}")
@@ -422,10 +438,12 @@ class Engine:
         log = self.event_log.append if self.log_events else None
         t, n = self.clock, 0
         while probes and probes[0] < stop:
-            t, seq, st, times, i = probes[0]
+            t, seq, st, i, count, end = probes[0]
             i += 1
-            if i < len(times):  # the mouse's next probe, numbered next
-                replace(probes, (times[i], seq + 1, st, times, i))
+            if i < count:  # the mouse's next probe, numbered next
+                nxt = st.spec.start_time + i * st.spec.probe_interval
+                replace(probes, (nxt if nxt < end else end, seq + 1, st, i,
+                                 count, end))
             else:
                 pop(probes)
             n += 1
@@ -477,16 +495,15 @@ class Engine:
         self._route(st, decision.path)
         self.active[flow.id] = st
 
-        if flow.duration is not None:
+        end = self.horizon
+        if flow.duration is not None and flow.start_time + flow.duration < end:
             end = flow.start_time + flow.duration
-            if end < self.horizon:
-                self._push(end, "departure", flow.id)
-        if flow.kind == MICE and self.probe_interval is not None:
-            times = probe_schedule(flow, self.horizon, self.probe_interval)
-            # probe i takes sequence number first + i
-            first = next(self._seq)
-            self._seq = itertools.count(first + len(times))
-            heapq.heappush(self._probes, (times[0], first, st, times, 0))
+            self._push(end, "departure", flow.id)
+        if flow.kind == MICE:
+            # probe i: min(start_time + i * probe_interval, end), seq first + i
+            count = even_count(flow.start_time, end, flow.probe_interval)
+            heapq.heappush(self._probes, (flow.start_time, self._reserve(count),
+                                          st, 0, count, end))
         self._reallocate_for(st)
         if not self.log_events:
             return None

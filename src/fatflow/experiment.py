@@ -123,8 +123,7 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
     flows = generate_workload(topo, config.workload_spec(seed))
     engine = Engine(topo, config.scheduler_kind(scheduler), flows,
                     horizon=config.duration, params=config.engine_params(),
-                    seed=seed, probe_interval=config.probe_interval,
-                    log_events=config.write_events)
+                    seed=seed, log_events=config.write_events)
     return engine.run()
 
 

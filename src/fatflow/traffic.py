@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, check_fields, one_of, setting
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, Rule, check_fields, one_of, setting
 from .topology import NodeId, Topology
 
 ELEPHANT = "elephant"
@@ -28,6 +28,10 @@ class WorkloadError(ValueError):
     pass
 
 
+# a mouse must have a probe period; None fails without reaching `POSITIVE`
+PROBE_PERIOD = Rule(POSITIVE.text, lambda v: v is not None and POSITIVE.holds(v))
+
+
 @dataclass(frozen=True)
 class Flow:
     """A flow's spec; the engine keeps its run state apart (`Engine.active`)."""
@@ -39,6 +43,7 @@ class Flow:
     demand: float  # bits/second offered
     start_time: float
     duration: Optional[float]  # None = until the end of the experiment
+    probe_interval: Optional[float] = None  # a mouse's probe period
 
     @property
     def is_elephant(self) -> bool:
@@ -140,37 +145,37 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
         fid += 1
         if spec.probe_interval is not None:
             flows.append(Flow(fid, src, dst, MICE, MICE_DEMAND,
-                              t, spec.flow_duration))
+                              t, spec.flow_duration, spec.probe_interval))
             fid += 1
     return flows
 
 
-def probe_schedule(flow: Flow, horizon: float, interval: float) -> list[float]:
+def probe_schedule(flow: Flow, horizon: float) -> list[float]:
     """Evenly spaced probe emission times for a mice stream.
 
-    Emissions run from start_time to start_time + duration at `interval`;
-    a duration of 0 emits a single probe. Flows with open-ended duration
-    probe until the horizon.
+    Emissions run from start_time to start_time + duration every
+    `flow.probe_interval`; a duration of 0 emits a single probe. Flows with
+    open-ended duration probe until the horizon. The engine computes the
+    same times one at a time as it draws them; this list is their reference.
     """
     if flow.kind != MICE:
         raise WorkloadError("probe_schedule applies to mice flows only")
-    POSITIVE.check("probe interval", interval, WorkloadError)
+    PROBE_PERIOD.check(f"flow {flow.id}: probe_interval", flow.probe_interval,
+                       WorkloadError)
     end = horizon if flow.duration is None else flow.start_time + flow.duration
-    return even_times(flow.start_time, min(end, horizon), interval)
+    return even_times(flow.start_time, min(end, horizon), flow.probe_interval)
+
+
+def even_count(start: float, end: float, interval: float) -> int:
+    """How many of start, start + interval, ... lie within end; at least 1."""
+    span = max(0.0, end - start)
+    # guard the floor against float noise (5 / 0.2 -> 24.999...)
+    return int(math.floor(span / interval + 1e-9)) + 1
 
 
 def even_times(start: float, end: float, interval: float) -> list[float]:
     """`start`, then every `interval` up to `end`. Each time is start +
     i * interval, not a running sum, so it cannot drift, and a time that
-    rounds a few ulps past `end` is clamped to it. The times rise, so only
-    a tail of the list can need the clamp."""
-    span = max(0.0, end - start)
-    # guard the floor against float noise (5 / 0.2 -> 24.999...)
-    count = int(math.floor(span / interval + 1e-9)) + 1
-    times = [start]
-    times += [start + i * interval for i in range(1, count)]
-    i = count - 1
-    while i and times[i] > end:
-        times[i] = end
-        i -= 1
-    return times
+    rounds a few ulps past `end` is clamped to it."""
+    return [start] + [min(start + i * interval, end)
+                      for i in range(1, even_count(start, end, interval))]

@@ -20,7 +20,8 @@ from fatflow.engine import (Engine, EngineError, EngineParams,
 from fatflow.experiment import ExperimentConfig, build_topology
 from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
 from fatflow.topology import Topology, build_fat_tree
-from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
+from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadSpec, even_times,
+                             generate_workload, probe_schedule)
 
 
 def maxmin_oracle(demands, paths, capacities):
@@ -378,16 +379,21 @@ def test_traversal_delay_formula():
 # -- engine event loop ---------------------------------------------------------
 
 def run_engine(flows, horizon=10.0, scheduler="ecmp", seed=0, topo=None,
-               probe_interval=None, params=EngineParams()):
+               params=EngineParams()):
     topo = topo or build_fat_tree(4, 10e6)
     eng = Engine(topo, SchedulerKind(scheduler), flows, horizon=horizon,
-                 params=params, seed=seed, probe_interval=probe_interval)
+                 params=params, seed=seed)
     return eng
 
 
 def elephant(fid, topo, demand=10e6, start=0.0, duration=None, src=0, dst=15):
     return Flow(fid, topo.hosts[src], topo.hosts[dst], ELEPHANT, demand,
                 start, duration)
+
+
+def mouse(fid, topo, interval, start=0.0, duration=None, src=0, dst=15):
+    return Flow(fid, topo.hosts[src], topo.hosts[dst], MICE, 1000.0, start,
+                duration, interval)
 
 
 def test_single_arrival_gets_full_rate():
@@ -428,9 +434,8 @@ def test_conservation_after_every_step():
 
 def test_mice_carry_no_rate():
     topo = build_fat_tree(4, 10e6)
-    flows = [elephant(0, topo),
-             Flow(1, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)]
-    eng = run_engine(flows, topo=topo, probe_interval=1.0)
+    flows = [elephant(0, topo), mouse(1, topo, 1.0)]
+    eng = run_engine(flows, topo=topo)
     eng.run()
     assert eng.active[1].achieved_rate == 0.0
     assert eng.active[0].achieved_rate == 10e6
@@ -501,8 +506,7 @@ def test_replay_is_deterministic():
     runs = []
     for _ in range(2):
         flows = generate_workload(topo, spec)
-        eng = run_engine(flows, topo=topo, scheduler="hybrid", seed=11,
-                         probe_interval=0.5)
+        eng = run_engine(flows, topo=topo, scheduler="hybrid", seed=11)
         eng.run()
         runs.append((eng.state_fingerprint(), eng.event_log,
                      eng.probe_rtts, eng.bisection_series))
@@ -517,7 +521,7 @@ def test_engines_sharing_a_flow_list_keep_their_own_state():
     def run(seed):
         return Engine(topo, config.scheduler_kind("hybrid"), flows,
                       horizon=config.duration, params=config.engine_params(),
-                      seed=seed, probe_interval=config.probe_interval).run()
+                      seed=seed).run()
 
     def paths_and_rates(eng):
         return {fid: (f.path, f.achieved_rate) for fid, f in eng.active.items()}
@@ -567,16 +571,14 @@ def test_detection_is_sticky_under_rate_collapse():
 
 def test_zero_rate_flow_never_classifies():
     topo = build_fat_tree(4, 10e6)
-    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
-    eng = run_engine([mouse], topo=topo, horizon=5.0, probe_interval=1.0)
+    eng = run_engine([mouse(0, topo, 1.0)], topo=topo, horizon=5.0)
     eng.run()
     assert not eng.active[0].classified
 
 
 def test_probe_on_empty_network():
     topo = build_fat_tree(4, 10e6)
-    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
-    eng = run_engine([mouse], topo=topo, horizon=2.0, probe_interval=1.0)
+    eng = run_engine([mouse(0, topo, 1.0)], topo=topo, horizon=2.0)
     eng.run()
     assert eng.probe_rtts
     for rtt in eng.probe_rtts:
@@ -587,8 +589,8 @@ def test_probe_rtt_closed_form_single_path_pair():
     # same-edge pair: the only path has 2 links, so the probe path is forced
     topo = build_fat_tree(4, 10e6)
     eleph = Flow(0, topo.hosts[0], topo.hosts[1], ELEPHANT, 9e6, 0.0, None)
-    mouse = Flow(1, topo.hosts[0], topo.hosts[1], MICE, 1000.0, 0.0, None)
-    eng = run_engine([eleph, mouse], topo=topo, horizon=2.0, probe_interval=1.0)
+    eng = run_engine([eleph, mouse(1, topo, 1.0, dst=1)], topo=topo,
+                     horizon=2.0)
     eng.run()
     # forward links carry offered 9e6 (rho 0.9), reverse links are idle
     want = 4 * 50e-6 + 2 * (500e-6 * 0.9 / 0.1)
@@ -600,9 +602,8 @@ def test_probe_loss_under_overload():
     # two elephants at full demand on the same host pair overload the access
     # link: offered = 2x capacity, loss 0.5 per traversal
     topo = build_fat_tree(4, 10e6)
-    flows = [elephant(0, topo), elephant(1, topo),
-             Flow(2, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)]
-    eng = run_engine(flows, topo=topo, horizon=40.0, probe_interval=0.1, seed=3)
+    flows = [elephant(0, topo), elephant(1, topo), mouse(2, topo, 0.1)]
+    eng = run_engine(flows, topo=topo, horizon=40.0, seed=3)
     eng.run()
     lost = sum(1 for rtt in eng.probe_rtts if rtt is None)
     # both access links overloaded 2x: survival <= 0.25 per probe
@@ -616,15 +617,69 @@ def test_probe_loss_under_overload():
                                               (1.0, 40.0)])
 def test_poll_schedule_does_not_drift(interval, horizon):
     topo = build_fat_tree(4, 10e6)
-    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
-    eng = run_engine([mouse], topo=topo, horizon=horizon, probe_interval=interval,
+    # an open-ended mouse at the poll period, and a 3.3 s mouse every 1.1 s
+    # whose last probe, 3 * 1.1 s, rounds past its departure
+    mice = [mouse(0, topo, interval),
+            mouse(1, topo, 1.1, duration=3.3, src=1, dst=14)]
+    eng = run_engine(mice, topo=topo, horizon=horizon,
                      params=EngineParams(poll_interval=interval))
     eng.run()
     assert eng.polls == round(horizon / interval)
-    assert len(eng.probe_rtts) == round(horizon / interval) + 1
     assert eng.pending_events() == 0
     assert eng.event_log[-1]["t"] == pytest.approx(horizon)
     assert all(rec["t"] <= horizon for rec in eng.event_log)
+
+    # the streams' times are the reference lists' own floats
+    def times_of(kind, fid=None):
+        return array("d", (rec["t"] for rec in eng.event_log
+                           if rec["type"] == kind
+                           and (fid is None or rec["flow"] == fid))).tobytes()
+
+    assert times_of("poll") == array(
+        "d", even_times(0.0, horizon, interval)[1:]).tobytes()
+    for m in mice:
+        assert times_of("probe", m.id) == array(
+            "d", probe_schedule(m, horizon)).tobytes()
+    assert len(probe_schedule(mice[0], horizon)) == round(horizon / interval) + 1
+    assert 3 * 1.1 > 3.3 and probe_schedule(mice[1], horizon)[-1] == 3.3
+    assert times_of("departure") == array(
+        "d", [3.3] if horizon > 3.3 else []).tobytes()
+
+
+def test_polls_are_one_queue_entry():
+    # 10^5 polls at 1 s; one queued poll stands for them all
+    eng = run_engine([], horizon=1e5)
+    assert len(eng._queue) == 1
+    assert eng.pending_events() == 100_000
+    assert eng.events_processed == 0
+    assert eng.step()["type"] == "poll"
+    assert len(eng._queue) == 1 and eng._queue[0][0] == 2.0
+    assert eng.pending_events() == 99_999
+
+
+def test_a_mouse_is_one_probe_entry_however_long_it_probes():
+    topo = build_fat_tree(4, 10e6)
+    m = mouse(0, topo, 0.1, start=0.25)  # about 10^5 probes
+    eng = run_engine([m], topo=topo, horizon=1e4)
+    assert eng.step()["type"] == "arrival"
+    (entry,) = eng._probes
+    assert not any(isinstance(x, (list, tuple)) for x in entry)
+    assert eng.pending_events() == (len(probe_schedule(m, 1e4))
+                                    + eng._poll_count)
+
+
+def test_mice_from_the_spec_are_probed_without_an_engine_setting():
+    # the period travels with each mouse, so no engine argument can leave
+    # generated mice routed but never probed
+    topo = build_fat_tree(4, 10e6)
+    flows = generate_workload(topo, WorkloadSpec(elephants=8, seed=1,
+                                                 probe_interval=1.0))
+    mice = [f for f in flows if f.kind == MICE]
+    assert len(mice) == 8
+    eng = Engine(topo, SchedulerKind("hybrid"), flows, horizon=10.0,
+                 seed=1).run()
+    assert len(eng.probe_rtts) == sum(len(probe_schedule(m, 10.0))
+                                      for m in mice) > 0
 
 
 @pytest.mark.parametrize("horizon,interval", [
@@ -636,17 +691,17 @@ def test_engine_rejects_non_finite_schedule(horizon, interval):
                    params=EngineParams(poll_interval=interval))
 
 
-@pytest.mark.parametrize("mice", [False, True], ids=["no mice", "mice"])
-@pytest.mark.parametrize("interval", [-1.0, math.nan, 0.0, math.inf])
-def test_engine_rejects_a_bad_probe_interval(interval, mice):
+@pytest.mark.parametrize("interval", [None, -1.0, math.nan, 0.0, math.inf])
+def test_engine_rejects_a_bad_probe_interval(interval):
     topo = build_fat_tree(4, 10e6)
-    flows = generate_workload(topo, WorkloadSpec(
-        elephants=4, probe_interval=1.0 if mice else None))
+    flows = generate_workload(topo, WorkloadSpec(elephants=4))
+    # the second mouse; elephants carry no period
+    flows[3] = dataclasses.replace(flows[3], probe_interval=interval)
     # the check runs at construction, so no event is processed
     with pytest.raises(EngineError) as raised:
-        run_engine(flows, topo=topo, probe_interval=interval)
+        run_engine(flows, topo=topo)
     assert str(raised.value) == (
-        f"probe_interval must be none or finite and > 0, got {interval!r}")
+        f"flow 3: probe_interval must be finite and > 0, got {interval!r}")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -731,7 +786,7 @@ def default_engine(cls, scheduler, seed=3, **overrides):
     flows = generate_workload(topo, config.workload_spec(seed))
     return cls(topo, config.scheduler_kind(scheduler), flows,
                horizon=config.duration, params=config.engine_params(),
-               seed=seed, probe_interval=config.probe_interval)
+               seed=seed)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -823,8 +878,8 @@ def watch_fills(monkeypatch, eng, seen):
 def test_mouse_arrival_changes_no_rate(monkeypatch):
     topo = build_fat_tree(4, 10e6)
     flows = [elephant(0, topo), elephant(1, topo, start=0.2, src=1, dst=14),
-             Flow(2, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.5, None)]
-    eng = run_engine(flows, topo=topo, probe_interval=1.0)
+             mouse(2, topo, 1.0, start=0.5)]
+    eng = run_engine(flows, topo=topo)
     while eng._queue[0][3] is not flows[2]:
         eng.step()
     before = (list(eng.allocated), list(eng.offered),
@@ -847,9 +902,8 @@ def test_probe_links_follow_a_moved_path():
     # an elephant at the full link rate loads one of the mouse's paths, so
     # probes on it take longer than on a path through another core switch
     topo = build_fat_tree(4, 10e6)
-    mouse = Flow(1, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, None)
-    eng = run_engine([elephant(0, topo), mouse], topo=topo, horizon=2.0,
-                     probe_interval=0.1)
+    eng = run_engine([elephant(0, topo), mouse(1, topo, 0.1)], topo=topo,
+                     horizon=2.0)
     eng.step()
     eng.step()
     state = eng.active[1]
@@ -987,14 +1041,17 @@ def test_resolve_fills_from_the_link_index_as_waterfill_would(
 
 class UncachedProbeEngine(Engine):
     """Evaluates every probe fresh from the per-link factors, one at a time,
-    with no cache and no batching: the reference for `_run_probes`."""
+    with no cache and no batching, and takes each probe's time from the
+    mouse's `probe_schedule` list: the reference for `_run_probes`."""
 
     def _run_probes(self, stop):
         while self._probes and self._probes[0] < stop:
-            t, seq, st, times, i = heapq.heappop(self._probes)
-            if i + 1 < len(times):
+            t, seq, st, i, count, end = heapq.heappop(self._probes)
+            times = probe_schedule(st.spec, self.horizon)
+            assert (t, count) == (times[i], len(times))
+            if i + 1 < count:
                 heapq.heappush(self._probes,
-                               (times[i + 1], seq + 1, st, times, i + 1))
+                               (times[i + 1], seq + 1, st, i + 1, count, end))
             self.events_processed += 1
             self._advance(t)
             links = st.probe_links
@@ -1071,10 +1128,10 @@ def test_departure_comes_before_the_last_probe_at_its_time():
     # a 2 s mouse probing every 0.5 s: its last probe and its departure
     # both fall at t=2.0, as does a poll scheduled before either
     topo = build_fat_tree(4, 10e6)
-    mouse = Flow(0, topo.hosts[0], topo.hosts[15], MICE, 1000.0, 0.0, 2.0)
     logs = []
     for finish in (Engine.run, step_through):
-        eng = run_engine([mouse], topo=topo, horizon=3.0, probe_interval=0.5)
+        eng = run_engine([mouse(0, topo, 0.5, duration=2.0)], topo=topo,
+                         horizon=3.0)
         assert eng.step()["type"] == "arrival"
         # the polls at 1, 2 and 3 s, the departure and the five probes
         assert eng.pending_events() == 3 + 1 + 5
@@ -1096,8 +1153,7 @@ def test_incremental_resolve_sums_in_flow_id_order():
         flows = [dataclasses.replace(f, id=len(flows) - 1 - f.id) for f in flows]
         engines.append(cls(topo, config.scheduler_kind("hybrid"), flows,
                            horizon=config.duration,
-                           params=config.engine_params(), seed=3,
-                           probe_interval=config.probe_interval))
+                           params=config.engine_params(), seed=3))
     step_in_lockstep(*engines)
 
 

@@ -405,7 +405,7 @@ def test_path_views_read_the_poll_snapshot():
     eng = Engine(topo, config.scheduler_kind("hybrid"),
                  generate_workload(topo, config.workload_spec(0)),
                  horizon=config.duration, params=config.engine_params(),
-                 seed=0, probe_interval=config.probe_interval)
+                 seed=0)
     hosts = topo.hosts
     pairs = [(hosts[0], hosts[1]), (hosts[0], hosts[2]), (hosts[0], hosts[-1]),
              (hosts[5], hosts[9]), (hosts[-1], hosts[3])]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fatflow.topology import build_fat_tree, build_nonblocking
 from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadError, WorkloadSpec,
-                             crosses_bisection, even_times, generate_workload,
-                             probe_schedule)
+                             crosses_bisection, even_count, even_times,
+                             generate_workload, probe_schedule)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,8 @@ def test_mice_accompany_elephants(k4):
         assert (eleph.src, eleph.dst) == (mouse.src, mouse.dst)
         assert eleph.start_time == mouse.start_time
         assert mouse.demand < eleph.demand / 100
+        # the mouse carries the spec's probe period; an elephant has none
+        assert (eleph.probe_interval, mouse.probe_interval) == (None, 0.5)
 
 
 def test_permutation_property(k4):
@@ -107,27 +109,27 @@ def test_demand_none_is_the_link_capacity(build):
     assert all(f.demand == topo.link_capacity for f in elephants)
 
 
-def probe_flow(duration, start=0.0):
-    return Flow(0, None, None, MICE, 1000.0, start, duration)
+def probe_flow(duration, start=0.0, interval=1.0):
+    return Flow(0, None, None, MICE, 1000.0, start, duration, interval)
 
 
 def test_probe_schedule_basic():
-    assert probe_schedule(probe_flow(10.0), horizon=100.0, interval=1.0) == [
+    assert probe_schedule(probe_flow(10.0), horizon=100.0) == [
         float(i) for i in range(11)
     ]
 
 
 def test_probe_schedule_zero_duration():
-    assert probe_schedule(probe_flow(0.0, start=3.5), horizon=10.0, interval=1.0) == [3.5]
+    assert probe_schedule(probe_flow(0.0, start=3.5), horizon=10.0) == [3.5]
 
 
 def test_probe_schedule_fractional_interval():
-    times = probe_schedule(probe_flow(5.0), horizon=100.0, interval=0.2)
+    times = probe_schedule(probe_flow(5.0, interval=0.2), horizon=100.0)
     assert len(times) == 26  # floor(5 / 0.2) + 1
 
 
 def test_probe_schedule_open_ended_capped_at_horizon():
-    times = probe_schedule(probe_flow(None, start=1.0), horizon=4.0, interval=1.0)
+    times = probe_schedule(probe_flow(None, start=1.0), horizon=4.0)
     assert times == [1.0, 2.0, 3.0, 4.0]
 
 
@@ -142,7 +144,7 @@ def test_probe_schedule_stays_inside_the_stream(interval, horizon_tenths,
     horizon = horizon_tenths / 10
     start = min(start_tenths, horizon_tenths) / 10
     duration = None if duration_tenths is None else duration_tenths / 10
-    times = probe_schedule(probe_flow(duration, start), horizon, interval)
+    times = probe_schedule(probe_flow(duration, start, interval), horizon)
     end = horizon if duration is None else min(start + duration, horizon)
     assert times[0] == start
     assert all(start <= t <= end for t in times)
@@ -173,17 +175,28 @@ def test_even_times_clamps_only_the_tail_bit_for_bit():
             (start, end, interval)
 
 
+def test_even_count_is_the_length_of_even_times():
+    assert even_count(0.0, 5.0, 0.2) == 26  # 5 / 0.2 is 24.999...
+    assert even_count(2.0, 1.0, 0.5) == 1  # an empty span still has start
+    for a, b, interval in itertools.product(range(20), range(20),
+                                            [0.1, 0.3, 1.1, 1 / 3]):
+        start, end = a * 0.37, b * 0.41
+        assert even_count(start, end, interval) == len(
+            even_times(start, end, interval))
+
+
 def test_probe_schedule_rejects_bad_interval():
-    with pytest.raises(WorkloadError):
-        probe_schedule(probe_flow(5.0), horizon=10.0, interval=0.0)
-    with pytest.raises(WorkloadError):
-        probe_schedule(probe_flow(5.0), horizon=10.0, interval=-1.0)
+    for interval in (0.0, -1.0, math.nan, None):
+        with pytest.raises(WorkloadError) as raised:
+            probe_schedule(probe_flow(5.0, interval=interval), horizon=10.0)
+        assert str(raised.value) == (
+            f"flow 0: probe_interval must be finite and > 0, got {interval!r}")
 
 
 def test_probe_schedule_elephant_rejected():
     f = Flow(0, None, None, ELEPHANT, 1e7, 0.0, 5.0)
     with pytest.raises(WorkloadError):
-        probe_schedule(f, horizon=10.0, interval=1.0)
+        probe_schedule(f, horizon=10.0)
 
 
 def test_spec_validation():
