@@ -691,17 +691,25 @@ def test_engine_rejects_non_finite_schedule(horizon, interval):
                    params=EngineParams(poll_interval=interval))
 
 
+@pytest.mark.parametrize("mice", [False, True], ids=["no mice", "mice"])
 @pytest.mark.parametrize("interval", [None, -1.0, math.nan, 0.0, math.inf])
-def test_engine_rejects_a_bad_probe_interval(interval):
+def test_engine_rejects_a_bad_probe_interval(interval, mice):
     topo = build_fat_tree(4, 10e6)
-    flows = generate_workload(topo, WorkloadSpec(elephants=4))
-    # the second mouse; elephants carry no period
-    flows[3] = dataclasses.replace(flows[3], probe_interval=interval)
+    flows = generate_workload(topo, WorkloadSpec(
+        elephants=4, probe_interval=1.0 if mice else None))
+    if mice:
+        # the second mouse; elephants carry no period
+        flows[3] = dataclasses.replace(flows[3], probe_interval=interval)
+        bad = 3
+    else:
+        # a spec without mice, joined by one hand-built mouse
+        bad = len(flows)
+        flows.append(mouse(bad, topo, interval))
     # the check runs at construction, so no event is processed
     with pytest.raises(EngineError) as raised:
         run_engine(flows, topo=topo)
     assert str(raised.value) == (
-        f"flow 3: probe_interval must be finite and > 0, got {interval!r}")
+        f"flow {bad}: probe_interval must be finite and > 0, got {interval!r}")
 
 
 @pytest.mark.parametrize("field,value", [
