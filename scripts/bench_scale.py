@@ -10,13 +10,16 @@ fresh child process so that the peak RSS it records is that config's own:
 
 Per config it records the seconds spent building the topology, in
 `Topology.path_at` (inclusive, memo hits counted), in the rest of
-`run_one`, and in `run_report`, each as the median, min and max of the five
-runs (each run builds its own topology); the probe count; the `path_at`
-calls and the `Path`s built for them, which is what the topology's path
-memo holds at the end of a run; and the child's peak RSS over the runs. `--src` runs another checkout's `src/`
-(say, a `git archive` of the parent revision), so two revisions can be
-compared on one host; a checkout without `Topology.path_at` records null
-path figures. Nothing is written into a bundle.
+`run_one`, in `run_report`, and in writing the report through
+`experiment._dump_json` into a temporary directory (with a fresh float
+memo, as the first report of a bundle gets), each as the median, min and
+max of the five runs (each run builds its own topology); the probe count;
+the `path_at` calls and the `Path`s built for them, which is what the
+topology's path memo holds at the end of a run; and the child's peak RSS
+over the runs. `--src` runs another checkout's `src/` (say, a `git archive`
+of the parent revision), so two revisions can be compared on one host; a
+checkout without `Topology.path_at` records null path figures. Nothing is
+written into a bundle.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -41,10 +45,11 @@ CONFIGS = {
 SCHEDULER = "hybrid"
 SEED = 0
 RUNS = 5  # per config, in one child process
-TIMES = ("topology_build_s", "path_at_s", "run_one_rest_s", "run_report_s")
+TIMES = ("topology_build_s", "path_at_s", "run_one_rest_s", "run_report_s",
+         "report_write_s")
 
 
-def measure(experiment, fields: dict) -> dict:
+def measure(experiment, fields: dict, scratch: Path) -> dict:
     config = experiment.ExperimentConfig(**fields)
     config.validate()
 
@@ -75,8 +80,11 @@ def measure(experiment, fields: dict) -> dict:
     engine = experiment.run_one(config, SCHEDULER, SEED, topo)
     run_s = perf_counter() - t0
     t0 = perf_counter()
-    experiment.run_report(config, SCHEDULER, SEED, engine)
+    report = experiment.run_report(config, SCHEDULER, SEED, engine)
     report_s = perf_counter() - t0
+    t0 = perf_counter()
+    experiment._dump_json(scratch / "report.json", report)
+    write_s = perf_counter() - t0
     return {
         "config": fields,
         "scheduler": SCHEDULER,
@@ -85,6 +93,7 @@ def measure(experiment, fields: dict) -> dict:
         "path_at_s": paths_s if known else None,
         "run_one_rest_s": run_s - paths_s,
         "run_report_s": report_s,
+        "report_write_s": write_s,
         "path_at_calls": calls if known else None,
         "paths_built": len(built) if known else None,
         "probes": len(engine.probe_rtts),
@@ -96,7 +105,9 @@ def measure(experiment, fields: dict) -> dict:
 def measure_runs(experiment, fields: dict) -> dict:
     """`measure` RUNS times: each time as its median, min and max; the
     counts, equal in every run, and the peak RSS as of the last run."""
-    runs = [measure(experiment, fields) for _ in range(RUNS)]
+    with tempfile.TemporaryDirectory() as scratch:
+        runs = [measure(experiment, fields, Path(scratch))
+                for _ in range(RUNS)]
     result = dict(runs[-1], runs=RUNS)
     for key in TIMES:
         if result[key] is not None:
@@ -147,6 +158,7 @@ def main(argv=None) -> int:
               f"build {secs('topology_build_s')}, {paths}, "
               f"rest of run_one {secs('run_one_rest_s')}, "
               f"run_report {secs('run_report_s')}, "
+              f"report write {secs('report_write_s')}, "
               f"{r['probes']} probes, peak RSS {r['peak_rss_mb']:.1f} MB",
               flush=True)
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")

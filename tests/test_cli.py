@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatflow import cli, experiment
 from fatflow.cli import build_arg_parser, config_from_args, main
@@ -142,6 +144,92 @@ def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
             assert written == text(scheduler, seed)
             assert written == text(scheduler, seed, shared)
         assert shared._path_memo  # later runs read the paths earlier ones took
+
+
+def indent2(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def json_text(obj, floats=None) -> str:
+    return experiment._json_text(
+        obj, experiment._FloatTexts() if floats is None else floats)
+
+
+# st.floats() draws NaN, the infinities and both zeros too; the samples
+# make the edge cases common
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan, math.inf, -math.inf])
+FLOAT_ROWS = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width)))
+SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
+           | st.text(max_size=5))
+JSON_VALUES = st.recursive(
+    SCALARS
+    | st.lists(FLOATS)  # the bulk path
+    | FLOAT_ROWS  # the row template
+    | st.lists(st.lists(FLOATS, max_size=3))  # ragged rows
+    | st.lists(FLOATS | st.booleans() | st.integers()),  # mixed
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(JSON_VALUES, min_size=1, max_size=3))
+def test_bundle_writer_matches_json_dumps_indent_2(objs):
+    floats = experiment._FloatTexts()  # one memo for all, as in a bundle
+    for obj in objs:
+        assert json_text(obj, floats) == indent2(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, (), [[]], [{}], {"a": []}, [[], []], "", "é\u2028\n\"\\\x00",
+    {"\x7f": "\U0001f600", "é": -0.0}, [True, 1.5, 2], [[1.0], [2.0, 3.0]],
+    [[1.0, 2.0], [3.0, True]], ([0.5, 1.0], (2.0, 4.0)), 5e-324, -math.inf,
+    [math.nan, 1.0], [-math.nan, 0.0], [10**30, -0.0]])
+def test_bundle_writer_edge_cases(obj):
+    assert json_text(obj) == indent2(obj)
+
+
+@pytest.mark.parametrize("shape", [lambda xs: xs, lambda xs: [xs, xs],
+                                   lambda xs: {"a": [xs]}],
+                         ids=["list", "rows", "nested"])
+@pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_float_memo_keeps_the_sign_of_zero(shape, first, second):
+    # +0.0 == -0.0, so a memo shared by both would write one for the other
+    floats = experiment._FloatTexts()
+    for zero in (first, second):
+        obj = shape([zero, 1.0])
+        assert json_text(obj, floats) == indent2(obj)
+
+
+def test_float_memo_stops_growing_when_full(monkeypatch):
+    monkeypatch.setattr(experiment, "_MEMO_FLOATS", 3)
+    floats = experiment._FloatTexts()
+    for obj in ([0.5, 1.5, 2.5, 3.5], [[4.5, 0.5], [5.5, 3.5]], [6.5, 1.5]):
+        assert json_text(obj, floats) == indent2(obj)
+    assert floats == {0.5: "0.5", 1.5: "1.5", 2.5: "2.5"}
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {None: 0}, {1.5: 0}, {True: 0},
+                                 {"a": {2: "b"}}, [{"a": 1, 3: 4}]],
+                         ids=repr)
+def test_bundle_writer_rejects_a_key_that_is_not_a_str(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)
+
+
+def test_bundle_files_are_json_dumps_byte_for_byte(tmp_path):
+    cfg = fast_config(write_events=True, out_dir=str(tmp_path / "b"))
+    out = run_experiment(cfg)
+    for path in (out / "config.json", out / "summary.json",
+                 out / "reports" / "hybrid_seed1.json"):
+        text = path.read_text()
+        assert text == indent2(json.loads(text)) + "\n"
+    events = (out / "events" / "ecmp_seed2.jsonl").read_text()
+    assert events == "".join(json.dumps(json.loads(line), sort_keys=True)
+                             + "\n" for line in events.splitlines())
 
 
 def test_cdf_csv_labels_and_rows(tmp_path):
