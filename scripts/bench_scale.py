@@ -11,15 +11,14 @@ fresh child process so that the peak RSS it records is that config's own:
 Per config it records the seconds spent building the topology, in
 `Topology.path_at` (inclusive, memo hits counted), in the rest of
 `run_one`, in `run_report`, and in writing the report through
-`experiment._dump_json` into a temporary directory (with a fresh float
-memo, as the first report of a bundle gets), each as the median, min and
-max of the five runs (each run builds its own topology); the probe count;
-the `path_at` calls and the `Path`s built for them, which is what the
-topology's path memo holds at the end of a run; and the child's peak RSS
-over the runs. `--src` runs another checkout's `src/` (say, a `git archive`
-of the parent revision), so two revisions can be compared on one host; a
-checkout without `Topology.path_at` records null path figures. Nothing is
-written into a bundle.
+`experiment._dump_json` into a temporary directory, each as the median,
+min and max of the five runs (each run builds its own topology); the probe
+count; the `path_at` calls and the `Path`s built for them, which is what
+the topology's path memo holds at the end of a run; and the child's peak
+RSS over the runs. `--src` runs another checkout's `src/` (say, a `git
+archive` of the parent revision), so two revisions can be compared on one
+host; a checkout without `Topology.path_at` records null path figures.
+Nothing is written into a bundle.
 """
 
 from __future__ import annotations

@@ -90,9 +90,7 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     counts in two per-link lists of its own.
     """
     for fid, d in demands.items():
-        if not 0.0 <= d < math.inf:  # false for NaN too
-            raise EngineError(f"waterfill: flow {fid}: demand must be "
-                              f"finite and >= 0, got {d!r}")
+        NON_NEGATIVE.check(f"waterfill: flow {fid}: demand", d, EngineError)
     # per link, its flows in flow-id order
     members: dict[int, list[int]] = {}
     for fid in sorted(paths):
@@ -106,9 +104,8 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
             else:
                 flows.append(fid)
     for lid in members:
-        if not 0.0 <= capacities[lid] < math.inf:  # false for NaN too
-            raise EngineError(f"waterfill: link {lid}: capacity must be "
-                              f"finite and >= 0, got {capacities[lid]!r}")
+        NON_NEGATIVE.check(f"waterfill: link {lid}: capacity", capacities[lid],
+                           EngineError)
     return _fill(demands, paths, members, list(members), capacities,
                  {lid: len(flows) for lid, flows in members.items()},
                  dict.fromkeys(members, 0.0))

@@ -5,21 +5,16 @@ schema_version field, plot data is CSV, and nothing timestamped or
 machine-specific is ever written, so identical configs produce bit-identical
 bundles.
 
-Every JSON file of a bundle (config.json, the reports, summary.json) is
-written by `_json_text`, byte for byte what `json.dumps(obj, sort_keys=True,
-indent=2)` writes; only a dict key that is not a str is refused, with
-TypeError. It writes a list of floats as one join and a list of
-equal-length rows of floats through one row template, and looks each float's
-text up in a memo that lives for one `run_experiment` call and keeps the
-texts of the first 4,096 distinct floats (`_MEMO_FLOATS`). `+0.0 == -0.0`,
-so the memo serves only lists in which no float has its sign bit set.
+Every JSON text of a bundle (config.json, the reports, summary.json and each
+event-log line) is what `json.dumps(obj, sort_keys=True, allow_nan=False)`
+writes, one line per file or event, from one `json.JSONEncoder`. A float
+that is not finite raises ValueError before its file is written.
 
 Event-log record format (one JSON object per processed engine event; the
 engine builds records only when `write_events` is on, which `run_one` passes
 as `log_events`): {"seq": int, "t": seconds, "type":
 "arrival"|"departure"|"probe"|"poll", ...} with per-type payload fields as
-produced by Engine.step(), each line what `json.dumps(record,
-sort_keys=True)` writes, from one `json.JSONEncoder` per bundle.
+produced by Engine.step().
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ import math
 import os
 import shutil
 from dataclasses import dataclass
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Optional
 
@@ -202,96 +195,12 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-# the floats whose texts one bundle keeps, about 100 bytes each: the
-# `fatbench` grid-k4 and scale-k8 bundles hold 2,600-3,700 distinct floats,
-# while series times that never repeat would grow the memo without bound
-_MEMO_FLOATS = 4096
+# no `indent`: with one, `json` falls back to its pure-Python encoder
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
-class _FloatTexts(dict):
-    """Each float's JSON text, made on its first lookup and kept for the
-    first _MEMO_FLOATS floats. `+0.0 == -0.0`, so a float whose sign bit is
-    set must never be looked up here."""
-
-    def __missing__(self, x: float) -> str:
-        text = _float_text(x)
-        if len(self) < _MEMO_FLOATS:
-            self[x] = text
-        return text
-
-
-def _float_text(x: float) -> str:
-    # what `json` writes for a float, NaN and the infinities included
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _float_texts(xs: list, floats: _FloatTexts):
-    """The texts of `xs`, all of type float: through the memo when no float
-    has its sign bit set, each on its own otherwise."""
-    if min(map(math.copysign, repeat(1.0), xs)) > 0:
-        return map(floats.__getitem__, xs)
-    return map(_float_text, xs)
-
-
-def _json_text(obj, floats: _FloatTexts, nl: str = "\n") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, except
-    that a dict key that is not a str raises TypeError. `nl` is the newline
-    and indentation of the line `obj` starts on. A list of floats is one
-    join and a list of equal-length rows of floats one row template, with
-    each float's text from `floats`; every other value is written item by
-    item."""
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # `_json_str` raises TypeError for a key that is not a str
-        return ("{" + inner + sep.join([
-            f"{_json_str(key)}: {_json_text(value, floats, inner)}"
-            for key, value in sorted(obj.items())]) + nl + "}")
-    if not isinstance(obj, (list, tuple)):
-        raise TypeError(
-            f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not obj:
-        return "[]"
-    kinds = set(map(type, obj))
-    if kinds == {float}:
-        return "[" + inner + sep.join(_float_texts(obj, floats)) + nl + "]"
-    width = len(obj[0]) if kinds <= {list, tuple} else 0
-    if width and set(map(len, obj)) == {width}:
-        flat = list(chain.from_iterable(obj))
-        if set(map(type, flat)) == {float}:
-            deeper = inner + "  "
-            row = ("[" + deeper + ("," + deeper).join(["%s"] * width)
-                   + inner + "]")
-            texts = _float_texts(flat, floats)
-            rows = map(row.__mod__, zip(*[texts] * width))
-            return "[" + inner + sep.join(rows) + nl + "]"
-    return ("[" + inner + sep.join([_json_text(x, floats, inner) for x in obj])
-            + nl + "]")
-
-
-def _dump_json(path: Path, obj, floats: Optional[_FloatTexts] = None) -> None:
-    """Write `obj` as `_json_text` does, with a final newline. `floats` is
-    the bundle's float memo; a fresh one when omitted."""
-    _write_atomic(path, _json_text(
-        obj, _FloatTexts() if floats is None else floats) + "\n")
+def _dump_json(path: Path, obj) -> None:
+    _write_atomic(path, _encode(obj) + "\n")
 
 
 def _by_scheduler(reports: list[dict]) -> dict[str, tuple[list[dict], Optional[list]]]:
@@ -409,11 +318,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     except OSError as exc:
         raise RuntimeError(f"cannot create output dir {out}: {exc}") from exc
 
-    floats = _FloatTexts()  # one float memo for the whole bundle
     echo = dataclasses.asdict(config)
     echo.pop("out_dir")  # where the bundle lives is not part of its identity
-    _dump_json(out / "config.json", echo, floats)
-    record = json.JSONEncoder(sort_keys=True).encode  # each event-log line
+    _dump_json(out / "config.json", echo)
 
     reports = []
     for scheduler in config.schedulers:
@@ -422,13 +329,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
             engine = run_one(config, scheduler, seed, topo)
             report = run_report(config, scheduler, seed, engine)
             reports.append(report)
-            _dump_json(out / "reports" / f"{scheduler}_seed{seed}.json",
-                       report, floats)
+            _dump_json(out / "reports" / f"{scheduler}_seed{seed}.json", report)
             if config.write_events:
                 _write_atomic(out / "events" / f"{scheduler}_seed{seed}.jsonl",
-                              "\n".join(map(record, engine.event_log)) + "\n")
+                              "\n".join(map(_encode, engine.event_log)) + "\n")
 
     summary = summarize(reports)
-    _dump_json(out / "summary.json", summary, floats)
+    _dump_json(out / "summary.json", summary)
     emit_plot_data(out, reports, summary)
     return out

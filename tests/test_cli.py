@@ -10,8 +10,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fatflow import cli, experiment
 from fatflow.cli import build_arg_parser, config_from_args, main
@@ -29,6 +27,10 @@ FAST = dict(elephants=6, arrival_rate=2.0, flow_duration=2.0, duration=5.0,
 
 def fast_config(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
+
+
+# the bundle's JSON contract: every file and every event-log line
+BUNDLE_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def tree_digest(root: Path) -> dict:
@@ -134,7 +136,7 @@ def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
     def text(scheduler, seed, topo=None):
         engine = run_one(cfg, scheduler, seed, topo)
         report = run_report(cfg, scheduler, seed, engine)
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return BUNDLE_JSON(report) + "\n"
 
     for scheduler in cfg.schedulers:
         shared = build_topology(cfg, scheduler)
@@ -146,41 +148,15 @@ def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
         assert shared._path_memo  # later runs read the paths earlier ones took
 
 
-def indent2(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def json_text(obj, floats=None) -> str:
-    return experiment._json_text(
-        obj, experiment._FloatTexts() if floats is None else floats)
-
-
-# st.floats() draws NaN, the infinities and both zeros too; the samples
-# make the edge cases common
-FLOATS = st.floats() | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan, math.inf, -math.inf])
-FLOAT_ROWS = st.integers(1, 3).flatmap(
-    lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width)))
-SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
-           | st.text(max_size=5))
-JSON_VALUES = st.recursive(
-    SCALARS
-    | st.lists(FLOATS)  # the bulk path
-    | FLOAT_ROWS  # the row template
-    | st.lists(st.lists(FLOATS, max_size=3))  # ragged rows
-    | st.lists(FLOATS | st.booleans() | st.integers()),  # mixed
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
-    max_leaves=12)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.lists(JSON_VALUES, min_size=1, max_size=3))
-def test_bundle_writer_matches_json_dumps_indent_2(objs):
-    floats = experiment._FloatTexts()  # one memo for all, as in a bundle
-    for obj in objs:
-        assert json_text(obj, floats) == indent2(obj)
+def floats_in(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from floats_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from floats_in(item)
 
 
 @pytest.mark.parametrize("obj", [
@@ -188,48 +164,37 @@ def test_bundle_writer_matches_json_dumps_indent_2(objs):
     {"\x7f": "\U0001f600", "é": -0.0}, [True, 1.5, 2], [[1.0], [2.0, 3.0]],
     [[1.0, 2.0], [3.0, True]], ([0.5, 1.0], (2.0, 4.0)), 5e-324, -math.inf,
     [math.nan, 1.0], [-math.nan, 0.0], [10**30, -0.0]])
-def test_bundle_writer_edge_cases(obj):
-    assert json_text(obj) == indent2(obj)
-
-
-@pytest.mark.parametrize("shape", [lambda xs: xs, lambda xs: [xs, xs],
-                                   lambda xs: {"a": [xs]}],
-                         ids=["list", "rows", "nested"])
-@pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
-def test_float_memo_keeps_the_sign_of_zero(shape, first, second):
-    # +0.0 == -0.0, so a memo shared by both would write one for the other
-    floats = experiment._FloatTexts()
-    for zero in (first, second):
-        obj = shape([zero, 1.0])
-        assert json_text(obj, floats) == indent2(obj)
-
-
-def test_float_memo_stops_growing_when_full(monkeypatch):
-    monkeypatch.setattr(experiment, "_MEMO_FLOATS", 3)
-    floats = experiment._FloatTexts()
-    for obj in ([0.5, 1.5, 2.5, 3.5], [[4.5, 0.5], [5.5, 3.5]], [6.5, 1.5]):
-        assert json_text(obj, floats) == indent2(obj)
-    assert floats == {0.5: "0.5", 1.5: "1.5", 2.5: "2.5"}
-
-
-@pytest.mark.parametrize("obj", [{1: 2}, {None: 0}, {1.5: 0}, {True: 0},
-                                 {"a": {2: "b"}}, [{"a": 1, 3: 4}]],
-                         ids=repr)
-def test_bundle_writer_rejects_a_key_that_is_not_a_str(obj):
-    with pytest.raises(TypeError):
-        json_text(obj)
+def test_bundle_writer_edge_cases(tmp_path, obj):
+    # one line of `json.dumps`, whose floats load back with their texts
+    # (the sign of zero included); a float that is not finite is refused
+    # before the file is written
+    path = tmp_path / "x.json"
+    if all(map(math.isfinite, floats_in(obj))):
+        experiment._dump_json(path, obj)
+        text = path.read_text()
+        assert text == json.dumps(obj, sort_keys=True) + "\n"
+        assert list(map(repr, floats_in(json.loads(text)))) == \
+            list(map(repr, floats_in(obj)))
+    else:
+        with pytest.raises(ValueError):
+            experiment._dump_json(path, obj)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_bundle_files_are_json_dumps_byte_for_byte(tmp_path):
     cfg = fast_config(write_events=True, out_dir=str(tmp_path / "b"))
     out = run_experiment(cfg)
-    for path in (out / "config.json", out / "summary.json",
-                 out / "reports" / "hybrid_seed1.json"):
+    files = sorted(out.rglob("*.json"))
+    assert len(files) == 6  # config.json, summary.json and four reports
+    for path in files:
         text = path.read_text()
-        assert text == indent2(json.loads(text)) + "\n"
-    events = (out / "events" / "ecmp_seed2.jsonl").read_text()
-    assert events == "".join(json.dumps(json.loads(line), sort_keys=True)
-                             + "\n" for line in events.splitlines())
+        assert text == BUNDLE_JSON(json.loads(text)) + "\n"
+    logs = sorted(out.rglob("*.jsonl"))
+    assert len(logs) == 4
+    for path in logs:
+        events = path.read_text()
+        assert events == "".join(BUNDLE_JSON(json.loads(line)) + "\n"
+                                 for line in events.splitlines())
 
 
 def test_cdf_csv_labels_and_rows(tmp_path):
@@ -361,6 +326,22 @@ def test_main_runtime_failure_is_exit_2(tmp_path):
     code = main(["--scheduler", "ecmp", "--seed", "1", "--duration", "2",
                  "--elephants", "2", "--out", str(blocker / "sub")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--capacity", "1e308", "--demand", "none"],  # NaN and inf bounds
+    ["--queuing-scale", "1e308"],  # a NaN RTT deviation
+], ids=["capacity", "queuing-scale"])
+def test_main_refuses_to_write_a_non_finite_result(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    assert main([*argv, "--seed", "0", "--events", "--out", str(out)]) == 2
+    assert "run failed" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    assert list((out / "reports").iterdir()) == []
+    for path in out.rglob("*"):
+        if path.is_file():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text
 
 
 def test_events_flag_writes_jsonl(tmp_path):
