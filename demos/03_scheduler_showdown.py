@@ -22,7 +22,7 @@ for sched in cfg.schedulers:
     bis, loss, dev, ctl = [], [], [], []
     for seed in cfg.seeds:
         engine = run_one(cfg, sched, seed)
-        r = run_report(cfg, sched, seed, engine)
+        r = run_report(engine)
         bis.append(r["bisection"]["mean_bps"])
         loss.append(r["mice"]["loss"])
         dev.append(r["mice"]["rtt_mean_deviation_s"])

@@ -17,13 +17,16 @@ count; the `path_at` calls and the `Path`s built for them, which is what
 the topology's path memo holds at the end of a run; and the child's peak
 RSS over the runs. `--src` runs another checkout's `src/` (say, a `git
 archive` of the parent revision), so two revisions can be compared on one
-host; a checkout without `Topology.path_at` records null path figures.
+host; a checkout without `Topology.path_at` records null path figures, and
+one whose `run_report` still takes (config, scheduler, seed, engine) is
+called that way, as is its `_dump_json(path, obj)`.
 Nothing is written into a bundle.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -78,11 +81,16 @@ def measure(experiment, fields: dict, scratch: Path) -> dict:
     t0 = perf_counter()
     engine = experiment.run_one(config, SCHEDULER, SEED, topo)
     run_s = perf_counter() - t0
+    older = len(inspect.signature(experiment.run_report).parameters) > 1
     t0 = perf_counter()
-    report = experiment.run_report(config, SCHEDULER, SEED, engine)
+    report = (experiment.run_report(config, SCHEDULER, SEED, engine) if older
+              else experiment.run_report(engine))
     report_s = perf_counter() - t0
     t0 = perf_counter()
-    experiment._dump_json(scratch / "report.json", report)
+    if older:
+        experiment._dump_json(scratch / "report.json", report)
+    else:
+        experiment._dump_json(scratch, "report.json", report)
     write_s = perf_counter() - t0
     return {
         "config": fields,

@@ -3,9 +3,10 @@
 Usage (from anywhere in the repository):
     python3 scripts/compare_bundles.py REV
 
-Extracts REV's `src/` with `git archive` into a temporary directory, runs
-the same `fatflow` CLI invocations from that copy and from the working tree,
-and compares the two bundles of each invocation file by file. Prints
+Extracts REV's `src/` and `demos/` with `git archive` into a temporary
+directory, runs the same `fatflow` CLI invocations from that copy and from
+the working tree, and compares the two bundles of each invocation file by
+file. An invocation that fails on either side counts as a difference. Prints
 "identical (N files)" or the differing files per config. The configs are:
 - the default config with `--events`, every scheduler x seeds 0-19;
 - the `fatbench` workloads, with the flags and seed-0 block of
@@ -16,11 +17,12 @@ and compares the two bundles of each invocation file by file. Prints
   0-1, so the arrival records' `path` fields compare every scheduler's
   path choices on a larger tree.
 
-Then it runs each `demos/*.py` of the working tree once under each `src/`
-and compares their stdout, printing "demos: identical (N)" or each demo
-that differs. Last it compares `fatflow --help` under each `src/`, printing
-"--help: identical" or a unified diff from REV's text to the working
-tree's. It exits 1 on any difference.
+Then it runs each side's own `demos/*.py` under that side's `src/`, pairs
+them by file name and compares their stdout, printing "demos: identical
+(N)" or each demo that differs, fails or exists on one side only. Last it
+compares `fatflow --help` under each `src/`, printing "--help: identical"
+or a unified diff from REV's text to the working tree's. It exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "fatbench")]
@@ -59,19 +62,24 @@ CONFIGS = {
 }
 
 
-def run_python(src: Path, argv: list[str]) -> str:
-    """Run Python on `argv` with the sources under `src`; its stdout."""
+def run_python(src: Path, argv: list[str]) -> Optional[str]:
+    """Run Python on `argv` with the sources under `src`; its stdout, or
+    None when it fails, after printing its stderr."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"python {argv} from {src} failed:\n{done.stderr}")
+        print(f"python {argv} from {src} failed:\n{done.stderr}")
+        return None
     return done.stdout
 
 
-def run_cli(src: Path, argv: list[str], out: Path) -> dict[str, bytes]:
-    """Run the CLI from the sources under `src`; the bundle's files by path."""
-    run_python(src, ["-m", "fatflow.cli", *argv, "--out", str(out)])
+def run_cli(src: Path, argv: list[str],
+            out: Path) -> Optional[dict[str, bytes]]:
+    """Run the CLI from the sources under `src`; the bundle's files by
+    path, or None when the CLI fails."""
+    if run_python(src, ["-m", "fatflow.cli", *argv, "--out", str(out)]) is None:
+        return None
     return {str(p.relative_to(out)): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -80,8 +88,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("rev", help="the git revision to compare against")
     rev = p.parse_args(argv).rev
-    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
-                             capture_output=True)
+    archive = subprocess.run(["git", "archive", rev, "src", "demos"],
+                             cwd=ROOT, capture_output=True)
     if archive.returncode != 0:
         sys.exit(archive.stderr.decode())
     differ = False
@@ -93,6 +101,10 @@ def main(argv=None) -> int:
         for i, (name, args) in enumerate(CONFIGS.items()):
             old = run_cli(old_src, args, tmp / f"old{i}")
             new = run_cli(ROOT / "src", args, tmp / f"new{i}")
+            if old is None or new is None:
+                differ = True
+                print(f"{name}: failed")
+                continue
             names = old.keys() | new.keys()
             changed = sorted(f for f in names if old.get(f) != new.get(f))
             if not changed:
@@ -102,9 +114,14 @@ def main(argv=None) -> int:
             print(f"{name}: {len(changed)} of {len(names)} files differ")
             for f in changed:
                 print(f"  {f}")
-        demos = sorted((ROOT / "demos").glob("*.py"))
-        changed = [d.name for d in demos if run_python(old_src, [str(d)])
-                   != run_python(ROOT / "src", [str(d)])]
+        # each side's demos under its own sources; a demo that fails or is
+        # on one side only differs
+        old, new = ({d.name: run_python(root / "src", [str(d)])
+                     for d in sorted((root / "demos").glob("*.py"))}
+                    for root in (tmp / "rev", ROOT))
+        demos = sorted(old.keys() | new.keys())
+        changed = [d for d in demos
+                   if old.get(d) is None or old.get(d) != new.get(d)]
         if changed:
             differ = True
             print(f"demos: {len(changed)} of {len(demos)} differ")
@@ -113,16 +130,17 @@ def main(argv=None) -> int:
         else:
             print(f"demos: identical ({len(demos)})")
         help_argv = ["-m", "fatflow.cli", "--help"]
-        old_help = run_python(old_src, help_argv).splitlines(keepends=True)
-        new_help = run_python(ROOT / "src", help_argv).splitlines(keepends=True)
-        if old_help == new_help:
+        old_help, new_help = (run_python(src, help_argv)
+                              for src in (old_src, ROOT / "src"))
+        if old_help is not None and old_help == new_help:
             print("--help: identical")
         else:
             differ = True
             print("--help differs:")
             sys.stdout.writelines(difflib.unified_diff(
-                old_help, new_help, f"{rev}: fatflow --help",
-                "working tree: fatflow --help"))
+                (old_help or "").splitlines(keepends=True),
+                (new_help or "").splitlines(keepends=True),
+                f"{rev}: fatflow --help", "working tree: fatflow --help"))
     return 1 if differ else 0
 
 

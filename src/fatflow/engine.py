@@ -278,6 +278,7 @@ class Engine:
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon
+        self.seed = seed
         self.params = params
         self.log_events = log_events
         self.dispatch_rng = random.Random(f"{seed}/dispatch")
@@ -339,7 +340,8 @@ class Engine:
         # one entry per processed probe, in event order: its RTT in seconds,
         # or None when it was lost
         self.probe_rtts: list[Optional[float]] = []
-        self.util_snapshots: list[tuple[float, ...]] = []
+        # per monitored link, its polled utilization summed over the polls
+        self.util_sums = [0.0] * len(topo.monitored_link_ids)
         self.event_log: list[dict] = []  # kept only when `log_events` is on
         self.events_processed = 0
 
@@ -549,10 +551,9 @@ class Engine:
         allocated, cap = self.allocated, self._cap
         self.polled_residual = list(map(operator.sub, cap, allocated))
         self.polled_elephants = self.elephants[:]
-        monitored = self.topology.monitored_link_ids
-        self.util_snapshots.append(tuple(map(
-            operator.truediv, map(allocated.__getitem__, monitored),
-            map(cap.__getitem__, monitored))))
+        sums = self.util_sums
+        for i, lid in enumerate(self.topology.monitored_link_ids):
+            sums[i] += allocated[lid] / cap[lid]
         record = ({"classified": newly, "port_reads": self.port_stat_reads}
                   if self.log_events else None)
         if self._round_polls and self.polls % self._round_polls == 0:

@@ -8,7 +8,7 @@ bundles.
 Every JSON text of a bundle (config.json, the reports, summary.json and each
 event-log line) is what `json.dumps(obj, sort_keys=True, allow_nan=False)`
 writes, one line per file or event, from one `json.JSONEncoder`. A float
-that is not finite raises ValueError before its file is written.
+that is not finite raises ValueError naming the file and the key.
 
 Event-log record format (one JSON object per processed engine event; the
 engine builds records only when `write_events` is on, which `run_one` passes
@@ -139,16 +139,15 @@ def _json_float(x: Optional[float]) -> Optional[float]:
     return x
 
 
-def run_report(config: ExperimentConfig, scheduler: str, seed: int,
-               engine: Engine) -> dict:
-    """Assemble the per-run metrics + bounds report."""
+def run_report(engine: Engine) -> dict:
+    """Assemble the per-run metrics + bounds report of a finished engine."""
     topo = engine.topology
     series, mean_bis = metrics.bisection_bandwidth(
         engine.bisection_series, engine.horizon)
-    snapshots, rtts = engine.util_snapshots, engine.probe_rtts
+    rtts, polls = engine.probe_rtts, engine.polls
     # per-link time-averaged utilization, in monitored-link-id order
-    util_vector = metrics.column_means(snapshots) if snapshots else None
-    cdf = metrics.utilization_cdf(util_vector) if snapshots else None
+    util_vector = [s / polls for s in engine.util_sums] if polls else None
+    cdf = metrics.utilization_cdf(util_vector) if polls else None
     loss, rtt_dev = metrics.mice_loss_and_rtt(rtts) if rtts else (None, None)
     mice = {"probes": len(rtts), "delivered": sum(r is not None for r in rtts),
             "loss": loss, "rtt_mean_deviation_s": rtt_dev}
@@ -158,11 +157,11 @@ def run_report(config: ExperimentConfig, scheduler: str, seed: int,
     l_max, l_min = metrics.latency_proxies(t_max, t_min)
     return {
         "schema_version": SCHEMA_VERSION,
-        "scheduler": scheduler,
-        "seed": seed,
-        "k": config.k,
-        "capacity_bps": config.capacity,
-        "horizon_s": config.duration,
+        "scheduler": engine.scheduler.name,
+        "seed": engine.seed,
+        "k": topo.k,
+        "capacity_bps": topo.link_capacity,
+        "horizon_s": engine.horizon,
         "bisection": {"mean_bps": mean_bis, "series": [[t, v] for t, v in series]},
         "link_utilization_mean": util_vector,
         "utilization_cdf": None if cdf is None else [[u, f] for u, f in cdf],
@@ -199,8 +198,26 @@ def _write_atomic(path: Path, text: str) -> None:
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
-def _dump_json(path: Path, obj) -> None:
-    _write_atomic(path, _encode(obj) + "\n")
+def _non_finite(obj, key: str = ""):
+    """Yield "KEY is VALUE" for each float in `obj` that is not finite, in
+    the order the bundle writes them; KEY extends `key` by the path to it."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield f"{key} is {obj!r}"
+    elif isinstance(obj, dict):
+        for k in sorted(obj):
+            yield from _non_finite(obj[k], f"{key}.{k}" if key else k)
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _non_finite(item, f"{key}[{i}]")
+
+
+def _dump_json(bundle: Path, name: str, obj) -> None:
+    """Write `obj` to the file `name` of the bundle directory `bundle`."""
+    try:
+        text = _encode(obj)
+    except ValueError:
+        raise ValueError(f"{name}: {next(_non_finite(obj))}") from None
+    _write_atomic(bundle / name, text + "\n")
 
 
 def _by_scheduler(reports: list[dict]) -> dict[str, tuple[list[dict], Optional[list]]]:
@@ -298,43 +315,52 @@ def emit_plot_data(bundle_dir: Path, reports: list[dict],
     return written
 
 
+def _remove_bundle(out: Path) -> None:
+    """Remove the bundle's own entries from `out`; leave every other file."""
+    for name in ("reports", "events", "plots"):
+        if (out / name).is_dir():
+            shutil.rmtree(out / name)
+    for name in ("config.json", "summary.json"):
+        (out / name).unlink(missing_ok=True)
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the full (scheduler x seed) grid and write the result bundle.
 
-    The bundle's own entries from an earlier run in the same directory are
-    removed first; every other file there is left alone.
+    The bundle's own entries in the directory are removed first, and again
+    when the run fails; every other file there is left alone.
     """
     config.validate()
     out = Path(config.out_dir)
     try:
-        for name in ("reports", "events", "plots"):
-            if (out / name).is_dir():
-                shutil.rmtree(out / name)
-        for name in ("config.json", "summary.json"):
-            (out / name).unlink(missing_ok=True)
+        _remove_bundle(out)
         (out / "reports").mkdir(parents=True, exist_ok=True)
         if config.write_events:
             (out / "events").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise RuntimeError(f"cannot create output dir {out}: {exc}") from exc
 
-    echo = dataclasses.asdict(config)
-    echo.pop("out_dir")  # where the bundle lives is not part of its identity
-    _dump_json(out / "config.json", echo)
+    try:
+        echo = dataclasses.asdict(config)
+        echo.pop("out_dir")  # where the bundle lives is not part of its identity
+        _dump_json(out, "config.json", echo)
 
-    reports = []
-    for scheduler in config.schedulers:
-        topo = build_topology(config, scheduler)
-        for seed in config.seeds:
-            engine = run_one(config, scheduler, seed, topo)
-            report = run_report(config, scheduler, seed, engine)
-            reports.append(report)
-            _dump_json(out / "reports" / f"{scheduler}_seed{seed}.json", report)
-            if config.write_events:
-                _write_atomic(out / "events" / f"{scheduler}_seed{seed}.jsonl",
-                              "\n".join(map(_encode, engine.event_log)) + "\n")
+        reports = []
+        for scheduler in config.schedulers:
+            topo = build_topology(config, scheduler)
+            for seed in config.seeds:
+                engine = run_one(config, scheduler, seed, topo)
+                report = run_report(engine)
+                reports.append(report)
+                _dump_json(out, f"reports/{scheduler}_seed{seed}.json", report)
+                if config.write_events:
+                    _write_atomic(out / "events" / f"{scheduler}_seed{seed}.jsonl",
+                                  "\n".join(map(_encode, engine.event_log)) + "\n")
 
-    summary = summarize(reports)
-    _dump_json(out / "summary.json", summary)
-    emit_plot_data(out, reports, summary)
+        summary = summarize(reports)
+        _dump_json(out, "summary.json", summary)
+        emit_plot_data(out, reports, summary)
+    except BaseException:
+        _remove_bundle(out)
+        raise
     return out

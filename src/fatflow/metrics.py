@@ -1,8 +1,8 @@
 """Evaluation metrics and the theoretical throughput/latency/balance bounds.
 
 Everything is pure post-processing over immutable run outputs: per-link load
-maps (offered demands or achieved rates, the caller picks which), utilization
-snapshots, probe RTTs, and the per-event throughput series.
+maps (offered demands or achieved rates, the caller picks which), per-link
+utilization means, probe RTTs, and the per-event throughput series.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def mean(xs: Sequence[float]) -> float:
 
 
 def column_means(rows: Sequence[Sequence[float]]) -> list[float]:
-    """Per-column mean of equal-length rows, such as utilization snapshots.
+    """Per-column mean of equal-length rows, such as per-run utilizations.
 
     Rows are added left to right from 0.0, which is how `numpy.mean(rows,
     axis=0)` rounds whenever there are two or more columns.
@@ -176,12 +176,12 @@ def utilization_cdf(link_means: Sequence[float]) -> list[tuple[float, float]]:
     """Empirical CDF of per-link time-averaged utilization.
 
     `link_means` holds one value per monitored link, already averaged over
-    the snapshots (see `column_means`).
+    the polls (see `Engine.util_sums`).
     """
     if not link_means:
         raise ValueError("need at least one link")
     n = len(link_means)
-    # float() also rejects rows of snapshots passed in place of the means
+    # float() also rejects rows of values passed in place of the means
     return [(float(u), (i + 1) / n) for i, u in enumerate(sorted(link_means))]
 
 

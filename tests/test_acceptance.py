@@ -181,7 +181,7 @@ def benchmark_grid():
         rows = dict(bis=[], loss=[], dev=[], vecs=[])
         for seed in SEEDS:
             engine = run_one(cfg, s, seed)
-            r = run_report(cfg, s, seed, engine)
+            r = run_report(engine)
             rows["bis"].append(r["bisection"]["mean_bps"])
             rows["loss"].append(r["mice"]["loss"])
             rows["dev"].append(r["mice"]["rtt_mean_deviation_s"])

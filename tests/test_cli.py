@@ -17,7 +17,7 @@ from fatflow.engine import Engine, EngineParams
 from fatflow.experiment import (ConfigError, ExperimentConfig, build_topology,
                                 emit_plot_data, run_experiment, run_one,
                                 run_report, summarize)
-from fatflow.metrics import cdf_value_at
+from fatflow.metrics import cdf_value_at, column_means
 from fatflow.schedulers import SCHEDULER_NAMES, SchedulerKind
 from fatflow.traffic import WorkloadSpec
 
@@ -46,7 +46,7 @@ def test_report_counts_a_zero_rtt_probe_as_delivered():
     cfg = fast_config(base_hop_latency=0.0, queuing_scale=0.0, demand=1e6)
     engine = run_one(cfg, "ecmp", 1)
     assert engine.probe_rtts and set(engine.probe_rtts) == {0.0}
-    mice = run_report(cfg, "ecmp", 1, engine)["mice"]
+    mice = run_report(engine)["mice"]
     assert mice["delivered"] == mice["probes"] == len(engine.probe_rtts)
     assert mice["loss"] == 0.0
     assert mice["rtt_mean_deviation_s"] == 0.0
@@ -119,7 +119,7 @@ def test_reports_do_not_depend_on_how_the_interpreter_sums(monkeypatch):
     def reports(sum_):
         for m in modules:
             monkeypatch.setattr(m, "sum", sum_, raising=False)
-        return [json.dumps(run_report(cfg, s, seed, run_one(cfg, s, seed)))
+        return [json.dumps(run_report(run_one(cfg, s, seed)))
                 for s in ("hybrid", "hedera-gff") for seed in range(6)]
 
     assert reports(compensated_sum) == reports(left_to_right_sum)
@@ -135,7 +135,7 @@ def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
 
     def text(scheduler, seed, topo=None):
         engine = run_one(cfg, scheduler, seed, topo)
-        report = run_report(cfg, scheduler, seed, engine)
+        report = run_report(engine)
         return BUNDLE_JSON(report) + "\n"
 
     for scheduler in cfg.schedulers:
@@ -170,14 +170,14 @@ def test_bundle_writer_edge_cases(tmp_path, obj):
     # before the file is written
     path = tmp_path / "x.json"
     if all(map(math.isfinite, floats_in(obj))):
-        experiment._dump_json(path, obj)
+        experiment._dump_json(tmp_path, "x.json", obj)
         text = path.read_text()
         assert text == json.dumps(obj, sort_keys=True) + "\n"
         assert list(map(repr, floats_in(json.loads(text)))) == \
             list(map(repr, floats_in(obj)))
     else:
-        with pytest.raises(ValueError):
-            experiment._dump_json(path, obj)
+        with pytest.raises(ValueError, match="^x.json: .* is -?(nan|inf)$"):
+            experiment._dump_json(tmp_path, "x.json", obj)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -328,20 +328,20 @@ def test_main_runtime_failure_is_exit_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["--capacity", "1e308", "--demand", "none"],  # NaN and inf bounds
-    ["--queuing-scale", "1e308"],  # a NaN RTT deviation
+@pytest.mark.parametrize("argv,field", [
+    (["--capacity", "1e308", "--demand", "none"], "bisection.mean_bps"),
+    (["--queuing-scale", "1e308"], "mice.rtt_mean_deviation_s"),
 ], ids=["capacity", "queuing-scale"])
-def test_main_refuses_to_write_a_non_finite_result(tmp_path, capsys, argv):
+def test_main_refuses_to_write_a_non_finite_result(tmp_path, capsys, argv,
+                                                   field):
     out = tmp_path / "r"
+    out.mkdir()
+    (out / "notes.txt").write_text("not part of the bundle")
     assert main([*argv, "--seed", "0", "--events", "--out", str(out)]) == 2
-    assert "run failed" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
-    assert list((out / "reports").iterdir()) == []
-    for path in out.rglob("*"):
-        if path.is_file():
-            text = path.read_text()
-            assert "NaN" not in text and "Infinity" not in text
+    assert capsys.readouterr().err == (
+        f"fatflow: run failed: reports/hybrid_seed0.json: {field} is nan\n")
+    # the bundle's own entries are removed again; nothing else is
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 def test_events_flag_writes_jsonl(tmp_path):
@@ -353,6 +353,36 @@ def test_events_flag_writes_jsonl(tmp_path):
     assert all({"seq", "t", "type"} <= set(r) for r in recs)
     times = [r["t"] for r in recs]
     assert times == sorted(times)  # processed strictly in time order
+
+
+class RowKeepingEngine(Engine):
+    """Keeps every poll's per-link utilization row, in monitored-link order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = []
+
+    def _on_poll(self):
+        # before a Hedera round moves flows, as the poll reads them
+        self.rows.append([self.allocated[lid] / self._cap[lid]
+                          for lid in self.topology.monitored_link_ids])
+        return super()._on_poll()
+
+
+@pytest.mark.parametrize("scheduler", ["hybrid", "hedera-gff", "nonblocking"])
+def test_utilization_sums_give_the_column_means_of_every_poll(
+        scheduler, monkeypatch):
+    monkeypatch.setattr(experiment, "Engine", RowKeepingEngine)
+    # departures, and arrivals enough that hedera-gff moves flows
+    cfg = ExperimentConfig(elephants=100, arrival_rate=10.0,
+                           flow_duration=6.0, duration=20.0)
+    engine = run_one(cfg, scheduler, 0)
+    assert len(engine.rows) == engine.polls == 20
+    assert len(engine.rows[0]) == (32 if scheduler == "nonblocking" else 64)
+    assert (engine.reroutes > 0) == (scheduler == "hedera-gff")
+    # repr round-trips every float, so this compares bit for bit
+    assert repr(run_report(engine)["link_utilization_mean"]) == \
+        repr(column_means(engine.rows))
 
 
 class StepKeepingEngine(Engine):
@@ -376,7 +406,7 @@ def test_run_without_events_logs_nothing_and_reports_the_same(
     for write_events in (True, False):
         cfg = ExperimentConfig(write_events=write_events, **overrides)
         engines[write_events] = eng = run_one(cfg, scheduler, 3)
-        texts[write_events] = json.dumps(run_report(cfg, scheduler, 3, eng),
+        texts[write_events] = json.dumps(run_report(eng),
                                          sort_keys=True, indent=2)
     logged, quiet = engines[True], engines[False]
     assert logged.event_log and logged.returned == logged.event_log
@@ -390,7 +420,7 @@ def test_run_without_events_logs_nothing_and_reports_the_same(
     # and `run` itself, which draws probes in bulk, writes the same report
     monkeypatch.setattr(experiment, "Engine", Engine)
     cfg = ExperimentConfig(write_events=False, **overrides)
-    assert json.dumps(run_report(cfg, scheduler, 3, run_one(cfg, scheduler, 3)),
+    assert json.dumps(run_report(run_one(cfg, scheduler, 3)),
                       sort_keys=True, indent=2) == texts[True]
 
 

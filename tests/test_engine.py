@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from fatflow import engine as engine_module
 from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
-from fatflow.experiment import ExperimentConfig, build_topology
+from fatflow.experiment import ExperimentConfig, build_topology, run_one
 from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
 from fatflow.topology import Topology, build_fat_tree
 from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadSpec, even_times,
@@ -731,8 +732,20 @@ def test_monitoring_counters():
     assert eng.polls == 5
     assert eng.port_stat_reads == 5 * 80
     assert eng.uplink_stat_reads == 5 * 16
-    assert len(eng.util_snapshots) == 5
-    assert len(eng.util_snapshots[0]) == len(topo.monitored_link_ids) == 64
+    assert len(eng.util_sums) == len(topo.monitored_link_ids) == 64
+
+
+def test_memory_does_not_grow_with_the_polls():
+    # 28 open-ended elephants, all arrived by t=50, and no mice: past that
+    # only polls remain, and ten times as many must not take more memory
+    peaks = []
+    for horizon in (50.0, 500.0):
+        tracemalloc.start()
+        run_one(ExperimentConfig(duration=horizon, probe_interval=None),
+                "hybrid", 0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 50_000
 
 
 def test_bisection_series_tracks_interpod_rates():
@@ -1126,7 +1139,7 @@ def test_run_matches_a_step_loop(scheduler, config):
     # repr round-trips every float exactly, so these compare bit for bit
     assert repr(ran.event_log) == repr(stepped.event_log)
     assert rtt_bits(ran.probe_rtts) == rtt_bits(stepped.probe_rtts)
-    assert repr(ran.util_snapshots) == repr(stepped.util_snapshots)
+    assert repr(ran.util_sums) == repr(stepped.util_sums)
     assert repr(ran.state_fingerprint()) == repr(stepped.state_fingerprint())
     assert (repr(ran.mean_offered_by_link())
             == repr(stepped.mean_offered_by_link()))
