@@ -17,16 +17,12 @@ count; the `path_at` calls and the `Path`s built for them, which is what
 the topology's path memo holds at the end of a run; and the child's peak
 RSS over the runs. `--src` runs another checkout's `src/` (say, a `git
 archive` of the parent revision), so two revisions can be compared on one
-host; a checkout without `Topology.path_at` records null path figures, and
-one whose `run_report` still takes (config, scheduler, seed, engine) is
-called that way, as is its `_dump_json(path, obj)`.
-Nothing is written into a bundle.
+host. Nothing is written into a bundle.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -61,7 +57,7 @@ def measure(experiment, fields: dict, scratch: Path) -> dict:
 
     # time every path_at call through an instance attribute, which shadows
     # the method for this topology only
-    lookup = getattr(topo, "path_at", None)
+    lookup = topo.path_at
     paths_s = 0.0
     calls = 0
     built: set = set()  # the (src, dst, rank) keys asked for
@@ -75,34 +71,27 @@ def measure(experiment, fields: dict, scratch: Path) -> dict:
         built.add((src, dst, rank))
         return path
 
-    known = lookup is not None
-    if known:
-        topo.path_at = timed_path_at
+    topo.path_at = timed_path_at
     t0 = perf_counter()
     engine = experiment.run_one(config, SCHEDULER, SEED, topo)
     run_s = perf_counter() - t0
-    older = len(inspect.signature(experiment.run_report).parameters) > 1
     t0 = perf_counter()
-    report = (experiment.run_report(config, SCHEDULER, SEED, engine) if older
-              else experiment.run_report(engine))
+    report = experiment.run_report(engine)
     report_s = perf_counter() - t0
     t0 = perf_counter()
-    if older:
-        experiment._dump_json(scratch / "report.json", report)
-    else:
-        experiment._dump_json(scratch, "report.json", report)
+    experiment._dump_json(scratch, "report.json", report)
     write_s = perf_counter() - t0
     return {
         "config": fields,
         "scheduler": SCHEDULER,
         "seed": SEED,
         "topology_build_s": build_s,
-        "path_at_s": paths_s if known else None,
+        "path_at_s": paths_s,
         "run_one_rest_s": run_s - paths_s,
         "run_report_s": report_s,
         "report_write_s": write_s,
-        "path_at_calls": calls if known else None,
-        "paths_built": len(built) if known else None,
+        "path_at_calls": calls,
+        "paths_built": len(built),
         "probes": len(engine.probe_rtts),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -117,10 +106,9 @@ def measure_runs(experiment, fields: dict) -> dict:
                 for _ in range(RUNS)]
     result = dict(runs[-1], runs=RUNS)
     for key in TIMES:
-        if result[key] is not None:
-            values = [r[key] for r in runs]
-            result[key] = {"median": statistics.median(values),
-                           "min": min(values), "max": max(values)}
+        values = [r[key] for r in runs]
+        result[key] = {"median": statistics.median(values),
+                       "min": min(values), "max": max(values)}
     return result
 
 
@@ -158,11 +146,10 @@ def main(argv=None) -> int:
             t = r[key]
             return f"{t['median']:.3f} s ({t['min']:.3f}-{t['max']:.3f})"
 
-        paths = ("path_at n/a" if r["path_at_s"] is None else
-                 f"path_at {secs('path_at_s')} ({r['path_at_calls']} calls, "
-                 f"{r['paths_built']} paths)")
         print(f"{name}, median of {RUNS} (min-max): "
-              f"build {secs('topology_build_s')}, {paths}, "
+              f"build {secs('topology_build_s')}, "
+              f"path_at {secs('path_at_s')} ({r['path_at_calls']} calls, "
+              f"{r['paths_built']} paths), "
               f"rest of run_one {secs('run_one_rest_s')}, "
               f"run_report {secs('run_report_s')}, "
               f"report write {secs('report_write_s')}, "

@@ -15,7 +15,11 @@ file. An invocation that fails on either side counts as a difference. Prints
   every scheduler x seeds 0-2;
 - a `--events` config at k=8 with departures, every scheduler x seeds
   0-1, so the arrival records' `path` fields compare every scheduler's
-  path choices on a larger tree.
+  path choices on a larger tree;
+- a `--events` `hedera-gff` config at k=8 with demands at the link
+  capacity (`--demand none`), seeds 0-2, whose rounds move dozens of flows
+  and fill over a hundred links to exactly their capacity, where Global
+  First Fit's slack decides.
 
 Then it runs each side's own `demos/*.py` under that side's `src/`, pairs
 them by file name and compares their stdout, printing "demos: identical
@@ -59,6 +63,11 @@ CONFIGS = {
     "k=8 every scheduler": [
         "--events", "--k", "8", "--elephants", "100", "--arrival-rate", "20",
         "--flow-duration", "3", "--duration", "12", *every_scheduler(range(2))],
+    "k=8 hedera-gff full demand": [
+        "--events", "--k", "8", "--demand", "none", "--elephants", "120",
+        "--arrival-rate", "10", "--flow-duration", "6", "--duration", "25",
+        "--scheduler", "hedera-gff", "--seed", "0", "--seed", "1",
+        "--seed", "2"],
 }
 
 

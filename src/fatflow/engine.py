@@ -329,12 +329,10 @@ class Engine:
         self.controller_decisions = 0
         self.proactive_decisions = 0
 
-        # hedera-gff: polls per scheduling round (0 = no rounds), and the
-        # link reservations of placed flows
+        # hedera-gff: polls per round (0 = none); placed flows' (need, path)
         self._round_polls = (hedera_period_polls(params.poll_interval)
                              if scheduler.name == HEDERA_GFF else 0)
-        self.reserved = [0.0] * nlinks
-        self.reservations: dict[int, float] = {}
+        self.reservations: dict[int, tuple[float, Path]] = {}
         self.reroutes = 0
 
         # one entry per processed probe, in event order: its RTT in seconds,
@@ -522,10 +520,7 @@ class Engine:
         if st.classified:
             for lid in st.path.link_ids:
                 self.elephants[lid] -= 1
-        if fid in self.reservations:
-            need = self.reservations.pop(fid)
-            for lid in st.path.link_ids:
-                self.reserved[lid] -= need
+        self.reservations.pop(fid, None)
         self._reallocate_for(st)
         if not self.log_events:
             return None
@@ -579,11 +574,9 @@ class Engine:
             st.round_bits = 0.0
         moved: list[int] = []
         changed: list[int] = []
-        for flow, path, need in hedera_schedule(
-                self.topology, large, self.reservations, self.reserved):
-            self.reservations[flow.id] = need
-            for lid in path.link_ids:
-                self.reserved[lid] += need
+        for flow, path, need in hedera_schedule(self.topology, large,
+                                                self.reservations):
+            self.reservations[flow.id] = need, path
             st = self._routed[flow.id]
             if path == st.path:
                 continue

@@ -14,7 +14,7 @@ natural demands and places them by Global First Fit.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass
-from typing import Callable, Container, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .metrics import ordered_sum
 from .rules import FRACTION, NON_NEGATIVE, check_fields, one_of, setting
@@ -244,41 +244,48 @@ def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float
 
 
 def global_first_fit(candidates: Sequence[Path], need: float,
-                     reserved: Sequence[float]) -> Optional[Path]:
-    """First path, in canonical order, whose every link can reserve `need`.
+                     room: Sequence[float]) -> Optional[Path]:
+    """First path, in canonical order, whose least `room` covers `need`.
 
-    Only reservations count, not measured load. A relative slack of 1e-9
-    keeps a NIC whose estimates sum to exactly one from failing by an ulp.
+    `room` is capacity * (1 + 1e-9) less the link's reservations, not its
+    measured load; the slack lets NIC estimates that sum to one fit. Testing
+    `reserved + need <= capacity * (1 + 1e-9)` differs only within ulps.
     """
     return min((p for p in candidates
-                if all(reserved[l.id] + need <= l.capacity * (1.0 + 1e-9)
-                       for l in p.hops)),
+                if min(room[lid] for lid in p.link_ids) >= need),
                key=lambda p: p.sort_key, default=None)
 
 
-def hedera_schedule(topo: Topology, large: Sequence[Flow], placed: Container[int],
-                    reserved: Sequence[float]) -> list[tuple[Flow, Path, float]]:
+def hedera_schedule(topo: Topology, large: Sequence[Flow],
+                    placed: dict[int, tuple[float, Path]]
+                    ) -> list[tuple[Flow, Path, float]]:
     """One Hedera scheduling round over the flows measured large.
 
-    Estimates the natural demand of every large flow, then visits the ones
-    not yet placed in flow-id order and Global-First-Fits each against the
-    per-link reservations, counting those it makes earlier in the round.
-    Returns (flow, path, reservation in bits/s) for every flow placed; a
-    flow that fits nowhere stays where it is and is tried again next round.
+    `placed` maps flow id to (reservation in bits/s, path), and the round
+    takes them afresh, in flow-id order, off `global_first_fit`'s room. Each
+    large flow not yet placed, in flow-id order, then takes the least rank
+    whose room covers its estimated demand; only that path is built. Returns
+    (flow, path, reservation) per flow placed; one that fits nowhere stays
+    where it is and is tried again next round.
     """
     estimates = estimate_demands({f.id: (f.src, f.dst) for f in large})
-    reserved = list(reserved)
+    room = [l.capacity * (1.0 + 1e-9) for l in topo.links]
+    for fid, (need, path) in sorted(placed.items()):
+        for lid in path.link_ids:
+            room[lid] -= need
+    zeros = [0] * len(room)
     placements = []
     for f in sorted(large, key=lambda f: f.id):
         if f.id in placed:
             continue
         need = estimates[f.id] * topo.link_capacity
-        path = global_first_fit(topo.equal_cost_paths(f.src, f.dst), need,
-                                reserved)
-        if path is None:
+        loads = topo.candidate_loads(f.src, f.dst, room, zeros)
+        fits = [r for r, (least, _) in enumerate(loads) if least >= need]
+        if not fits:
             continue
+        path = topo.path_at(f.src, f.dst, fits[0])
         for lid in path.link_ids:
-            reserved[lid] += need
+            room[lid] -= need
         placements.append((f, path, need))
     return placements
 

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -7,11 +8,13 @@ import pytest
 from fatflow import engine as engine_module
 from fatflow.engine import Engine
 from fatflow.experiment import ExperimentConfig, build_topology, run_experiment
-from fatflow.schedulers import (HEDERA, HYBRID, HYBRID_SCALAR, MECH_CONTROLLER,
-                                MECH_PROACTIVE, SCHEDULER_NAMES, PathView,
-                                SchedulerError, SchedulerKind, dispatch,
-                                estimate_demands, flow_hash, global_first_fit,
-                                hedera_period_polls, path_views, select_ecmp,
+from fatflow.schedulers import (HEDERA, HEDERA_GFF, HYBRID, HYBRID_SCALAR,
+                                MECH_CONTROLLER, MECH_PROACTIVE,
+                                SCHEDULER_NAMES, PathView, SchedulerError,
+                                SchedulerKind, dispatch, estimate_demands,
+                                flow_hash, global_first_fit,
+                                hedera_period_polls, hedera_schedule,
+                                path_views, select_ecmp,
                                 select_hedera, select_lexicographic,
                                 select_scalarized)
 from fatflow.topology import LinkKind, build_fat_tree, build_nonblocking
@@ -254,13 +257,63 @@ def test_estimator_sender_reclaims_what_a_receiver_limits(k4):
 
 def test_first_fit_honours_reservations_and_canonical_order(k4):
     paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    reserved = [0.0] * len(k4.links)
-    reserved[paths[0].link_ids[2]] = 6e6  # paths[0]'s agg-to-core hop
+    room = [l.capacity * (1.0 + 1e-9) for l in k4.links]
+    room[paths[0].link_ids[2]] -= 6e6  # paths[0]'s agg-to-core hop
     shuffled = [paths[3], paths[1], paths[0], paths[2]]
-    assert global_first_fit(shuffled, 5e6, reserved) == paths[1]
-    assert global_first_fit(shuffled, 4e6, reserved) == paths[0]
-    reserved[paths[0].link_ids[0]] = 6e6  # the shared host uplink
-    assert global_first_fit(shuffled, 5e6, reserved) is None
+    assert global_first_fit(shuffled, 5e6, room) == paths[1]
+    assert global_first_fit(shuffled, 4e6, room) == paths[0]
+    room[paths[0].link_ids[0]] -= 6e6  # the shared host uplink
+    assert global_first_fit(shuffled, 5e6, room) is None
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_gff_round_places_by_rank_as_first_fit_over_every_candidate(k):
+    topo = build_fat_tree(k, 10e6)
+    rng = random.Random(k)
+    hosts = topo.hosts
+    pairs = [(s, d) for s in hosts for d in hosts if s != d]
+    if k == 8:
+        pairs = rng.sample(pairs, 1500)  # of 16,256
+    elif k == 2:
+        pairs *= 100  # its two pairs, with fresh reservations each time
+    # a lone large flow is estimated at its whole NIC
+    need = topo.link_capacity
+    slack = need * (1.0 + 1e-9)
+    # reservations that, alone on a link, leave it exactly `need` of room,
+    # or one ulp less or more
+    edge = [slack - t for t in (math.nextafter(need, -math.inf), need,
+                                math.nextafter(need, math.inf))]
+    seen = Counter()
+    for src, dst in pairs:
+        flow = Flow(0, src, dst, ELEPHANT, 10e6, 0.0, None)
+        candidates = topo.equal_cost_paths(src, dst)
+        placed = {}
+        for fid in range(1, rng.randint(1, 4)):
+            # the pair's own candidates, or a path out of the same pod
+            if rng.random() < 0.3:
+                path = rng.choice(candidates)
+            else:
+                a = rng.choice([h for h in hosts if h.pod == src.pod])
+                path = rng.choice(topo.equal_cost_paths(
+                    a, rng.choice([h for h in hosts if h != a])))
+            placed[fid] = (rng.choice(edge) if rng.random() < 0.8
+                           else rng.uniform(0.0, need), path)
+        room = [l.capacity * (1.0 + 1e-9) for l in topo.links]
+        for fid in sorted(placed):
+            reservation, path = placed[fid]
+            for lid in path.link_ids:
+                room[lid] -= reservation
+        want = global_first_fit(candidates, need, room)
+        assert hedera_schedule(topo, [flow], placed) == (
+            [] if want is None else [(flow, want, need)])
+        least = [min(room[lid] for lid in p.link_ids) for p in candidates]
+        seen["exact"] += need in least
+        seen["ulp short"] += math.nextafter(need, -math.inf) in least
+        seen["ulp over"] += math.nextafter(need, math.inf) in least
+        seen["none"] += want is None
+        seen["later rank"] += want is not None and want is not candidates[0]
+    assert all(seen[c] for c in ("exact", "ulp short", "ulp over", "none")), seen
+    assert seen["later rank"] or k == 2  # k = 2 has one candidate per pair
 
 
 def test_gff_round_reserves_and_departure_releases(k4):
@@ -271,17 +324,14 @@ def test_gff_round_reserves_and_departure_releases(k4):
     eng = Engine(k4, SchedulerKind("hedera-gff"), flows, horizon=10.0)
     while eng.clock < 5.0:
         eng.step()
-    assert eng.reservations == {0: 10e6, 1: 10e6}
-    assert eng.active[0].path == k4.equal_cost_paths(flows[0].src,
-                                                     flows[0].dst)[0]
-    assert eng.active[1].path == k4.equal_cost_paths(flows[1].src,
-                                                     flows[1].dst)[2]
-    for f in eng.active.values():
-        for lid in f.path.link_ids:
-            assert eng.reserved[lid] == 10e6
+    first = k4.equal_cost_paths(flows[0].src, flows[0].dst)[0]
+    third = k4.equal_cost_paths(flows[1].src, flows[1].dst)[2]
+    assert eng.reservations == {0: (10e6, first), 1: (10e6, third)}
+    assert eng.active[0].path is first
+    assert eng.active[1].path is third
     eng.run()
     assert eng.reservations == {}
-    assert all(r == 0.0 for r in eng.reserved)
+    assert not hasattr(eng, "reserved")
 
 
 def test_gff_reroutes_keep_per_link_elephant_tallies_consistent(k4):
@@ -292,15 +342,14 @@ def test_gff_reroutes_keep_per_link_elephant_tallies_consistent(k4):
     while eng.pending_events() and eng._queue[0][0] <= eng.horizon:
         eng.step()
         recount = [0] * len(k4.links)
-        reserved = [0.0] * len(k4.links)
         for fid, f in eng.active.items():
             if f.classified:
                 for lid in f.path.link_ids:
                     recount[lid] += 1
-            for lid in f.path.link_ids:
-                reserved[lid] += eng.reservations.get(fid, 0.0)
         assert eng.elephants == recount
-        assert eng.reserved == pytest.approx(reserved, abs=1e-3)
+        # a placed flow stays on the path its reservation names
+        for fid, (_, path) in eng.reservations.items():
+            assert path is eng.active[fid].path
     assert eng.reroutes > 0
 
 
@@ -534,8 +583,11 @@ def test_dispatch_matches_the_selectors_over_every_candidate(scheduler, config,
         assert mechanisms[MECH_CONTROLLER] == 0
 
 
-def test_a_run_keeps_only_the_paths_its_flows_took(monkeypatch):
-    eng = default_engine(Engine, HYBRID)
+@pytest.mark.parametrize("config", ["default", "k8"])
+@pytest.mark.parametrize("scheduler", [HYBRID, HEDERA_GFF])
+def test_a_run_keeps_only_the_paths_its_flows_took(scheduler, config,
+                                                   monkeypatch):
+    eng = default_engine(Engine, scheduler, **RESOLVE_CONFIGS[config])
     topo = eng.topology
     taken = []
 
@@ -544,9 +596,18 @@ def test_a_run_keeps_only_the_paths_its_flows_took(monkeypatch):
         taken.append(d.path)
         return d
 
+    def placing(*args):
+        placements = hedera_schedule(*args)
+        placed.extend(path for _, path, _ in placements)
+        return placements
+
+    placed = []
     monkeypatch.setattr(engine_module, "dispatch", recorded)
+    monkeypatch.setattr(engine_module, "hedera_schedule", placing)
     eng.run()
     assert len(taken) == eng.proactive_decisions + eng.controller_decisions
+    assert bool(placed) == (scheduler == HEDERA_GFF)
+    taken += placed
     assert {id(p) for p in topo._path_memo.values()} == {id(p) for p in taken}
     pairs = {(p.hops[0].src, p.hops[-1].dst) for p in taken}
     assert len(topo._path_memo) < sum(topo.candidate_count(*pair)
