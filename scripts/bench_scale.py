@@ -1,7 +1,7 @@
 """Time the pinned scale runs layer by layer and write `BENCH_scale.json`.
 
 Usage (from anywhere in the repository):
-    python3 scripts/bench_scale.py [--out BENCH_scale.json] [--src DIR]
+    python3 scripts/bench_scale.py [--out FILE] [--src DIR] [--only NAME]
 
 Runs each pinned config five times (`hybrid`, seed 0), each config in a
 fresh child process so that the peak RSS it records is that config's own:
@@ -17,7 +17,9 @@ count; the `path_at` calls and the `Path`s built for them, which is what
 the topology's path memo holds at the end of a run; and the child's peak
 RSS over the runs. `--src` runs another checkout's `src/` (say, a `git
 archive` of the parent revision), so two revisions can be compared on one
-host. Nothing is written into a bundle.
+host. `--only NAME` times that config alone and writes no file unless
+`--out` is given, so `BENCH_scale.json` keeps every config. Nothing is
+written into a bundle.
 """
 
 from __future__ import annotations
@@ -121,10 +123,12 @@ def run_child(src: str, name: str) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--out", default=str(ROOT / "BENCH_scale.json"),
-                   help="where to write the JSON (default: %(default)s)")
+    p.add_argument("--out", help="where to write the JSON (default: "
+                   "BENCH_scale.json at the repository root; none with --only)")
     p.add_argument("--src", default=str(ROOT / "src"),
                    help="the fatflow sources to run (default: %(default)s)")
+    p.add_argument("--only", choices=CONFIGS, metavar="NAME",
+                   help="time only this config: " + ", ".join(CONFIGS))
     p.add_argument("--config", choices=CONFIGS, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.config is not None:
@@ -139,7 +143,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "runs": {},
     }
-    for name in CONFIGS:
+    for name in [args.only] if args.only else CONFIGS:
         r = results["runs"][name] = run_child(args.src, name)
 
         def secs(key):
@@ -155,7 +159,9 @@ def main(argv=None) -> int:
               f"report write {secs('report_write_s')}, "
               f"{r['probes']} probes, peak RSS {r['peak_rss_mb']:.1f} MB",
               flush=True)
-    Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
+    out = args.out or (None if args.only else ROOT / "BENCH_scale.json")
+    if out is not None:
+        Path(out).write_text(json.dumps(results, indent=2) + "\n")
     return 0
 
 

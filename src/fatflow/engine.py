@@ -43,7 +43,7 @@ from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE, check_fields, setting
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
                          hedera_period_polls, hedera_schedule)
 from .topology import Path, Topology
-from .traffic import MICE, PROBE_PERIOD, Flow, crosses_bisection, even_count
+from .traffic import ELEPHANT, MICE, Flow, crosses_bisection, even_count
 
 
 class EngineError(RuntimeError):
@@ -85,9 +85,9 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
 
     This checks the inputs and builds each link's member list, its count
     of flows and a zero per-link sum, then runs `_fill`. The engine calls
-    `_fill` directly: its flows and link capacities are checked when they
-    enter it, it keeps the member lists as its own link index, and it
-    counts in two per-link lists of its own.
+    `_fill` directly: it checks each `Flow` by its rules as it enters,
+    `Topology` checked the capacities, it keeps the member lists as its own
+    link index, and it counts in two per-link lists of its own.
     """
     for fid, d in demands.items():
         NON_NEGATIVE.check(f"waterfill: flow {fid}: demand", d, EngineError)
@@ -247,24 +247,24 @@ class FlowState:
         self.classified = False  # detected as an elephant at a poll
 
 
-def _check_flows(flows: Sequence[Flow]) -> None:
-    """Raise EngineError, naming the flow and the field, on unusable input."""
+def _check_flows(flows: Sequence[Flow], topo: Topology) -> None:
+    """Raise EngineError, naming the flow and the field, on unusable input:
+    a repeated id, a field that breaks its declared rule, or a `src` or
+    `dst` that is not a host of `topo`, or both the same host."""
     ids: set[int] = set()
-    duration_rule = NON_NEGATIVE.or_none()
+    hosts = set(topo.hosts)
     for f in flows:
         if f.id in ids:
             raise EngineError(f"flow {f.id}: id repeats")
         ids.add(f.id)
-        if (NON_NEGATIVE.holds(f.start_time) and POSITIVE.holds(f.demand)
-                and duration_rule.holds(f.duration)
-                and (f.kind != MICE or PROBE_PERIOD.holds(f.probe_interval))):
-            continue  # the messages only on failure
-        NON_NEGATIVE.check(f"flow {f.id}: start_time", f.start_time,
-                           EngineError)
-        POSITIVE.check(f"flow {f.id}: demand", f.demand, EngineError)
-        duration_rule.check(f"flow {f.id}: duration", f.duration, EngineError)
-        PROBE_PERIOD.check(f"flow {f.id}: probe_interval", f.probe_interval,
-                           EngineError)
+        check_fields(f, EngineError, prefix=f"flow {f.id}: ")
+        if f.src not in hosts or f.dst not in hosts:
+            name, node = ("src", f.src) if f.src not in hosts else ("dst", f.dst)
+            raise EngineError(f"flow {f.id}: {name} {node!r} is not a host of "
+                              "this topology")
+        if f.src == f.dst:
+            raise EngineError(f"flow {f.id}: dst must differ from src, got "
+                              f"{f.dst!r}")
 
 
 class Engine:
@@ -297,10 +297,7 @@ class Engine:
         self._crossing: list[int] = []
 
         nlinks = len(topo.links)
-        self._cap = [l.capacity for l in topo.links]
-        if not all(map(POSITIVE.holds, self._cap)):  # walk only on failure
-            for lid, c in enumerate(self._cap):
-                POSITIVE.check(f"link {lid}: capacity", c, EngineError)
+        self._cap = [l.capacity for l in topo.links]  # checked by `Topology`
         self.allocated = [0.0] * nlinks
         # `_fill`'s per-link counters (flows not yet frozen, sum of frozen
         # rates); all zero between re-solves
@@ -349,7 +346,7 @@ class Engine:
         self._seq = itertools.count()
         self._queue: list[tuple[float, int, str, object]] = []
         self._probes: list[tuple[float, int, FlowState, int, int, float]] = []
-        _check_flows(flows)
+        _check_flows(flows, topo)
         for f in flows:
             if f.start_time < horizon:
                 self._push(f.start_time, "arrival", f)
@@ -496,7 +493,7 @@ class Engine:
         if flow.duration is not None and flow.start_time + flow.duration < end:
             end = flow.start_time + flow.duration
             self._push(end, "departure", flow.id)
-        if flow.kind == MICE:
+        if not flow.is_elephant:
             # probe i: min(start_time + i * probe_interval, end), seq first + i
             count = even_count(flow.start_time, end, flow.probe_interval)
             heapq.heappush(self._probes, (flow.start_time, self._reserve(count),
@@ -506,7 +503,7 @@ class Engine:
             return None
         return {
             "flow": flow.id,
-            "kind": flow.kind,
+            "kind": ELEPHANT if flow.is_elephant else MICE,
             "mechanism": decision.mechanism,
             "candidates": decision.candidates_considered,
             "path": repr(st.path),
@@ -656,9 +653,9 @@ class Engine:
         setting its `_unfrozen` count to the length of its list; a loaded
         link carries a flow, so a nonzero count means "reached". `_fill`
         counts that down to 0 and sums in `_frozen_sum`, which it leaves at
-        0.0. The inputs need no check here: `_check_flows` checked the
-        demands and `__init__` the capacities, and a topology path lists
-        each link once.
+        0.0. The inputs need no check here: `_check_flows` checked each
+        demand by `Flow`'s declared rule, `Topology` checked the capacities
+        when it was built, and a topology path lists each link once.
         """
         link_flows, routed = self._link_flows, self._routed
         allocated, unfrozen = self.allocated, self._unfrozen

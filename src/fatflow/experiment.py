@@ -108,8 +108,13 @@ class ExperimentConfig:
         return self._build(EngineParams)
 
 
+def _layout(scheduler: str) -> str:
+    """The `Topology.layout` that `scheduler` runs on."""
+    return "star" if scheduler == NONBLOCKING else "fat-tree"
+
+
 def build_topology(config: ExperimentConfig, scheduler: str) -> Topology:
-    if scheduler == NONBLOCKING:
+    if _layout(scheduler) == "star":
         return build_nonblocking(config.k, config.capacity)
     return build_fat_tree(config.k, config.capacity)
 
@@ -121,10 +126,16 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
     `topo` is the scheduler's topology from `build_topology`, built here when
     omitted. Runs can share one: its links never change, and the only
     state it gains is a memo of the candidate `Path`s flows took, built on
-    first use.
+    first use. ConfigError names the field of a `topo` built for another
+    k, capacity or layout.
     """
     if topo is None:
         topo = build_topology(config, scheduler)
+    for name, want in (("k", config.k), ("link_capacity", config.capacity),
+                       ("layout", _layout(scheduler))):
+        if getattr(topo, name) != want:
+            raise ConfigError(f"topo: {name} must be {want!r} for this run, "
+                              f"got {getattr(topo, name)!r}")
     flows = generate_workload(topo, config.workload_spec(seed))
     engine = Engine(topo, config.scheduler_kind(scheduler), flows,
                     horizon=config.duration, params=config.engine_params(),

@@ -4,13 +4,14 @@ Each rule states its condition and its message once. A class applies a rule
 to one of its own fields and raises its own error type, so the message names
 that field: `POSITIVE.check("link_capacity", nan, TopologyError)` raises
 TopologyError("link_capacity must be finite and > 0, got nan"). A
-parameter class declares each field's rule with `setting` and applies them
-all with `check_fields`.
+parameter class or a `Flow` declares each field's rule with `setting`, and
+`check_fields` applies them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -70,10 +71,17 @@ def setting_of(owner: type, name: str, note: str = ""):
     return setting(f.default, f.metadata["help"] + note, f.metadata["rule"])
 
 
-def check_fields(obj, error: type[Exception], suffix: str = "") -> None:
-    """Raise `error` naming the first field, plus `suffix`, whose value
-    breaks its declared rule."""
-    for f in dataclasses.fields(obj):
-        rule = f.metadata.get("rule")
-        if rule is not None:
-            rule.check(f.name + suffix, getattr(obj, f.name), error)
+@functools.cache
+def _declared(cls: type) -> tuple[tuple[str, Rule], ...]:
+    """(name, rule) of each of `cls`'s fields that declares a rule."""
+    return tuple((f.name, f.metadata["rule"]) for f in dataclasses.fields(cls)
+                 if f.metadata.get("rule") is not None)
+
+
+def check_fields(obj, error: type[Exception], suffix: str = "",
+                 prefix: str = "") -> None:
+    """Raise `error` naming the first field, between `prefix` and `suffix`,
+    whose value breaks its declared rule."""
+    for name, rule in _declared(type(obj)):
+        if not rule.holds(getattr(obj, name)):  # the message only on failure
+            rule.check(prefix + name + suffix, getattr(obj, name), error)

@@ -138,6 +138,11 @@ class Topology:
         self.layout = layout
         self.nodes = tuple(nodes)
         self.links = tuple(links)
+        # checked once here, not by each run; the walk only on failure
+        if not all(map(POSITIVE.holds, (l.capacity for l in self.links))):
+            for l in self.links:
+                POSITIVE.check(f"link {l.id}: capacity", l.capacity,
+                               TopologyError)
 
         self.hosts = tuple(n for n in self.nodes if n.tier == HOST)
         self.edge_switches = tuple(n for n in self.nodes if n.tier == EDGE)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Optional
 
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, Rule, check_fields, one_of, setting
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, check_fields, one_of, setting
 from .topology import NodeId, Topology
 
-ELEPHANT = "elephant"
+ELEPHANT = "elephant"  # ELEPHANT and MICE: a flow's kind in the event log
 MICE = "mice"
 
 # probe streams only sample loss and delay; this demand is ignored by the
@@ -28,26 +28,24 @@ class WorkloadError(ValueError):
     pass
 
 
-# a mouse must have a probe period; None fails without reaching `POSITIVE`
-PROBE_PERIOD = Rule(POSITIVE.text, lambda v: v is not None and POSITIVE.holds(v))
-
-
 @dataclass(frozen=True)
 class Flow:
-    """A flow's spec; the engine keeps its run state apart (`Engine.active`)."""
+    """A flow's spec; the engine keeps its run state apart (`Engine.active`).
+    A flow with a probe period is a mouse, which sends probes and no rate."""
 
     id: int
     src: NodeId
     dst: NodeId
-    kind: str  # ELEPHANT or MICE
-    demand: float  # bits/second offered
-    start_time: float
-    duration: Optional[float]  # None = until the end of the experiment
-    probe_interval: Optional[float] = None  # a mouse's probe period
+    demand: float = setting(MISSING, "bits/second offered", POSITIVE)
+    start_time: float = setting(MISSING, "arrival time, seconds", NON_NEGATIVE)
+    duration: Optional[float] = setting(
+        MISSING, "seconds, or None until the horizon", NON_NEGATIVE.or_none())
+    probe_interval: Optional[float] = setting(
+        None, "a mouse's probe period in seconds", POSITIVE.or_none())
 
     @property
     def is_elephant(self) -> bool:
-        return self.kind == ELEPHANT
+        return self.probe_interval is None
 
 
 @dataclass(frozen=True)
@@ -137,16 +135,12 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
     demand = topo.link_capacity if spec.demand is None else spec.demand
     flows: list[Flow] = []
     t = 0.0
-    fid = 0
     for src, dst in pairs:
         t += rng.expovariate(spec.arrival_rate)
-        flows.append(Flow(fid, src, dst, ELEPHANT, demand, t,
-                          spec.flow_duration))
-        fid += 1
+        flows.append(Flow(len(flows), src, dst, demand, t, spec.flow_duration))
         if spec.probe_interval is not None:
-            flows.append(Flow(fid, src, dst, MICE, MICE_DEMAND,
-                              t, spec.flow_duration, spec.probe_interval))
-            fid += 1
+            flows.append(Flow(len(flows), src, dst, MICE_DEMAND, t,
+                              spec.flow_duration, spec.probe_interval))
     return flows
 
 
@@ -158,10 +152,9 @@ def probe_schedule(flow: Flow, horizon: float) -> list[float]:
     open-ended duration probe until the horizon. The engine computes the
     same times one at a time as it draws them; this list is their reference.
     """
-    if flow.kind != MICE:
+    if flow.is_elephant:
         raise WorkloadError("probe_schedule applies to mice flows only")
-    PROBE_PERIOD.check(f"flow {flow.id}: probe_interval", flow.probe_interval,
-                       WorkloadError)
+    check_fields(flow, WorkloadError, prefix=f"flow {flow.id}: ")
     end = horizon if flow.duration is None else flow.start_time + flow.duration
     return even_times(flow.start_time, min(end, horizon), flow.probe_interval)
 

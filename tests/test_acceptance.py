@@ -22,7 +22,7 @@ from fatflow.schedulers import (MECH_CONTROLLER, PathView, SchedulerKind,
                                 dispatch, select_lexicographic,
                                 select_scalarized)
 from fatflow.topology import build_fat_tree
-from fatflow.traffic import ELEPHANT, Flow, WorkloadSpec, generate_workload
+from fatflow.traffic import Flow, WorkloadSpec, generate_workload
 
 from test_engine import maxmin_oracle, random_instance
 
@@ -158,7 +158,7 @@ def test_criterion_6_uniform_ecmp_detection_balance():
         t += rng.expovariate(50.0)
         src = hosts[fid % 16]  # round-robin sources keep the load symmetric
         dst = rng.choice(right if src in left else left)
-        flows.append(Flow(fid, src, dst, ELEPHANT, 5e6, t, 1.5))
+        flows.append(Flow(fid, src, dst, 5e6, t, 1.5))
     horizon = t + 3.0
     eng = Engine(topo, SchedulerKind("ecmp"), flows, horizon=horizon, seed=0)
     eng.run()

@@ -148,6 +148,24 @@ def test_runs_sharing_a_topology_match_fresh_runs(tmp_path):
         assert shared._path_memo  # later runs read the paths earlier ones took
 
 
+@pytest.mark.parametrize("scheduler,built_for,field,want,got", [
+    ("hybrid", dict(k=6), "k", 4, 6),
+    ("ecmp", dict(capacity=1e6), "link_capacity", 10e6, 1e6),
+    ("hybrid", dict(scheduler="nonblocking"), "layout", "fat-tree", "star"),
+    ("nonblocking", dict(scheduler="hybrid"), "layout", "star", "fat-tree")],
+    ids=["k", "capacity", "star under hybrid", "fat-tree under nonblocking"])
+def test_run_one_refuses_a_topology_built_for_another_run(
+        scheduler, built_for, field, want, got):
+    cfg = fast_config()
+    other = dict(built_for)
+    built_scheduler = other.pop("scheduler", scheduler)
+    topo = build_topology(dataclasses.replace(cfg, **other), built_scheduler)
+    with pytest.raises(ConfigError) as raised:
+        run_one(cfg, scheduler, 1, topo)
+    assert str(raised.value) == (
+        f"topo: {field} must be {want!r} for this run, got {got!r}")
+
+
 def floats_in(obj):
     if isinstance(obj, float):
         yield obj

@@ -20,7 +20,8 @@ from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
 from fatflow.experiment import ExperimentConfig, build_topology, run_one
 from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
-from fatflow.topology import Topology, build_fat_tree
+from fatflow.topology import (CORE, EDGE, NodeId, Topology, TopologyError,
+                              build_fat_tree)
 from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadSpec, even_times,
                              generate_workload, probe_schedule)
 
@@ -388,12 +389,12 @@ def run_engine(flows, horizon=10.0, scheduler="ecmp", seed=0, topo=None,
 
 
 def elephant(fid, topo, demand=10e6, start=0.0, duration=None, src=0, dst=15):
-    return Flow(fid, topo.hosts[src], topo.hosts[dst], ELEPHANT, demand,
+    return Flow(fid, topo.hosts[src], topo.hosts[dst], demand,
                 start, duration)
 
 
 def mouse(fid, topo, interval, start=0.0, duration=None, src=0, dst=15):
-    return Flow(fid, topo.hosts[src], topo.hosts[dst], MICE, 1000.0, start,
+    return Flow(fid, topo.hosts[src], topo.hosts[dst], 1000.0, start,
                 duration, interval)
 
 
@@ -485,19 +486,19 @@ def test_engine_rejects_bad_duration(value):
 @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0])
 def test_engine_rejects_a_bad_link_capacity(value):
     # a link on the first elephant's path, where a capacity of 0 would
-    # divide by zero at its arrival; the engine rejects it before any event
+    # divide by zero at its arrival; the topology refuses it when it is
+    # built, so no engine can run on it
     good = build_fat_tree(4, 10e6)
     first = run_engine([elephant(0, good)], topo=good)
     first.step()
     lid = first.active[0].path.link_ids[2]
     links = list(good.links)
     links[lid] = dataclasses.replace(links[lid], capacity=value)
-    topo = Topology(good.k, good.link_capacity, good.layout, list(good.nodes),
-                    links)
-    with pytest.raises(EngineError, match="^" + re.escape(
+    with pytest.raises(TopologyError, match="^" + re.escape(
             f"link {lid}: capacity must be finite and > 0, got {value!r}")
             + "$"):
-        run_engine([elephant(0, topo)], topo=topo)
+        Topology(good.k, good.link_capacity, good.layout, list(good.nodes),
+                 links)
 
 
 def test_replay_is_deterministic():
@@ -560,7 +561,7 @@ def test_detection_is_sticky_under_rate_collapse():
                               src=0, dst=15))
     # shrink capacity so four flows drag each other under threshold
     topo = build_fat_tree(4, 120_000.0)
-    flows = [Flow(f.id, topo.hosts[0], topo.hosts[15], ELEPHANT, f.demand,
+    flows = [Flow(f.id, topo.hosts[0], topo.hosts[15], f.demand,
                   f.start_time, None) for f in flows]
     eng = run_engine(flows, topo=topo, horizon=6.0,
                      params=params)
@@ -589,7 +590,7 @@ def test_probe_on_empty_network():
 def test_probe_rtt_closed_form_single_path_pair():
     # same-edge pair: the only path has 2 links, so the probe path is forced
     topo = build_fat_tree(4, 10e6)
-    eleph = Flow(0, topo.hosts[0], topo.hosts[1], ELEPHANT, 9e6, 0.0, None)
+    eleph = Flow(0, topo.hosts[0], topo.hosts[1], 9e6, 0.0, None)
     eng = run_engine([eleph, mouse(1, topo, 1.0, dst=1)], topo=topo,
                      horizon=2.0)
     eng.run()
@@ -675,7 +676,7 @@ def test_mice_from_the_spec_are_probed_without_an_engine_setting():
     topo = build_fat_tree(4, 10e6)
     flows = generate_workload(topo, WorkloadSpec(elephants=8, seed=1,
                                                  probe_interval=1.0))
-    mice = [f for f in flows if f.kind == MICE]
+    mice = [f for f in flows if not f.is_elephant]
     assert len(mice) == 8
     eng = Engine(topo, SchedulerKind("hybrid"), flows, horizon=10.0,
                  seed=1).run()
@@ -693,7 +694,7 @@ def test_engine_rejects_non_finite_schedule(horizon, interval):
 
 
 @pytest.mark.parametrize("mice", [False, True], ids=["no mice", "mice"])
-@pytest.mark.parametrize("interval", [None, -1.0, math.nan, 0.0, math.inf])
+@pytest.mark.parametrize("interval", [-1.0, math.nan, 0.0, math.inf])
 def test_engine_rejects_a_bad_probe_interval(interval, mice):
     topo = build_fat_tree(4, 10e6)
     flows = generate_workload(topo, WorkloadSpec(
@@ -709,8 +710,80 @@ def test_engine_rejects_a_bad_probe_interval(interval, mice):
     # the check runs at construction, so no event is processed
     with pytest.raises(EngineError) as raised:
         run_engine(flows, topo=topo)
+    assert str(raised.value) == (f"flow {bad}: probe_interval must be none or "
+                                 f"finite and > 0, got {interval!r}")
+
+
+# each of `Flow`'s fields that declares a rule, read from the declarations
+FLOW_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(Flow)
+              if f.metadata.get("rule") is not None}
+
+
+def test_flow_declares_the_rule_of_each_number():
+    assert {name: rule.text for name, rule in FLOW_RULES.items()} == {
+        "demand": "finite and > 0", "start_time": "finite and >= 0",
+        "duration": "none or finite and >= 0",
+        "probe_interval": "none or finite and > 0"}
+
+
+@pytest.mark.parametrize("field,value", [
+    (name, value) for name, rule in FLOW_RULES.items()
+    for value in (-1.0, 0.0, math.nan, math.inf) if not rule.holds(value)])
+def test_engine_checks_each_flow_field_by_its_declared_rule(field, value):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), mouse(1, topo, 1.0, src=1, dst=14)]
+    flows[1] = dataclasses.replace(flows[1], **{field: value})
+    # the check runs at construction, so no event is processed
+    with pytest.raises(EngineError) as raised:
+        run_engine(flows, topo=topo)
     assert str(raised.value) == (
-        f"flow {bad}: probe_interval must be finite and > 0, got {interval!r}")
+        f"flow 1: {field} must be {FLOW_RULES[field].text}, got {value!r}")
+
+
+def test_a_flow_with_a_period_is_probed_and_one_without_takes_a_rate():
+    topo = build_fat_tree(4, 10e6)
+    m = mouse(1, topo, 0.5, src=1, dst=14)
+    # the same spec without a period is an elephant
+    flows = [elephant(0, topo), m,
+             dataclasses.replace(m, id=2, src=topo.hosts[2], dst=topo.hosts[13],
+                                 probe_interval=None)]
+    eng = run_engine(flows, topo=topo, horizon=4.0)
+    eng.run()
+    assert [rec["kind"] for rec in eng.event_log if rec["type"] == "arrival"] \
+        == [ELEPHANT, MICE, ELEPHANT]
+    probed = {rec["flow"] for rec in eng.event_log if rec["type"] == "probe"}
+    assert probed == {1}
+    assert len(eng.probe_rtts) == len(probe_schedule(m, 4.0)) == 9
+    assert eng.active[1].achieved_rate == 0.0
+    # flow 2 takes its whole (mouse-sized) demand as its rate
+    assert (eng.active[0].achieved_rate, eng.active[2].achieved_rate) == (
+        10e6, 1000.0)
+    assert sorted(eng._routed) == [0, 2]
+
+
+k6 = build_fat_tree(6, 10e6)
+
+
+@pytest.mark.parametrize("field,node", [
+    ("src", NodeId(EDGE, 0, 0)), ("dst", NodeId(CORE, None, 3)),
+    ("src", k6.hosts[-1]), ("dst", k6.hosts[-1])],
+    ids=["switch src", "switch dst", "k6 host src", "k6 host dst"])
+def test_engine_rejects_an_endpoint_that_is_not_a_host(field, node):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), dataclasses.replace(elephant(1, topo, start=1.0),
+                                                    **{field: node})]
+    with pytest.raises(EngineError) as raised:
+        run_engine(flows, topo=topo)
+    assert str(raised.value) == (
+        f"flow 1: {field} {node!r} is not a host of this topology")
+
+
+def test_engine_rejects_a_flow_to_itself():
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), mouse(1, topo, 1.0, src=5, dst=5)]
+    with pytest.raises(EngineError) as raised:
+        run_engine(flows, topo=topo)
+    assert str(raised.value) == "flow 1: dst must differ from src, got host1_1"
 
 
 @pytest.mark.parametrize("field,value", [

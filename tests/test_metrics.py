@@ -10,7 +10,7 @@ from fatflow import metrics
 from fatflow.engine import Engine
 from fatflow.schedulers import SchedulerKind
 from fatflow.topology import build_fat_tree
-from fatflow.traffic import ELEPHANT, Flow
+from fatflow.traffic import Flow
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ def test_bisection_bandwidth_uncontended_sum():
     # 8 host pairs crossing the bisection with no shared links: 80 Mb/s
     from fatflow.topology import build_nonblocking
     star = build_nonblocking(4, 10e6)
-    flows = [Flow(i, star.hosts[i], star.hosts[8 + i], ELEPHANT, 10e6, 0.0, None)
+    flows = [Flow(i, star.hosts[i], star.hosts[8 + i], 10e6, 0.0, None)
              for i in range(8)]
     eng = Engine(star, SchedulerKind("nonblocking"), flows, horizon=4.0, seed=0)
     eng.run()
@@ -171,7 +171,7 @@ def test_bisection_bandwidth_uncontended_sum():
 def test_bisection_matches_allocator_on_contended_instance(k4):
     # contended case: the series value equals the sum of max-min rates over
     # cross-half flows at every epoch
-    flows = [Flow(i, k4.hosts[i % 4], k4.hosts[15 - (i % 3)], ELEPHANT, 10e6,
+    flows = [Flow(i, k4.hosts[i % 4], k4.hosts[15 - (i % 3)], 10e6,
                   0.2 * i, None) for i in range(6)]
     eng = Engine(k4, SchedulerKind("ecmp"), flows, horizon=4.0, seed=1)
     eng.run()
@@ -187,7 +187,7 @@ def test_bisection_rejects_unordered():
 
 
 def test_bisection_from_event_log_matches_series(k4):
-    flows = [Flow(i, k4.hosts[i], k4.hosts[15 - i], ELEPHANT, 10e6,
+    flows = [Flow(i, k4.hosts[i], k4.hosts[15 - i], 10e6,
                   0.5 * i, 2.0) for i in range(5)]
     eng = Engine(k4, SchedulerKind("ecmp"), flows, horizon=6.0, seed=2)
     eng.run()

@@ -18,7 +18,7 @@ from fatflow.schedulers import (HEDERA, HEDERA_GFF, HYBRID, HYBRID_SCALAR,
                                 select_hedera, select_lexicographic,
                                 select_scalarized)
 from fatflow.topology import LinkKind, build_fat_tree, build_nonblocking
-from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
+from fatflow.traffic import Flow, WorkloadSpec, generate_workload
 
 from test_cli import fast_config, tree_digest
 from test_engine import RESOLVE_CONFIGS, default_engine
@@ -49,13 +49,13 @@ def test_flow_hash_deterministic():
 
 
 def test_ecmp_same_flow_same_path(k4):
-    f = Flow(42, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, None)
+    f = Flow(42, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
     candidates = k4.equal_cost_paths(f.src, f.dst)
     assert select_ecmp(k4, f, candidates) is select_ecmp(k4, f, candidates)
 
 
 def test_ecmp_single_candidate(k4):
-    f = Flow(7, k4.hosts[0], k4.hosts[1], ELEPHANT, 10e6, 0.0, None)
+    f = Flow(7, k4.hosts[0], k4.hosts[1], 10e6, 0.0, None)
     candidates = k4.equal_cost_paths(f.src, f.dst)
     assert len(candidates) == 1
     assert select_ecmp(k4, f, candidates) is candidates[0]
@@ -68,7 +68,7 @@ def test_ecmp_uniformity_over_10k_flows(k4):
     for fid in range(10_000):
         src = rng.choice(k4.hosts)
         dst = rng.choice([h for h in k4.hosts if h != src])
-        f = Flow(fid, src, dst, ELEPHANT, 10e6, 0.0, None)
+        f = Flow(fid, src, dst, 10e6, 0.0, None)
         counts[flow_hash(k4.host_number(src), k4.host_number(dst), fid) % 4] += 1
     for c in counts:
         assert 2_375 <= c <= 2_625  # 2,500 +/- 5%
@@ -207,7 +207,7 @@ def test_scalarized_rejects_bad_alpha(k4):
 # -- hedera -------------------------------------------------------------------
 
 def test_hedera_mice_scale_goes_to_ecmp(k4):
-    f = Flow(3, k4.hosts[0], k4.hosts[15], MICE, 1000.0, 0.0, None)
+    f = Flow(3, k4.hosts[0], k4.hosts[15], 1000.0, 0.0, None, 1.0)
     candidates = k4.equal_cost_paths(f.src, f.dst)
     views = fake_views([(6, 0, 10e6)] * 4, candidates)
     path, mech = select_hedera(k4, f, views, 0.1)
@@ -216,7 +216,7 @@ def test_hedera_mice_scale_goes_to_ecmp(k4):
 
 
 def test_hedera_first_fit(k4):
-    f = Flow(3, k4.hosts[0], k4.hosts[15], ELEPHANT, 6e6, 0.0, None)
+    f = Flow(3, k4.hosts[0], k4.hosts[15], 6e6, 0.0, None)
     paths = k4.equal_cost_paths(f.src, f.dst)
     views = fake_views([(6, 0, 5e6), (6, 0, 7e6), (6, 0, 10e6), (6, 0, 10e6)], paths)
     path, mech = select_hedera(k4, f, views, 0.1)
@@ -225,7 +225,7 @@ def test_hedera_first_fit(k4):
 
 
 def test_hedera_fallback_max_residual(k4):
-    f = Flow(3, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, None)
+    f = Flow(3, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
     paths = k4.equal_cost_paths(f.src, f.dst)
     views = fake_views([(6, 0, 2e6), (6, 0, 7e6), (6, 0, 5e6)], paths[:3])
     path, _ = select_hedera(k4, f, views, 0.1)
@@ -285,7 +285,7 @@ def test_gff_round_places_by_rank_as_first_fit_over_every_candidate(k):
                                 math.nextafter(need, math.inf))]
     seen = Counter()
     for src, dst in pairs:
-        flow = Flow(0, src, dst, ELEPHANT, 10e6, 0.0, None)
+        flow = Flow(0, src, dst, 10e6, 0.0, None)
         candidates = topo.equal_cost_paths(src, dst)
         placed = {}
         for fid in range(1, rng.randint(1, 4)):
@@ -319,8 +319,8 @@ def test_gff_round_places_by_rank_as_first_fit_over_every_candidate(k):
 def test_gff_round_reserves_and_departure_releases(k4):
     # hosts 0 and 1 share an edge switch: flow 0 takes the first path and
     # fills its edge uplink, so flow 1 skips both paths through aggregate 0
-    flows = [Flow(0, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, 7.0),
-             Flow(1, k4.hosts[1], k4.hosts[14], ELEPHANT, 10e6, 0.0, 7.0)]
+    flows = [Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.0, 7.0),
+             Flow(1, k4.hosts[1], k4.hosts[14], 10e6, 0.0, 7.0)]
     eng = Engine(k4, SchedulerKind("hedera-gff"), flows, horizon=10.0)
     while eng.clock < 5.0:
         eng.step()
@@ -389,7 +389,7 @@ def test_non_blocking_unique_path():
     star = build_nonblocking(4, 10e6)
     kind = SchedulerKind("nonblocking")
     eng = Engine(star, kind, [], horizon=1.0, seed=0)
-    f = Flow(0, star.hosts[3], star.hosts[12], ELEPHANT, 10e6, 0.0, None)
+    f = Flow(0, star.hosts[3], star.hosts[12], 10e6, 0.0, None)
     d = dispatch(eng, f, kind)
     assert [d.path] == star.equal_cost_paths(f.src, f.dst)
     assert len(d.path.hops) == 2
@@ -399,7 +399,7 @@ def test_non_blocking_unique_path():
 def test_non_blocking_rejects_fat_tree(k4):
     kind = SchedulerKind("nonblocking")
     eng = Engine(k4, kind, [], horizon=1.0, seed=0)
-    f = Flow(0, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, None)
+    f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
     with pytest.raises(SchedulerError, match="requires the star topology"):
         dispatch(eng, f, kind)
 
@@ -472,7 +472,7 @@ def test_path_views_read_the_poll_snapshot():
 
 
 def test_path_views_change_only_at_a_poll(k4):
-    f = Flow(0, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.5, None)
+    f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.5, None)
     eng = Engine(k4, SchedulerKind("ecmp"), [f], horizon=3.0, seed=0)
     candidates = k4.equal_cost_paths(f.src, f.dst)
     before = path_views(eng, candidates)
@@ -505,7 +505,7 @@ def test_dispatch_split_about_half(k4):
 def test_dispatch_ecmp_always_proactive(k4):
     eng = Engine(k4, SchedulerKind("ecmp"), [], horizon=1.0, seed=0)
     for fid in range(50):
-        f = Flow(fid, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, None)
+        f = Flow(fid, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
         d = dispatch(eng, f, SchedulerKind("ecmp"))
         assert d.mechanism == MECH_PROACTIVE
 
@@ -518,7 +518,7 @@ def test_dispatch_controller_branch_equals_lex(k4):
             return 0.0
 
     eng.dispatch_rng = AlwaysController()
-    f = Flow(0, k4.hosts[0], k4.hosts[15], ELEPHANT, 10e6, 0.0, None)
+    f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
     d = dispatch(eng, f, SchedulerKind("hybrid"))
     assert d.mechanism == MECH_CONTROLLER
     from fatflow.schedulers import path_views

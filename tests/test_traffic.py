@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflow.topology import build_fat_tree, build_nonblocking
-from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadError, WorkloadSpec,
+from fatflow.traffic import (Flow, WorkloadError, WorkloadSpec,
                              crosses_bisection, even_count, even_times,
                              generate_workload, probe_schedule)
 
@@ -25,7 +25,7 @@ def test_bisection_flows_cross_halves(k4):
     for f in flows:
         assert crosses_bisection(k4, f.src, f.dst)
         assert f.src != f.dst
-        assert f.kind == ELEPHANT
+        assert f.is_elephant
 
 
 def test_same_seed_same_workload(k4):
@@ -58,7 +58,7 @@ def test_mice_accompany_elephants(k4):
     flows = generate_workload(k4, spec)
     assert len(flows) == 10
     for eleph, mouse in zip(flows[0::2], flows[1::2]):
-        assert eleph.kind == ELEPHANT and mouse.kind == MICE
+        assert eleph.is_elephant and not mouse.is_elephant
         assert (eleph.src, eleph.dst) == (mouse.src, mouse.dst)
         assert eleph.start_time == mouse.start_time
         assert mouse.demand < eleph.demand / 100
@@ -110,7 +110,7 @@ def test_demand_none_is_the_link_capacity(build):
 
 
 def probe_flow(duration, start=0.0, interval=1.0):
-    return Flow(0, None, None, MICE, 1000.0, start, duration, interval)
+    return Flow(0, None, None, 1000.0, start, duration, interval)
 
 
 def test_probe_schedule_basic():
@@ -186,15 +186,16 @@ def test_even_count_is_the_length_of_even_times():
 
 
 def test_probe_schedule_rejects_bad_interval():
-    for interval in (0.0, -1.0, math.nan, None):
+    # a flow without a period is an elephant, rejected below
+    for interval in (0.0, -1.0, math.nan):
         with pytest.raises(WorkloadError) as raised:
             probe_schedule(probe_flow(5.0, interval=interval), horizon=10.0)
-        assert str(raised.value) == (
-            f"flow 0: probe_interval must be finite and > 0, got {interval!r}")
+        assert str(raised.value) == ("flow 0: probe_interval must be none or "
+                                     f"finite and > 0, got {interval!r}")
 
 
 def test_probe_schedule_elephant_rejected():
-    f = Flow(0, None, None, ELEPHANT, 1e7, 0.0, 5.0)
+    f = Flow(0, None, None, 1e7, 0.0, 5.0)
     with pytest.raises(WorkloadError):
         probe_schedule(f, horizon=10.0)
 
