@@ -6,14 +6,11 @@ every elephant arrival and departure, classifies elephants from polled byte
 counts, and evaluates mice probes against per-link overload and queuing
 state. A re-solve covers only the components of the flow-link graph that
 reach the links whose set of elephants changed. Rates only change at those
-re-solves, so the time integrals of rates are brought up to date at
-arrivals, departures, polls and the horizon, never at probes. Under
+re-solves, so a flow's bits catch up only when its rate changes and at
+polls, and a link's offered-load integral only when its offered load
+changes and when read: no event walks every flow or link. Under
 `hedera-gff` it also runs Hedera's scheduling round every period and moves
 the flows that round places.
-
-Progressive filling reads the engine's own link index and counts in two
-per-link lists allocated once with the engine, which it leaves all zero
-again.
 
 Polls and each mouse's probes are streams, so memory does not grow with the
 horizon: one queue entry stands for a stream's next event, and processing it
@@ -84,10 +81,8 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     freezes at 0 in the first round and takes no share of its links.
 
     This checks the inputs and builds each link's member list, its count
-    of flows and a zero per-link sum, then runs `_fill`. The engine calls
-    `_fill` directly: it checks each `Flow` by its rules as it enters,
-    `Topology` checked the capacities, it keeps the member lists as its own
-    link index, and it counts in two per-link lists of its own.
+    of flows and a zero per-link sum, then runs `_fill`, which the engine
+    calls directly on inputs of its own (see `Engine._resolve`).
     """
     for fid, d in demands.items():
         NON_NEGATIVE.check(f"waterfill: flow {fid}: demand", d, EngineError)
@@ -229,8 +224,8 @@ class FlowState:
     """One admitted flow's run state; `Engine.active` maps its id to this."""
 
     __slots__ = ("spec", "path", "probe_links", "probe_keep", "probe_rtt",
-                 "probe_epoch", "achieved_rate", "bits", "round_bits",
-                 "crosses", "classified")
+                 "probe_epoch", "achieved_rate", "bits", "since",
+                 "round_bits", "crosses", "classified")
 
     def __init__(self, spec: Flow, crosses: bool):
         self.spec = spec
@@ -241,7 +236,8 @@ class FlowState:
         self.probe_keep = self.probe_rtt = 0.0
         self.probe_epoch = -1
         self.achieved_rate = 0.0  # bits/s, 0 for a mouse
-        self.bits = 0.0  # sent since the last poll
+        self.bits = 0.0  # sent since the last poll, up to time `since`
+        self.since = 0.0  # moved by `Engine._set_rate` and each poll
         self.round_bits = 0.0  # sent this Hedera scheduling round
         self.crosses = crosses  # src and dst lie in opposite pod halves
         self.classified = False  # detected as an elephant at a poll
@@ -285,9 +281,6 @@ class Engine:
         self._probe_rng = random.Random(f"{seed}/probe")
 
         self.clock = 0.0
-        # rates are piecewise constant between arrivals, departures and
-        # polls, so the time integrals only catch up at those events
-        self._integrated_to = 0.0
         self.active: dict[int, FlowState] = {}
         # the flow-link graph of the routed elephants: each one's state, and
         # the sorted ids of those on each link that carries any
@@ -306,7 +299,9 @@ class Engine:
         self.offered = [0.0] * nlinks
         self.elephants = [0] * nlinks
         self.cumulative_elephants = [0] * nlinks
+        # per link, its offered load integrated up to when it last changed
         self._offered_integral = [0.0] * nlinks
+        self._offered_since = [0.0] * nlinks
         # what a probe sees on each link, refreshed whenever `offered` changes:
         # the chance to survive the traversal and the traversal delay
         self._probe_keep = [1.0] * nlinks
@@ -316,6 +311,8 @@ class Engine:
         # which path selection reads instead of live data-plane state
         self.polled_residual = list(self._cap)
         self.polled_elephants = [0] * nlinks
+        # the last snapshot's re-solve epoch and monitored links' utilization
+        self._polled_epoch, self._polled_util = -1, []
 
         self.bisection_rate = 0.0
         self.bisection_series: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -387,7 +384,6 @@ class Engine:
         t, seq, kind, payload = heapq.heappop(queue)
         self.events_processed += 1
         self._advance(t)
-        self._integrate()
         if kind == "arrival":
             record = self._on_arrival(payload)
         elif kind == "departure":
@@ -413,7 +409,6 @@ class Engine:
             self.step()
         self._run_probes((self.horizon, math.inf))
         self._advance(self.horizon)
-        self._integrate()
         return self
 
     def _run_probes(self, stop: tuple) -> None:
@@ -464,18 +459,6 @@ class Engine:
         if t < self.clock:
             raise EngineError("clock must be nondecreasing")
         self.clock = t
-
-    def _integrate(self) -> None:
-        """Add each flow's bits and each link's offered load since the last
-        integration."""
-        dt = self.clock - self._integrated_to
-        if dt > 0:
-            for st in self._routed.values():
-                st.bits += st.achieved_rate * dt
-            offered, integral = self.offered, self._offered_integral
-            for lid in self._link_flows:
-                integral[lid] += offered[lid] * dt
-            self._integrated_to = self.clock
 
     # -- event handlers --------------------------------------------------------
 
@@ -528,24 +511,32 @@ class Engine:
         # a mouse sends no bits, so only routed elephants can classify
         for fid in sorted(self._routed):
             st = self._routed[fid]
-            if (not st.classified and st.bits / self.params.poll_interval
+            bits = st.bits + st.achieved_rate * (self.clock - st.since)
+            st.bits, st.since = 0.0, self.clock
+            if (not st.classified and bits / self.params.poll_interval
                     >= self.params.detection_threshold):
                 st.classified = True
                 newly.append(fid)
                 for lid in st.path.link_ids:
                     self.elephants[lid] += 1
                     self.cumulative_elephants[lid] += 1
-            st.round_bits += st.bits
-            st.bits = 0.0
+            st.round_bits += bits
         self.port_stat_reads += self.topology.total_switch_ports
         self.uplink_stat_reads += len(self.topology.agg_upstream_link_ids)
         self.polls += 1
-        allocated, cap = self.allocated, self._cap
-        self.polled_residual = list(map(operator.sub, cap, allocated))
-        self.polled_elephants = self.elephants[:]
-        sums = self.util_sums
-        for i, lid in enumerate(self.topology.monitored_link_ids):
-            sums[i] += allocated[lid] / cap[lid]
+        # reuse the last snapshot if no re-solve came since: then only this
+        # poll's classifications can have moved `elephants`
+        if self._polled_epoch != self._epoch:
+            self._polled_epoch = self._epoch
+            allocated, cap = self.allocated, self._cap
+            self.polled_residual = list(map(operator.sub, cap, allocated))
+            self._polled_util = [allocated[lid] / cap[lid]
+                                 for lid in self.topology.monitored_link_ids]
+            self.polled_elephants = self.elephants[:]
+        elif newly:
+            self.polled_elephants = self.elephants[:]
+        self.util_sums = list(map(operator.add, self.util_sums,
+                                  self._polled_util))
         record = ({"classified": newly, "port_reads": self.port_stat_reads}
                   if self.log_events else None)
         if self._round_polls and self.polls % self._round_polls == 0:
@@ -598,9 +589,9 @@ class Engine:
     def _route(self, st: FlowState, path: Path) -> None:
         """Put the flow on `path`; its probes go out along it and back."""
         st.path = path
-        reverse = self.topology.reverse_ids
-        st.probe_links = path.link_ids + tuple(reverse[lid]
-                                               for lid in path.link_ids)
+        ids = path.link_ids
+        st.probe_links = ids + tuple(map(self.topology.reverse_ids.__getitem__,
+                                         ids))
         st.probe_epoch = -1
 
     def _reallocate_for(self, st: FlowState) -> None:
@@ -625,6 +616,13 @@ class Engine:
                 self._crossing.remove(fid)
         self._epoch += 1
         self._resolve(links)
+
+    def _set_rate(self, st: FlowState, rate: float) -> None:
+        """Give `st` a new rate, first adding the bits its old rate sent."""
+        if rate != st.achieved_rate:
+            st.bits += st.achieved_rate * (self.clock - st.since)
+            st.since = self.clock
+            st.achieved_rate = rate
 
     def _index(self, fid: int, links: tuple[int, ...]) -> None:
         for lid in links:
@@ -681,20 +679,25 @@ class Engine:
                             links.append(lid)
         rates = _fill(demands, paths, link_flows, links, self._cap, unfrozen,
                       self._frozen_sum)
+        set_rate = self._set_rate
         for fid, rate in rates.items():
-            routed[fid].achieved_rate = rate
+            set_rate(routed[fid], rate)
         for lid in links:
             total = 0.0
             for fid in link_flows[lid]:
                 total += rates[fid]
             allocated[lid] = total
-        # offered load only moves where the set of elephants changed
+        # offered load and its integral only move where the elephants changed
+        clock, offered = self.clock, self.offered
+        integral, since = self._offered_integral, self._offered_since
         for lid in changed:
             total = 0.0
             for fid in link_flows.get(lid, ()):
                 total += demands[fid]
-            if total != self.offered[lid]:
-                self.offered[lid] = total
+            if total != offered[lid]:
+                integral[lid] += offered[lid] * (clock - since[lid])
+                since[lid] = clock
+                offered[lid] = total
                 self._probe_keep[lid] = 1.0 - link_loss_probability(
                     total, self._cap[lid])
                 self._probe_delay[lid] = traversal_delay(
@@ -708,9 +711,11 @@ class Engine:
     # -- post-run views ----------------------------------------------------------
 
     def mean_offered_by_link(self) -> dict[int, float]:
-        """Time-averaged offered load per link over the whole horizon."""
-        return {lid: self._offered_integral[lid] / self.horizon
-                for lid in range(len(self._cap))}
+        """Per link, its offered load integrated up to the clock over the
+        horizon: its time average once `run` is done."""
+        clock, offered, since = self.clock, self.offered, self._offered_since
+        return {lid: (area + offered[lid] * (clock - since[lid])) / self.horizon
+                for lid, area in enumerate(self._offered_integral)}
 
     def state_fingerprint(self) -> tuple:
         """Hashable summary used by determinism tests."""

@@ -22,9 +22,16 @@ class Rule:
     text: str  # completes "must be ..."
     holds: Callable[[Any], bool]
 
+    def passes(self, value) -> bool:
+        """`holds`, failed by a value it cannot compare (None, a string)."""
+        try:
+            return self.holds(value)
+        except TypeError:
+            return False
+
     def check(self, name: str, value, error: type[Exception]) -> None:
         """Raise `error` naming `name` unless `value` satisfies the rule."""
-        if not self.holds(value):
+        if not self.passes(value):
             raise error(f"{name} must be {self.text}, got {value!r}")
 
     def or_none(self) -> Rule:
@@ -83,5 +90,5 @@ def check_fields(obj, error: type[Exception], suffix: str = "",
     """Raise `error` naming the first field, between `prefix` and `suffix`,
     whose value breaks its declared rule."""
     for name, rule in _declared(type(obj)):
-        if not rule.holds(getattr(obj, name)):  # the message only on failure
+        if not rule.passes(getattr(obj, name)):  # the message only on failure
             rule.check(prefix + name + suffix, getattr(obj, name), error)

@@ -9,9 +9,9 @@ downstream of it reproducible.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rules import EVEN_K, POSITIVE
 
@@ -32,29 +32,17 @@ class TopologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(NamedTuple):
     """A switch or host, identified by (tier, pod, index).
 
     Core switches carry no pod (index is global); edge/aggregate switches and
     hosts are indexed within their pod. The single hub switch of a star
-    topology also carries no pod.
+    topology also carries no pod. As a tuple it hashes and compares in C.
     """
 
     tier: str  # HOST, EDGE, AGG or CORE
     pod: Optional[int]
-    index: int
-
-    def __post_init__(self):
-        # the dataclass hash, computed once for the many table lookups
-        object.__setattr__(self, "_hash", hash((self.tier, self.pod, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not copied: another process may hash strings differently
-        return NodeId, (self.tier, self.pod, self.index)
+    index: int  # shadows `tuple.index`, which nothing calls
 
     @property
     def label(self) -> str:
@@ -95,10 +83,10 @@ class Path:
     hops: tuple[Link, ...]
     agg_index: Optional[int]
     core_index: Optional[int]
+    link_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def link_ids(self) -> tuple[int, ...]:
-        return tuple(l.id for l in self.hops)
+    def __post_init__(self):
+        object.__setattr__(self, "link_ids", tuple(l.id for l in self.hops))
 
     @functools.cached_property
     def uplink_id(self) -> Optional[int]:
@@ -139,7 +127,7 @@ class Topology:
         self.nodes = tuple(nodes)
         self.links = tuple(links)
         # checked once here, not by each run; the walk only on failure
-        if not all(map(POSITIVE.holds, (l.capacity for l in self.links))):
+        if not all(map(POSITIVE.passes, (l.capacity for l in self.links))):
             for l in self.links:
                 POSITIVE.check(f"link {l.id}: capacity", l.capacity,
                                TopologyError)

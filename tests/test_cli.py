@@ -474,6 +474,16 @@ def test_config_rejects_non_finite_fields(field):
             ExperimentConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field,value,text", [
+    ("capacity", None, "finite and > 0"), ("alpha", "0.5", "finite and >= 0"),
+    ("rho_cap", None, "finite and in (0, 1)"),
+    ("arrival_rate", "2", "finite and > 0")])
+def test_config_fails_a_value_its_rule_cannot_compare(field, value, text):
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig(**{field: value}).validate()
+    assert str(raised.value) == f"{field}: must be {text}, got {value!r}"
+
+
 @pytest.mark.parametrize("field,text", [("elephants", "an integer >= 0"),
                                         ("k", "an even integer >= 2")])
 def test_integer_fields_reject_booleans(field, text):

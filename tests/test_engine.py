@@ -483,7 +483,7 @@ def test_engine_rejects_bad_duration(value):
         run_engine(flows, topo=topo)
 
 
-@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0, None, "1e7"])
 def test_engine_rejects_a_bad_link_capacity(value):
     # a link on the first elephant's path, where a capacity of 0 would
     # divide by zero at its arrival; the topology refuses it when it is
@@ -740,6 +740,28 @@ def test_engine_checks_each_flow_field_by_its_declared_rule(field, value):
         f"flow 1: {field} must be {FLOW_RULES[field].text}, got {value!r}")
 
 
+def test_a_value_a_rule_cannot_compare_fails_it_naming_the_flow():
+    topo = build_fat_tree(4, 10e6)
+    with pytest.raises(EngineError) as raised:
+        Engine(topo, SchedulerKind("ecmp"),
+               [Flow(0, topo.hosts[0], topo.hosts[15], None, 0.0, None)], 5.0)
+    assert str(raised.value) == \
+        "flow 0: demand must be finite and > 0, got None"
+
+
+@pytest.mark.parametrize("field,value", [
+    (name, value) for name, rule in FLOW_RULES.items()
+    for value in (None, "1.0") if not rule.passes(value)])
+def test_engine_fails_a_flow_field_its_rule_cannot_compare(field, value):
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), mouse(1, topo, 1.0, src=1, dst=14)]
+    flows[1] = dataclasses.replace(flows[1], **{field: value})
+    with pytest.raises(EngineError) as raised:
+        run_engine(flows, topo=topo)
+    assert str(raised.value) == (
+        f"flow 1: {field} must be {FLOW_RULES[field].text}, got {value!r}")
+
+
 def test_a_flow_with_a_period_is_probed_and_one_without_takes_a_rate():
     topo = build_fat_tree(4, 10e6)
     m = mouse(1, topo, 0.5, src=1, dst=14)
@@ -792,7 +814,9 @@ def test_engine_rejects_a_flow_to_itself():
     ("detection_threshold", math.nan),
     ("base_hop_latency", -50e-6), ("base_hop_latency", math.nan),
     ("queuing_scale", -1.0), ("queuing_scale", math.inf),
-    ("rho_cap", 1.0), ("rho_cap", 1.5), ("rho_cap", 0.0), ("rho_cap", math.nan)])
+    ("rho_cap", 1.0), ("rho_cap", 1.5), ("rho_cap", 0.0), ("rho_cap", math.nan),
+    ("poll_interval", None), ("queuing_scale", "1e-3"), ("rho_cap", None),
+    ("rho_cap", "0.5")])
 def test_engine_params_reject_bad_values(field, value):
     with pytest.raises(EngineError, match=f"^{field} must be finite"):
         EngineParams(**{field: value})
@@ -854,11 +878,19 @@ class RecordingEngine(Engine):
 
 class EagerEngine(Engine):
     """Integrates at every clock move: at every event, probes included, when
-    driven by `step_through`."""
+    driven by `step_through`. Each flow's bits and each link's offered-load
+    integral then stand at the clock, so the engine's own lazy pieces add
+    nothing."""
 
     def _advance(self, t):
+        dt = t - self.clock
         super()._advance(t)
-        self._integrate()
+        for st in self._routed.values():
+            st.bits += st.achieved_rate * dt
+            st.since = t
+        for lid, load in enumerate(self.offered):
+            self._offered_integral[lid] += load * dt
+            self._offered_since[lid] = t
 
 
 def step_through(eng):
@@ -1019,6 +1051,83 @@ def test_probe_links_follow_a_moved_path():
     assert rtts[0] == rtts[2] > rtts[1]
 
 
+def test_a_resolve_that_keeps_a_rate_keeps_its_bits_and_since(monkeypatch):
+    # three 4 Mb/s flows out of host 0: two fit in its 10 Mb/s uplink, the
+    # third splits it three ways
+    topo = build_fat_tree(4, 10e6)
+    eng = run_engine([elephant(i, topo, demand=4e6, start=0.25 * i, dst=1 + i)
+                      for i in range(3)], topo=topo)
+    solved = []
+    watch_fills(monkeypatch, eng, lambda d, p, m, r: solved.append(sorted(d)))
+    eng.step()
+    st = eng.active[0]
+    assert (st.achieved_rate, st.bits, st.since) == (4e6, 0.0, 0.0)
+    eng.step()
+    assert solved[-1] == [0, 1]
+    assert (st.achieved_rate, st.bits, st.since) == (4e6, 0.0, 0.0)
+    eng.step()
+    assert solved[-1] == [0, 1, 2]
+    shared = st.achieved_rate
+    assert shared < 4e6
+    assert (st.bits, st.since) == (4e6 * 0.5, 0.5)
+    assert eng.step()["type"] == "poll"
+    assert (st.bits, st.since) == (0.0, 1.0)
+    assert st.round_bits == 4e6 * 0.5 + shared * (1.0 - 0.5)
+
+
+class SnapshotEveryPollEngine(Engine):
+    """Rebuilds the poll snapshot at every poll, quiet or not: the reference
+    for quiet polls' reuse."""
+
+    def _on_poll(self):
+        self._polled_epoch = None  # no epoch: the snapshot is stale
+        return super()._on_poll()
+
+
+def snapshot_bits(eng):
+    return (array("d", eng.util_sums + eng.polled_residual).tobytes(),
+            eng.polled_elephants)
+
+
+def check_quiet_polls(eng, ref):
+    """Step `eng` and `ref` in lockstep; the number of quiet polls, and of
+    those that classified a flow."""
+    quiet = classifying = 0
+    while eng.pending_events():
+        is_quiet = eng._polled_epoch == eng._epoch
+        record = eng.step()
+        assert record == ref.step()
+        assert snapshot_bits(eng) == snapshot_bits(ref)
+        if record["type"] == "poll" and is_quiet:
+            quiet += 1
+            classifying += bool(record["classified"])
+    assert not ref.pending_events()
+    return quiet, classifying
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_quiet_polls_match_a_snapshot_at_every_poll(scheduler, config):
+    quiet, _ = check_quiet_polls(
+        *(default_engine(cls, scheduler, **CONFIGS[config])
+          for cls in (Engine, SnapshotEveryPollEngine)))
+    assert quiet > 0
+
+
+def test_a_quiet_poll_that_classifies_copies_the_elephant_counts():
+    # 60 kb/s from t=0.5: 30 kb by the first poll, under the 50 kb/s
+    # threshold, then 60 kb by the second, which no re-solve precedes
+    topo = build_fat_tree(4, 10e6)
+    engines = [cls(topo, SchedulerKind("hybrid"),
+                   [elephant(0, topo, demand=60e3, start=0.5)], horizon=3.0)
+               for cls in (Engine, SnapshotEveryPollEngine)]
+    assert check_quiet_polls(*engines) == (2, 1)
+    eng = engines[0]
+    assert [rec["classified"] for rec in eng.event_log
+            if rec["type"] == "poll"] == [[], [0], []]
+    assert sum(eng.polled_elephants) == len(eng.active[0].path.link_ids)
+
+
 # -- incremental re-solve against a full re-solve ------------------------------
 
 class FullResolveEngine(Engine):
@@ -1036,7 +1145,7 @@ class FullResolveEngine(Engine):
         rates = waterfill(demands, paths, caps)
         allocated, offered, bis = [0.0] * nlinks, [0.0] * nlinks, 0.0
         for fid, links in paths.items():
-            self.active[fid].achieved_rate = rates[fid]
+            self._set_rate(self.active[fid], rates[fid])
             for lid in links:
                 allocated[lid] += rates[fid]
                 offered[lid] += demands[fid]
@@ -1044,6 +1153,9 @@ class FullResolveEngine(Engine):
                 bis += rates[fid]
         for lid in range(nlinks):
             if offered[lid] != self.offered[lid]:
+                self._offered_integral[lid] += self.offered[lid] * (
+                    self.clock - self._offered_since[lid])
+                self._offered_since[lid] = self.clock
                 self._probe_keep[lid] = 1.0 - link_loss_probability(
                     offered[lid], self._cap[lid])
                 self._probe_delay[lid] = traversal_delay(

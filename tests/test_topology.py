@@ -312,6 +312,20 @@ def test_node_id_hash_is_the_field_tuple_hash_and_survives_pickling():
             assert twin.label == n.label
 
 
+def test_node_ids_of_two_builds_are_equal_hash_equal_and_immutable():
+    first, second = build_fat_tree(4, 10e6), build_fat_tree(4, 10e6)
+    for a, b in zip(first.nodes, second.nodes):
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a == (a.tier, a.pod, a.index)
+        for name in ("tier", "pod", "index"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+    # a node of one build finds its entry in another build's tables
+    assert set(first.nodes) == set(second.nodes)
+    assert [second.host_number(h) for h in first.hosts] == \
+        list(range(len(first.hosts)))
+
+
 # -- the per-rank reads that dispatch uses, against the materialised paths ---
 
 def bits(x):
@@ -346,6 +360,8 @@ def test_candidate_reads_match_the_materialised_paths_for_every_pair(build, k):
             assert count == len(want)
             got = [t.path_at(src, dst, r) for r in range(count)]
             assert got == want
+            for p in got:
+                assert p.link_ids == tuple(l.id for l in p.hops)
             # built once: the materialising call hands out the same objects
             assert all(a is b for a, b in zip(t.equal_cost_paths(src, dst), got))
             # what lets dispatch break ties on rank
