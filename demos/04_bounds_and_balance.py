@@ -3,28 +3,29 @@
 Run: python demos/04_bounds_and_balance.py
 """
 
+import math
+
 from fatflow import build_fat_tree
-from fatflow.metrics import (aggregate_load, edge_load_distribution,
-                             latency_proxies, load_balance_efficiency,
-                             throughput_bounds)
+from fatflow.metrics import load_bounds
 
 topo = build_fat_tree(4, 10e6)
 Mbps = 1e6
 
 
 def show(name, loads):
-    edges = edge_load_distribution(topo, loads)
-    aggs = aggregate_load(topo, loads)
-    t_max, t_min = throughput_bounds(topo, loads)
-    l_max, l_min = latency_proxies(t_max, t_min)
-    eff = load_balance_efficiency(topo, loads)
+    b = load_bounds(topo, loads)
+    # an unbounded proxy is None in the report; print it as inf
+    l_max, l_min = (math.inf if b[key] is None else b[key]
+                    for key in ("l_max_proxy", "l_min_proxy"))
+    edges, aggs = ([round(v / Mbps, 2) for v in b[key]]
+                   for key in ("per_edge_load_bps", "per_agg_load_bps"))
     print(f"{name}:")
-    print(f"  per-edge load/paths : {[round(v / Mbps, 2) for v in edges]} Mb/s")
-    print(f"  per-aggregate load  : {[round(v / Mbps, 2) for v in aggs]} Mb/s")
-    print(f"  throughput bounds   : best {t_max / Mbps:.1f} Mb/s, "
-          f"worst {t_min / Mbps:.1f} Mb/s")
+    print(f"  per-edge load/paths : {edges} Mb/s")
+    print(f"  per-aggregate load  : {aggs} Mb/s")
+    print(f"  throughput bounds   : best {b['t_max_bps'] / Mbps:.1f} Mb/s, "
+          f"worst {b['t_min_bps'] / Mbps:.1f} Mb/s")
     print(f"  latency proxies     : {l_max:.3g} / {l_min:.3g}  (1/throughput)")
-    print(f"  balance efficiency  : {eff:.4f}\n")
+    print(f"  balance efficiency  : {b['balance_efficiency']:.4f}\n")
 
 
 # perfectly balanced: every edge spreads 8 Mb/s evenly over its two uplinks

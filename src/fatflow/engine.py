@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE, check_fields, setting
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
-                         hedera_period_polls, hedera_schedule)
+                         hedera_period_polls, hedera_schedule, layout_for)
 from .topology import Path, Topology
 from .traffic import ELEPHANT, MICE, Flow, crosses_bisection, even_count
 
@@ -271,6 +271,10 @@ class Engine:
                  params: EngineParams = EngineParams(), seed: int = 0,
                  log_events: bool = True):
         POSITIVE.check("horizon", horizon, EngineError)
+        layout = layout_for(scheduler.name)
+        if topo.layout != layout:
+            raise EngineError(f"scheduler: {scheduler.name!r} runs on the "
+                              f"{layout!r} layout, got {topo.layout!r}")
         self.topology = topo
         self.scheduler = scheduler
         self.horizon = horizon

@@ -32,7 +32,7 @@ from . import metrics
 from .engine import Engine, EngineParams
 from .rules import (EVEN_K, NON_EMPTY, POSITIVE, check_fields, distinct_list,
                     setting, setting_of)
-from .schedulers import ECMP, HYBRID, NONBLOCKING, SCHEDULER, SchedulerKind
+from .schedulers import ECMP, HYBRID, SCHEDULER, SchedulerKind, layout_for
 from .topology import Topology, build_fat_tree, build_nonblocking
 from .traffic import WorkloadSpec, generate_workload
 
@@ -108,13 +108,8 @@ class ExperimentConfig:
         return self._build(EngineParams)
 
 
-def _layout(scheduler: str) -> str:
-    """The `Topology.layout` that `scheduler` runs on."""
-    return "star" if scheduler == NONBLOCKING else "fat-tree"
-
-
 def build_topology(config: ExperimentConfig, scheduler: str) -> Topology:
-    if _layout(scheduler) == "star":
+    if layout_for(scheduler) == "star":
         return build_nonblocking(config.k, config.capacity)
     return build_fat_tree(config.k, config.capacity)
 
@@ -132,7 +127,7 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
     if topo is None:
         topo = build_topology(config, scheduler)
     for name, want in (("k", config.k), ("link_capacity", config.capacity),
-                       ("layout", _layout(scheduler))):
+                       ("layout", layout_for(scheduler))):
         if getattr(topo, name) != want:
             raise ConfigError(f"topo: {name} must be {want!r} for this run, "
                               f"got {getattr(topo, name)!r}")
@@ -141,13 +136,6 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
                     horizon=config.duration, params=config.engine_params(),
                     seed=seed, log_events=config.write_events)
     return engine.run()
-
-
-def _json_float(x: Optional[float]) -> Optional[float]:
-    # JSON has no Infinity; None marks an unbounded proxy
-    if x is None or math.isinf(x):
-        return None
-    return x
 
 
 def run_report(engine: Engine) -> dict:
@@ -160,12 +148,8 @@ def run_report(engine: Engine) -> dict:
     util_vector = [s / polls for s in engine.util_sums] if polls else None
     cdf = metrics.utilization_cdf(util_vector) if polls else None
     loss, rtt_dev = metrics.mice_loss_and_rtt(rtts) if rtts else (None, None)
-    mice = {"probes": len(rtts), "delivered": sum(r is not None for r in rtts),
+    mice = {"probes": len(rtts), "delivered": len(rtts) - rtts.count(None),
             "loss": loss, "rtt_mean_deviation_s": rtt_dev}
-
-    offered = engine.mean_offered_by_link()
-    t_max, t_min = metrics.throughput_bounds(topo, offered)
-    l_max, l_min = metrics.latency_proxies(t_max, t_min)
     return {
         "schema_version": SCHEMA_VERSION,
         "scheduler": engine.scheduler.name,
@@ -187,15 +171,7 @@ def run_report(engine: Engine) -> dict:
             "port_stat_reads": engine.port_stat_reads,
             "uplink_stat_reads": engine.uplink_stat_reads,
         },
-        "bounds": {
-            "t_max_bps": t_max,
-            "t_min_bps": t_min,
-            "l_max_proxy": _json_float(l_max),
-            "l_min_proxy": _json_float(l_min),
-            "balance_efficiency": metrics.load_balance_efficiency(topo, offered),
-            "per_edge_load_bps": metrics.edge_load_distribution(topo, offered),
-            "per_agg_load_bps": metrics.aggregate_load(topo, offered),
-        },
+        "bounds": metrics.load_bounds(topo, engine.mean_offered_by_link()),
     }
 
 

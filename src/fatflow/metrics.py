@@ -8,83 +8,57 @@ utilization means, probe RTTs, and the per-event throughput series.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .rules import POSITIVE
 from .topology import Topology
 
 
-def edge_upstream_loads(topo: Topology, link_loads: Mapping[int, float]) -> list[float]:
-    """Total load each edge switch pushes upward, in edge order."""
-    return [
-        ordered_sum(link_loads.get(lid, 0.0) for lid in topo.edge_uplink_ids(e))
-        for e in topo.edge_switches
-    ]
+def load_bounds(topo: Topology, link_loads: Mapping[int, float]) -> dict:
+    """A report's `bounds` block, from a per-link load map.
 
-
-def edge_load_distribution(topo: Topology, link_loads: Mapping[int, float]) -> list[float]:
-    """Per-edge upstream load divided by the k/2 upstream paths of the edge."""
-    paths = topo.k // 2
-    return [load / paths for load in edge_upstream_loads(topo, link_loads)]
-
-
-def aggregate_load(topo: Topology, link_loads: Mapping[int, float]) -> list[float]:
-    """Per-aggregate sum of incoming edge loads over the k/2 paths, agg order."""
-    paths = topo.k // 2
-    return [
-        ordered_sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a)) / paths
-        for a in topo.agg_switches
-    ]
-
-
-def throughput_bounds(topo: Topology, link_loads: Mapping[int, float]) -> tuple[float, float]:
-    """(best-case, worst-case) throughput from the per-edge load split.
-
-    Best case spreads every edge's load over its paths and sums; worst case
-    is pinned by the least-loaded edge, idle edges included.
-    """
-    dist = edge_load_distribution(topo, link_loads)
-    if not dist:
-        return 0.0, 0.0
-    return ordered_sum(dist), min(dist)
-
-
-def latency_proxies(t_max: float, t_min: float) -> tuple[float, float]:
-    """Reciprocal-throughput latency proxies; inf flags an unbounded proxy.
-
-    These are coarse stand-ins reported alongside measured probe RTT, never
-    in place of it.
-    """
-    l_max = 1.0 / t_max if t_max > 0 else math.inf
-    l_min = 1.0 / t_min if t_min > 0 else math.inf
-    return l_max, l_min
-
-
-def load_balance_efficiency(topo: Topology, link_loads: Mapping[int, float]) -> float:
-    """How close each pod's aggregate uplink loads sit to a perfect 1/P split.
-
-    1.0 means every aggregate of every pod carries exactly its fair share of
-    the pod's edge load; an idle pod counts as balanced. Pods are averaged
-    and the result clamped to [0, 1].
+    Each edge switch's upstream links and each aggregate's incoming edge
+    links are summed once, in link-id order, and every field comes from
+    those sums. The per-edge and per-aggregate loads are the sums over the
+    k/2 paths. The best-case throughput sums the per-edge loads; the worst
+    case is pinned by the least-loaded edge, idle edges included. The
+    latency proxies are their reciprocals, None when unbounded; they are
+    coarse stand-ins reported alongside measured probe RTT, never in place
+    of it. Balance efficiency says how close each pod's aggregate loads sit
+    to a perfect 1/P split: 1.0 when every aggregate carries its fair share
+    of its pod's load, an idle pod counting as balanced; pods are averaged
+    in ascending order and the result clamped to [0, 1].
     """
     half = topo.k // 2
-    pods = sorted({a.pod for a in topo.agg_switches})
+    get = link_loads.get
+    per_edge = [ordered_sum(get(lid, 0.0) for lid in topo.edge_uplink_ids(e)) / half
+                for e in topo.edge_switches]
+    per_agg = []
+    pods: dict[int, list[float]] = {}
+    for a in topo.agg_switches:
+        load = ordered_sum(get(lid, 0.0) for lid in topo.agg_inlink_ids(a))
+        per_agg.append(load / half)
+        pods.setdefault(a.pod, []).append(load)
     per_pod = []
-    for pod in pods:
-        aggs = [a for a in topo.agg_switches if a.pod == pod]
-        agg_loads = [
-            ordered_sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a))
-            for a in aggs
-        ]
-        total = ordered_sum(agg_loads)
+    for pod in sorted(pods):
+        total = ordered_sum(pods[pod])
         if total <= 0:
             per_pod.append(1.0)
             continue
-        dev = ordered_sum((load / total - 1.0 / half) ** 2 for load in agg_loads)
+        dev = ordered_sum((load / total - 1.0 / half) ** 2 for load in pods[pod])
         per_pod.append(1.0 - dev / half)
     eff = ordered_sum(per_pod) / len(per_pod) if per_pod else 1.0
-    return min(1.0, max(0.0, eff))
+    t_max, t_min = ordered_sum(per_edge), min(per_edge, default=0.0)
+    return {
+        "t_max_bps": t_max,
+        "t_min_bps": t_min,
+        # JSON has no Infinity
+        "l_max_proxy": 1.0 / t_max if t_max > 0 else None,
+        "l_min_proxy": 1.0 / t_min if t_min > 0 else None,
+        "balance_efficiency": min(1.0, max(0.0, eff)),
+        "per_edge_load_bps": per_edge,
+        "per_agg_load_bps": per_agg,
+    }
 
 
 def bisection_bandwidth(series: Sequence[tuple[float, float]],

@@ -33,6 +33,12 @@ SCHEDULER = one_of(SCHEDULER_NAMES)
 
 HEDERA_PERIOD_S = 5.0  # Hedera's scheduling period
 
+
+def layout_for(scheduler: str) -> str:
+    """The `Topology.layout` that `scheduler` runs on."""
+    return "star" if scheduler == NONBLOCKING else "fat-tree"
+
+
 MECH_PROACTIVE = "proactive-ecmp"
 MECH_CONTROLLER = "controller"
 
@@ -321,11 +327,6 @@ def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
     passes hop count 0 and the rank as the order.
     """
     topo: Topology = state.topology
-    if kind.name == NONBLOCKING and topo.layout != "star":
-        raise SchedulerError(
-            "non-blocking selection requires the star topology, "
-            f"got layout {topo.layout!r}")
-
     src, dst = flow.src, flow.dst
     policy = None
     if kind.name == HEDERA:

@@ -1,4 +1,10 @@
 import re
+import sys
+from pathlib import Path
+
+# this tree's package, behind whatever PYTHONPATH names: a run with
+# PYTHONPATH=<another checkout>/src tests that checkout's fatflow
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 _ACCEPTANCE = {}
 

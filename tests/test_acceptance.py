@@ -122,24 +122,27 @@ def test_criterion_5_balance_efficiency():
     start = time.time()
     topo = build_fat_tree(4, 10e6)
 
+    def efficiency(loads):
+        return metrics.load_bounds(topo, loads)["balance_efficiency"]
+
     balanced = {}
     for a in topo.agg_switches:
         for lid in topo.agg_inlink_ids(a):
             balanced[lid] = 3e6
-    assert abs(metrics.load_balance_efficiency(topo, balanced) - 1.0) <= 1e-9
+    assert abs(efficiency(balanced) - 1.0) <= 1e-9
 
     lopsided = {lid: 5e6 for lid in topo.agg_inlink_ids(topo.agg_switches[0])}
     # loaded pod: 1 - ((1/2)^2 + (1/2)^2) / 2 = 0.75; idle pods count as 1
     want = (0.75 + 3.0) / 4
-    assert abs(metrics.load_balance_efficiency(topo, lopsided) - want) <= 1e-9
+    assert abs(efficiency(lopsided) - want) <= 1e-9
 
     rng = random.Random(5)
     loads = {lid: rng.uniform(0, 10e6)
              for a in topo.agg_switches for lid in topo.agg_inlink_ids(a)}
-    base = metrics.load_balance_efficiency(topo, loads)
+    base = efficiency(loads)
     for c in (2.0, 0.25, 8.0):
         scaled = {lid: v * c for lid, v in loads.items()}
-        assert metrics.load_balance_efficiency(topo, scaled) == pytest.approx(base)
+        assert efficiency(scaled) == pytest.approx(base)
     assert time.time() - start < 1.0
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fatflow import metrics
 from fatflow.engine import Engine
 from fatflow.schedulers import SchedulerKind
-from fatflow.topology import build_fat_tree
+from fatflow.topology import build_fat_tree, build_nonblocking
 from fatflow.traffic import Flow
 
 
@@ -26,14 +26,29 @@ def loads_for_flow(topo, src_idx, dst_idx, demand, core=0):
     return {lid: demand for lid in path.link_ids}
 
 
+def bound(key):
+    """The `load_bounds` field `key`, as a function of (topo, loads)."""
+    return lambda topo, loads: metrics.load_bounds(topo, loads)[key]
+
+
+edge_loads = bound("per_edge_load_bps")
+agg_loads = bound("per_agg_load_bps")
+efficiency = bound("balance_efficiency")
+
+
+def throughput(topo, loads):
+    b = metrics.load_bounds(topo, loads)
+    return b["t_max_bps"], b["t_min_bps"]
+
+
 def test_edge_loads_zero_when_idle(k4):
-    assert metrics.edge_load_distribution(k4, {}) == [0.0] * 8
-    assert metrics.aggregate_load(k4, {}) == [0.0] * 8
+    assert edge_loads(k4, {}) == [0.0] * 8
+    assert agg_loads(k4, {}) == [0.0] * 8
 
 
 def test_edge_load_single_flow(k4):
     loads = loads_for_flow(k4, 0, 15, 10e6)
-    dist = metrics.edge_load_distribution(k4, loads)
+    dist = edge_loads(k4, loads)
     assert dist[0] == 5e6  # 10 Mb/s over the edge's 2 upstream paths
     assert all(v == 0.0 for v in dist[1:])
 
@@ -43,14 +58,14 @@ def test_edge_load_uniform_symmetry(k4):
     for e in k4.edge_switches:
         for lid in k4.edge_uplink_ids(e):
             loads[lid] = 3e6
-    dist = metrics.edge_load_distribution(k4, loads)
+    dist = edge_loads(k4, loads)
     assert all(v == pytest.approx(dist[0]) for v in dist)
     assert dist[0] == pytest.approx(2 * 3e6 / 2)
 
 
 def test_aggregate_load_single_flow(k4):
     loads = loads_for_flow(k4, 0, 15, 10e6, core=0)
-    agg = metrics.aggregate_load(k4, loads)
+    agg = agg_loads(k4, loads)
     assert agg[0] == 5e6  # src-pod aggregate 0 carries it, divided by P=2
     assert sum(1 for v in agg if v > 0) == 1
 
@@ -61,11 +76,11 @@ def test_aggregate_load_uniform_case(k4):
     for a in k4.agg_switches:
         for lid in k4.agg_inlink_ids(a):
             loads[lid] = 4e6
-    agg = metrics.aggregate_load(k4, loads)
+    agg = agg_loads(k4, loads)
     assert max(agg) - min(agg) <= 1e-9
-    edge = metrics.edge_load_distribution(k4, loads)
+    edge = edge_loads(k4, loads)
     assert max(edge) - min(edge) <= 1e-9
-    assert metrics.load_balance_efficiency(k4, loads) == pytest.approx(1.0, abs=1e-9)
+    assert efficiency(k4, loads) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_throughput_bounds_uniform(k4):
@@ -73,7 +88,7 @@ def test_throughput_bounds_uniform(k4):
     for e in k4.edge_switches:
         for lid in k4.edge_uplink_ids(e):
             loads[lid] = 5e6
-    t_max, t_min = metrics.throughput_bounds(k4, loads)
+    t_max, t_min = throughput(k4, loads)
     assert t_max == pytest.approx(8 * 10e6 / 2)
     assert t_min == pytest.approx(10e6 / 2)
     assert t_min <= t_max
@@ -81,24 +96,30 @@ def test_throughput_bounds_uniform(k4):
 
 def test_throughput_bounds_single_loaded_edge(k4):
     loads = loads_for_flow(k4, 0, 15, 10e6)
-    t_max, t_min = metrics.throughput_bounds(k4, loads)
+    t_max, t_min = throughput(k4, loads)
     assert t_max == 5e6
     assert t_min == 0.0  # idle edges included
 
 
 def test_throughput_bounds_idle(k4):
-    assert metrics.throughput_bounds(k4, {}) == (0.0, 0.0)
+    assert throughput(k4, {}) == (0.0, 0.0)
 
 
 def test_latency_proxies():
-    l_max, l_min = metrics.latency_proxies(80e6, 40e6)
+    # k = 2: two edges, one uplink each, so per-edge loads are the link loads
+    k2 = build_fat_tree(2, 10e6)
+    a, b = (k2.edge_uplink_ids(e)[0] for e in k2.edge_switches)
+
+    def proxies(loads):
+        got = metrics.load_bounds(k2, loads)
+        return got["l_max_proxy"], got["l_min_proxy"]
+
+    l_max, l_min = proxies({a: 40e6, b: 40e6})  # t_max 80 Mb/s, t_min 40 Mb/s
     assert l_max == pytest.approx(1 / 80e6)
     assert l_min == pytest.approx(1 / 40e6)
     assert l_max <= l_min
-    assert metrics.latency_proxies(80e6, 0.0)[1] == math.inf
-    assert metrics.latency_proxies(0.0, 0.0) == (math.inf, math.inf)
-    equal = metrics.latency_proxies(5e6, 5e6)
-    assert equal[0] == equal[1]
+    assert proxies({a: 80e6}) == (1 / 80e6, None)  # None: unbounded
+    assert proxies({}) == (None, None)
 
 
 def test_balance_efficiency_perfect(k4):
@@ -106,7 +127,7 @@ def test_balance_efficiency_perfect(k4):
     for a in k4.agg_switches:
         for lid in k4.agg_inlink_ids(a):
             loads[lid] = 2e6
-    assert metrics.load_balance_efficiency(k4, loads) == pytest.approx(1.0, abs=1e-9)
+    assert efficiency(k4, loads) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_balance_efficiency_all_on_one_aggregate(k4):
@@ -119,21 +140,21 @@ def test_balance_efficiency_all_on_one_aggregate(k4):
     # deviations (1 - 1/2)^2 + (0 - 1/2)^2 = 1/2, over k/2 = 2 -> 0.75;
     # the three idle pods average in at 1.0
     want = (0.75 + 3 * 1.0) / 4
-    assert metrics.load_balance_efficiency(k4, loads) == pytest.approx(want, abs=1e-9)
+    assert efficiency(k4, loads) == pytest.approx(want, abs=1e-9)
 
 
 def test_balance_efficiency_scale_invariant(k4):
     rng = random.Random(8)
     loads = {lid: rng.uniform(0, 10e6)
              for a in k4.agg_switches for lid in k4.agg_inlink_ids(a)}
-    base = metrics.load_balance_efficiency(k4, loads)
+    base = efficiency(k4, loads)
     for c in (2.0, 0.5, 10.0):
         scaled = {lid: v * c for lid, v in loads.items()}
-        assert metrics.load_balance_efficiency(k4, scaled) == pytest.approx(base)
+        assert efficiency(k4, scaled) == pytest.approx(base)
 
 
 def test_balance_efficiency_idle_is_one(k4):
-    assert metrics.load_balance_efficiency(k4, {}) == 1.0
+    assert efficiency(k4, {}) == 1.0
 
 
 def test_balance_efficiency_clamped(k4):
@@ -141,7 +162,110 @@ def test_balance_efficiency_clamped(k4):
     for _ in range(50):
         loads = {lid: rng.choice([0.0, 0.0, rng.uniform(0, 20e6)])
                  for a in k4.agg_switches for lid in k4.agg_inlink_ids(a)}
-        assert 0.0 <= metrics.load_balance_efficiency(k4, loads) <= 1.0
+        assert 0.0 <= efficiency(k4, loads) <= 1.0
+
+
+# -- `load_bounds` against the separate functions it replaced ---------------------
+
+def ref_edge_upstream_loads(topo, link_loads):
+    return [
+        metrics.ordered_sum(link_loads.get(lid, 0.0) for lid in topo.edge_uplink_ids(e))
+        for e in topo.edge_switches
+    ]
+
+
+def ref_edge_load_distribution(topo, link_loads):
+    paths = topo.k // 2
+    return [load / paths for load in ref_edge_upstream_loads(topo, link_loads)]
+
+
+def ref_aggregate_load(topo, link_loads):
+    paths = topo.k // 2
+    return [
+        metrics.ordered_sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a))
+        / paths
+        for a in topo.agg_switches
+    ]
+
+
+def ref_throughput_bounds(topo, link_loads):
+    dist = ref_edge_load_distribution(topo, link_loads)
+    if not dist:
+        return 0.0, 0.0
+    return metrics.ordered_sum(dist), min(dist)
+
+
+def ref_latency_proxies(t_max, t_min):
+    l_max = 1.0 / t_max if t_max > 0 else math.inf
+    l_min = 1.0 / t_min if t_min > 0 else math.inf
+    return l_max, l_min
+
+
+def ref_load_balance_efficiency(topo, link_loads):
+    half = topo.k // 2
+    pods = sorted({a.pod for a in topo.agg_switches})
+    per_pod = []
+    for pod in pods:
+        aggs = [a for a in topo.agg_switches if a.pod == pod]
+        agg_loads = [
+            metrics.ordered_sum(link_loads.get(lid, 0.0) for lid in topo.agg_inlink_ids(a))
+            for a in aggs
+        ]
+        total = metrics.ordered_sum(agg_loads)
+        if total <= 0:
+            per_pod.append(1.0)
+            continue
+        dev = metrics.ordered_sum((load / total - 1.0 / half) ** 2 for load in agg_loads)
+        per_pod.append(1.0 - dev / half)
+    eff = metrics.ordered_sum(per_pod) / len(per_pod) if per_pod else 1.0
+    return min(1.0, max(0.0, eff))
+
+
+def ref_json_float(x):
+    if x is None or math.isinf(x):
+        return None
+    return x
+
+
+def ref_bounds(topo, offered):
+    """The `bounds` block as reports built it from the separate functions."""
+    t_max, t_min = ref_throughput_bounds(topo, offered)
+    l_max, l_min = ref_latency_proxies(t_max, t_min)
+    return {
+        "t_max_bps": t_max,
+        "t_min_bps": t_min,
+        "l_max_proxy": ref_json_float(l_max),
+        "l_min_proxy": ref_json_float(l_min),
+        "balance_efficiency": ref_load_balance_efficiency(topo, offered),
+        "per_edge_load_bps": ref_edge_load_distribution(topo, offered),
+        "per_agg_load_bps": ref_aggregate_load(topo, offered),
+    }
+
+
+def random_load_maps(topo, rng, n):
+    """Idle, one-aggregate pileup, then `n` random maps over every link:
+    dense, sparse with zeros, and on the aggregate in-links only."""
+    yield {}
+    if topo.agg_switches:
+        yield {lid: 8e6 for lid in topo.agg_inlink_ids(topo.agg_switches[0])}
+    ids = [l.id for l in topo.links]
+    agg_in = [lid for a in topo.agg_switches for lid in topo.agg_inlink_ids(a)]
+    for i in range(n):
+        pool = agg_in if i % 3 == 2 and agg_in else ids
+        zero_share = 0.0 if i % 3 == 0 else 0.7
+        yield {lid: 0.0 if rng.random() < zero_share
+               else rng.uniform(0, topo.link_capacity) for lid in pool}
+
+
+@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
+                                     (build_fat_tree, 6), (build_fat_tree, 8),
+                                     (build_nonblocking, 4)])
+def test_load_bounds_matches_the_separate_functions_bit_for_bit(build, k):
+    topo = build(k, 10e6)
+    rng = random.Random(k)
+    for loads in random_load_maps(topo, rng, 60):
+        # repr tells every two floats apart, 0.0 and -0.0 included
+        assert repr(metrics.load_bounds(topo, loads)) == repr(ref_bounds(topo, loads))
 
 
 def test_bisection_bandwidth_series():
@@ -157,7 +281,6 @@ def test_bisection_bandwidth_none():
 
 def test_bisection_bandwidth_uncontended_sum():
     # 8 host pairs crossing the bisection with no shared links: 80 Mb/s
-    from fatflow.topology import build_nonblocking
     star = build_nonblocking(4, 10e6)
     flows = [Flow(i, star.hosts[i], star.hosts[8 + i], 10e6, 0.0, None)
              for i in range(8)]

@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from fatflow import engine as engine_module
-from fatflow.engine import Engine
+from fatflow.engine import Engine, EngineError
 from fatflow.experiment import ExperimentConfig, build_topology, run_experiment
-from fatflow.schedulers import (HEDERA, HEDERA_GFF, HYBRID, HYBRID_SCALAR,
+from fatflow.schedulers import (ECMP, HEDERA, HEDERA_GFF, HYBRID, HYBRID_SCALAR,
                                 MECH_CONTROLLER, MECH_PROACTIVE,
                                 SCHEDULER_NAMES, PathView, SchedulerError,
                                 SchedulerKind, dispatch, estimate_demands,
@@ -397,11 +397,20 @@ def test_non_blocking_unique_path():
 
 
 def test_non_blocking_rejects_fat_tree(k4):
-    kind = SchedulerKind("nonblocking")
-    eng = Engine(k4, kind, [], horizon=1.0, seed=0)
-    f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
-    with pytest.raises(SchedulerError, match="requires the star topology"):
-        dispatch(eng, f, kind)
+    # refused when the engine is built, not when the first flow arrives
+    late = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 2.5, None)
+    for flows in ([], [late]):
+        with pytest.raises(EngineError, match="scheduler: 'nonblocking' runs "
+                           "on the 'star' layout, got 'fat-tree'"):
+            Engine(k4, SchedulerKind("nonblocking"), flows, horizon=5.0, seed=0)
+
+
+@pytest.mark.parametrize("name", [ECMP, HYBRID, HYBRID_SCALAR, HEDERA, HEDERA_GFF])
+def test_fat_tree_schedulers_reject_the_star(name):
+    star = build_nonblocking(4, 10e6)
+    with pytest.raises(EngineError, match=f"scheduler: '{name}' runs on the "
+                       "'fat-tree' layout, got 'star'"):
+        Engine(star, SchedulerKind(name), [], horizon=5.0, seed=0)
 
 
 def test_non_blocking_permutation_gets_full_capacity():
