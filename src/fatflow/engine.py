@@ -75,15 +75,20 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
     share. A final repair pass nudges rates down by at most a few ulps so
     per-link sums never exceed capacity even in float arithmetic.
 
-    Demands must be finite and >= 0, and a path lists each link at most
-    once; EngineError names the flow otherwise, and the link when a path's
-    link has a capacity that is not finite and >= 0. A flow with demand 0
-    freezes at 0 in the first round and takes no share of its links.
+    Each flow has a demand and a path, demands must be finite and >= 0, and
+    a path lists each link at most once; EngineError names the flow
+    otherwise, and the link when a path's link has no capacity or one that
+    is not finite and >= 0. A flow with demand 0 freezes at 0 in the first
+    round and takes no share of its links.
 
     This checks the inputs and builds each link's member list, its count
     of flows and a zero per-link sum, then runs `_fill`, which the engine
     calls directly on inputs of its own (see `Engine._resolve`).
     """
+    if demands.keys() != paths.keys():
+        fid = min(demands.keys() ^ paths.keys())
+        has, lacks = ("demand", "path") if fid in demands else ("path", "demand")
+        raise EngineError(f"waterfill: flow {fid}: has a {has} and no {lacks}")
     for fid, d in demands.items():
         NON_NEGATIVE.check(f"waterfill: flow {fid}: demand", d, EngineError)
     # per link, its flows in flow-id order
@@ -99,8 +104,8 @@ def waterfill(demands: dict[int, float], paths: dict[int, tuple[int, ...]],
             else:
                 flows.append(fid)
     for lid in members:
-        NON_NEGATIVE.check(f"waterfill: link {lid}: capacity", capacities[lid],
-                           EngineError)
+        NON_NEGATIVE.check(f"waterfill: link {lid}: capacity",
+                           capacities.get(lid), EngineError)
     return _fill(demands, paths, members, list(members), capacities,
                  {lid: len(flows) for lid, flows in members.items()},
                  dict.fromkeys(members, 0.0))
@@ -245,15 +250,15 @@ class FlowState:
 
 def _check_flows(flows: Sequence[Flow], topo: Topology) -> None:
     """Raise EngineError, naming the flow and the field, on unusable input:
-    a repeated id, a field that breaks its declared rule, or a `src` or
+    a field that breaks its declared rule, a repeated id, or a `src` or
     `dst` that is not a host of `topo`, or both the same host."""
     ids: set[int] = set()
     hosts = set(topo.hosts)
     for f in flows:
+        check_fields(f, EngineError, prefix=f"flow {f.id}: ")
         if f.id in ids:
             raise EngineError(f"flow {f.id}: id repeats")
         ids.add(f.id)
-        check_fields(f, EngineError, prefix=f"flow {f.id}: ")
         if f.src not in hosts or f.dst not in hosts:
             name, node = ("src", f.src) if f.src not in hosts else ("dst", f.dst)
             raise EngineError(f"flow {f.id}: {name} {node!r} is not a host of "
@@ -294,7 +299,7 @@ class Engine:
         self._crossing: list[int] = []
 
         nlinks = len(topo.links)
-        self._cap = [l.capacity for l in topo.links]  # checked by `Topology`
+        self._cap = [topo.link_capacity] * nlinks  # checked by `Topology`
         self.allocated = [0.0] * nlinks
         # `_fill`'s per-link counters (flows not yet frozen, sum of frozen
         # rates); all zero between re-solves

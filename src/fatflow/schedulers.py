@@ -275,7 +275,7 @@ def hedera_schedule(topo: Topology, large: Sequence[Flow],
     where it is and is tried again next round.
     """
     estimates = estimate_demands({f.id: (f.src, f.dst) for f in large})
-    room = [l.capacity * (1.0 + 1e-9) for l in topo.links]
+    room = [topo.link_capacity * (1.0 + 1e-9)] * len(topo.links)
     for fid, (need, path) in sorted(placed.items()):
         for lid in path.link_ids:
             room[lid] -= need

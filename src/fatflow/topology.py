@@ -61,7 +61,6 @@ class Link:
     id: int
     src: NodeId
     dst: NodeId
-    capacity: float  # bits/second
     kind: LinkKind
     up: bool
 
@@ -116,21 +115,18 @@ class Topology:
     """Immutable network graph with host/switch inventories and link indexes.
 
     `layout` is "fat-tree" or "star" (the non-blocking baseline: every host
-    hangs off one hub switch).
+    hangs off one hub switch). Every link runs at `link_capacity` bits/second.
     """
 
     def __init__(self, k: int, link_capacity: float, layout: str,
                  nodes: list[NodeId], links: list[Link]):
+        # checked once here, not by each run
+        POSITIVE.check("link_capacity", link_capacity, TopologyError)
         self.k = k
         self.link_capacity = link_capacity
         self.layout = layout
         self.nodes = tuple(nodes)
         self.links = tuple(links)
-        # checked once here, not by each run; the walk only on failure
-        if not all(map(POSITIVE.passes, (l.capacity for l in self.links))):
-            for l in self.links:
-                POSITIVE.check(f"link {l.id}: capacity", l.capacity,
-                               TopologyError)
 
         self.hosts = tuple(n for n in self.nodes if n.tier == HOST)
         self.edge_switches = tuple(n for n in self.nodes if n.tier == EDGE)
@@ -177,10 +173,7 @@ class Topology:
 
     def host_number(self, host: NodeId) -> int:
         """Global host index in [0, k^3/4), stable across builds."""
-        per_pod = (self.k // 2) ** 2
-        if host.pod is None:
-            return host.index
-        return host.pod * per_pod + host.index
+        return host.pod * (self.k // 2) ** 2 + host.index
 
     # A pair's equal-cost candidates are numbered by rank in canonical
     # (`Path.sort_key`) order. An inter-pod candidate of rank j * M + m,
@@ -301,16 +294,11 @@ class Topology:
         return tuple(self.reverse_ids[l.id] for l in self._down.get(agg, ()))
 
 
-def _check_args(k: int, link_capacity: float) -> None:
-    EVEN_K.check("k", k, TopologyError)
-    POSITIVE.check("link_capacity", link_capacity, TopologyError)
-
-
 def build_fat_tree(k: int, link_capacity: float) -> Topology:
     """Build a k-ary fat-tree: (k/2)^2 cores, k pods of k/2 edge and k/2
     aggregate switches, k/2 hosts per edge switch, every link at
     `link_capacity` bits/second in each direction."""
-    _check_args(k, link_capacity)
+    EVEN_K.check("k", k, TopologyError)
 
     half = k // 2
     nodes: list[NodeId] = []
@@ -321,8 +309,8 @@ def build_fat_tree(k: int, link_capacity: float) -> Topology:
 
     def add_pair(a: NodeId, b: NodeId, kind: LinkKind) -> None:
         # a is the lower-tier endpoint; a->b is the upstream direction
-        links.append(Link(len(links), a, b, link_capacity, kind, True))
-        links.append(Link(len(links), b, a, link_capacity, kind, False))
+        links.append(Link(len(links), a, b, kind, True))
+        links.append(Link(len(links), b, a, kind, False))
 
     for pod in range(k):
         edges = [NodeId(EDGE, pod, i) for i in range(half)]
@@ -348,7 +336,7 @@ def build_nonblocking(k: int, link_capacity: float) -> Topology:
     """Star baseline for the same host population as build_fat_tree(k):
     every host connects to a single hub switch, so contention can only
     happen on the access links."""
-    _check_args(k, link_capacity)
+    EVEN_K.check("k", k, TopologyError)
 
     half = k // 2
     hub = NodeId(EDGE, None, 0)
@@ -358,8 +346,6 @@ def build_nonblocking(k: int, link_capacity: float) -> Topology:
         for i in range(half * half):
             host = NodeId(HOST, pod, i)
             nodes.append(host)
-            links.append(Link(len(links), host, hub, link_capacity,
-                              LinkKind.HOST_EDGE, True))
-            links.append(Link(len(links), hub, host, link_capacity,
-                              LinkKind.HOST_EDGE, False))
+            links.append(Link(len(links), host, hub, LinkKind.HOST_EDGE, True))
+            links.append(Link(len(links), hub, host, LinkKind.HOST_EDGE, False))
     return Topology(k, link_capacity, "star", nodes, links)

@@ -11,7 +11,8 @@ import random
 from dataclasses import MISSING, dataclass
 from typing import Optional
 
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, check_fields, one_of, setting
+from .rules import (COUNT, NON_NEGATIVE, POSITIVE, Rule, check_fields, one_of,
+                    setting)
 from .topology import NodeId, Topology
 
 ELEPHANT = "elephant"  # ELEPHANT and MICE: a flow's kind in the event log
@@ -33,7 +34,9 @@ class Flow:
     """A flow's spec; the engine keeps its run state apart (`Engine.active`).
     A flow with a probe period is a mouse, which sends probes and no rate."""
 
-    id: int
+    # any int, negative too; not a bool, a float or a string
+    id: int = setting(MISSING, "flow id",
+                      Rule("an integer", lambda v: type(v) is int))
     src: NodeId
     dst: NodeId
     demand: float = setting(MISSING, "bits/second offered", POSITIVE)

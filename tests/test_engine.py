@@ -133,6 +133,16 @@ def test_waterfill_rejects_a_repeated_link():
                   {2: 10e6, 5: 10e6, 7: 10e6})
 
 
+@pytest.mark.parametrize("demands,paths,message", [
+    ({0: 1e6, 1: 1e6}, {0: (0,)}, "flow 1: has a demand and no path"),
+    ({0: 1e6}, {0: (0,), 2: (0,), 1: (0,)}, "flow 1: has a path and no demand"),
+], ids=["no path", "no demand"])
+def test_waterfill_rejects_a_flow_without_both(demands, paths, message):
+    # raised a bare KeyError from `_fill`
+    with pytest.raises(EngineError, match=f"^waterfill: {message}$"):
+        waterfill(demands, paths, {0: 10e6})
+
+
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
 def test_waterfill_rejects_a_bad_demand(value):
     with pytest.raises(EngineError, match="^waterfill: flow 1: demand must "
@@ -165,7 +175,8 @@ def test_waterfill_rejects_a_nan_capacity():
     ((0, 1), {0: 5e5, 1: -5e5}, 1),
     ((0, 1), {0: 5e5, 1: math.inf}, 1),
     ((0,), {0: -5e5}, 0),  # returned {0: 0.0} unchecked
-], ids=["nan", "negative", "inf", "negative alone"])
+    ((0, 1), {0: 5e5}, 1),  # raised a bare KeyError
+], ids=["nan", "negative", "inf", "negative alone", "missing"])
 def test_waterfill_rejects_a_bad_capacity(path, caps, bad):
     with pytest.raises(EngineError, match=f"^waterfill: link {bad}: capacity "
                                           "must be finite and >= 0"):
@@ -431,7 +442,7 @@ def test_conservation_after_every_step():
                      if f.spec.is_elephant and lid in f.path.link_ids]
             total = sum(f.achieved_rate for f in users)
             assert total == eng.allocated[lid]  # same summation, bitwise
-            assert eng.allocated[lid] <= topo.links[lid].capacity
+            assert eng.allocated[lid] <= topo.link_capacity
 
 
 def test_mice_carry_no_rate():
@@ -485,20 +496,13 @@ def test_engine_rejects_bad_duration(value):
 
 @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -1.0, None, "1e7"])
 def test_engine_rejects_a_bad_link_capacity(value):
-    # a link on the first elephant's path, where a capacity of 0 would
-    # divide by zero at its arrival; the topology refuses it when it is
-    # built, so no engine can run on it
+    # a capacity of 0 would divide by zero at the first arrival; the
+    # topology refuses it when it is built, so no engine can run on it
     good = build_fat_tree(4, 10e6)
-    first = run_engine([elephant(0, good)], topo=good)
-    first.step()
-    lid = first.active[0].path.link_ids[2]
-    links = list(good.links)
-    links[lid] = dataclasses.replace(links[lid], capacity=value)
     with pytest.raises(TopologyError, match="^" + re.escape(
-            f"link {lid}: capacity must be finite and > 0, got {value!r}")
-            + "$"):
-        Topology(good.k, good.link_capacity, good.layout, list(good.nodes),
-                 links)
+            f"link_capacity must be finite and > 0, got {value!r}") + "$"):
+        Topology(good.k, value, good.layout, list(good.nodes),
+                 list(good.links))
 
 
 def test_replay_is_deterministic():
@@ -721,7 +725,8 @@ FLOW_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(Flow)
 
 def test_flow_declares_the_rule_of_each_number():
     assert {name: rule.text for name, rule in FLOW_RULES.items()} == {
-        "demand": "finite and > 0", "start_time": "finite and >= 0",
+        "id": "an integer", "demand": "finite and > 0",
+        "start_time": "finite and >= 0",
         "duration": "none or finite and >= 0",
         "probe_interval": "none or finite and > 0"}
 
@@ -736,8 +741,8 @@ def test_engine_checks_each_flow_field_by_its_declared_rule(field, value):
     # the check runs at construction, so no event is processed
     with pytest.raises(EngineError) as raised:
         run_engine(flows, topo=topo)
-    assert str(raised.value) == (
-        f"flow 1: {field} must be {FLOW_RULES[field].text}, got {value!r}")
+    assert str(raised.value) == (f"flow {flows[1].id}: {field} must be "
+                                 f"{FLOW_RULES[field].text}, got {value!r}")
 
 
 def test_a_value_a_rule_cannot_compare_fails_it_naming_the_flow():
@@ -758,8 +763,27 @@ def test_engine_fails_a_flow_field_its_rule_cannot_compare(field, value):
     flows[1] = dataclasses.replace(flows[1], **{field: value})
     with pytest.raises(EngineError) as raised:
         run_engine(flows, topo=topo)
-    assert str(raised.value) == (
-        f"flow 1: {field} must be {FLOW_RULES[field].text}, got {value!r}")
+    assert str(raised.value) == (f"flow {flows[1].id}: {field} must be "
+                                 f"{FLOW_RULES[field].text}, got {value!r}")
+
+
+@pytest.mark.parametrize("fid", ["a", 2.0, True])
+def test_engine_refuses_a_non_integer_flow_id(fid):
+    # under ecmp, 'a' and 2.0 failed only at the flow's arrival, in the hash
+    topo = build_fat_tree(4, 10e6)
+    flows = [elephant(0, topo), dataclasses.replace(elephant(1, topo), id=fid)]
+    with pytest.raises(EngineError) as raised:
+        Engine(topo, SchedulerKind("ecmp"), flows, 5.0)
+    assert str(raised.value) == \
+        f"flow {fid}: id must be an integer, got {fid!r}"
+
+
+def test_a_negative_flow_id_runs():
+    topo = build_fat_tree(4, 10e6)
+    eng = run_engine([dataclasses.replace(elephant(0, topo), id=-3)],
+                     topo=topo)
+    eng.step()
+    assert eng.active[-3].achieved_rate == 10e6
 
 
 def test_a_flow_with_a_period_is_probed_and_one_without_takes_a_rate():
@@ -950,7 +974,7 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
             path = eng.states[rec["flow"]].path
             links = path.link_ids + tuple(eng.topology.reverse_ids[lid]
                                           for lid in path.link_ids)
-            caps = [eng.topology.links[lid].capacity for lid in links]
+            caps = [eng.topology.link_capacity] * len(links)
             loads = [prev[1][lid] for lid in links]
             if rec["delivered"]:
                 assert rec["rtt"] == pytest.approx(sum(

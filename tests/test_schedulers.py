@@ -257,7 +257,7 @@ def test_estimator_sender_reclaims_what_a_receiver_limits(k4):
 
 def test_first_fit_honours_reservations_and_canonical_order(k4):
     paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    room = [l.capacity * (1.0 + 1e-9) for l in k4.links]
+    room = [k4.link_capacity * (1.0 + 1e-9)] * len(k4.links)
     room[paths[0].link_ids[2]] -= 6e6  # paths[0]'s agg-to-core hop
     shuffled = [paths[3], paths[1], paths[0], paths[2]]
     assert global_first_fit(shuffled, 5e6, room) == paths[1]
@@ -298,7 +298,7 @@ def test_gff_round_places_by_rank_as_first_fit_over_every_candidate(k):
                     a, rng.choice([h for h in hosts if h != a])))
             placed[fid] = (rng.choice(edge) if rng.random() < 0.8
                            else rng.uniform(0.0, need), path)
-        room = [l.capacity * (1.0 + 1e-9) for l in topo.links]
+        room = [topo.link_capacity * (1.0 + 1e-9)] * len(topo.links)
         for fid in sorted(placed):
             reservation, path = placed[fid]
             for lid in path.link_ids:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import struct
@@ -8,7 +9,7 @@ import networkx as nx
 import pytest
 
 from fatflow.schedulers import path_views
-from fatflow.topology import (AGG, CORE, EDGE, LinkKind, NodeId, Path,
+from fatflow.topology import (AGG, CORE, EDGE, Link, LinkKind, NodeId, Path,
                               TopologyError, build_fat_tree, build_nonblocking)
 
 
@@ -35,7 +36,10 @@ def test_k4_counts_match_paper_testbed():
     t = build_fat_tree(4, 10e6)
     assert len(t.switches) == 20
     assert len(t.hosts) == 16
-    assert all(l.capacity == 10e6 for l in t.links)
+    assert t.link_capacity == 10e6
+    # the topology's one capacity; a link holds none of its own
+    assert [f.name for f in dataclasses.fields(Link)] == [
+        "id", "src", "dst", "kind", "up"]
 
 
 def test_k2_minimum():
