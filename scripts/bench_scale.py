@@ -3,8 +3,11 @@
 Usage (from anywhere in the repository):
     python3 scripts/bench_scale.py [--out FILE] [--src DIR] [--only NAME]
 
-Runs each pinned config five times (`hybrid`, seed 0), each config in a
-fresh child process so that the peak RSS it records is that config's own:
+Runs each pinned config five times (`hybrid`, seed 0), each run in a fresh
+child process of its own, and interleaves the configs' runs (k8-256,
+k16-1024, k8-256, ...). A slow or fast phase of the host then falls on
+runs of both configs rather than on all five runs of one, and the median,
+min and max show the spread. The configs:
 - k8-256: `ExperimentConfig(k=8, elephants=256, arrival_rate=25.0)`;
 - k16-1024: `ExperimentConfig(k=16, elephants=1024, arrival_rate=100.0)`.
 
@@ -14,8 +17,8 @@ Per config it records the seconds spent building the topology, in
 `experiment._dump_json` into a temporary directory, each as the median,
 min and max of the five runs (each run builds its own topology); the probe
 count; the `path_at` calls and the `Path`s built for them, which is what
-the topology's path memo holds at the end of a run; and the child's peak
-RSS over the runs. `--src` runs another checkout's `src/` (say, a `git
+the topology's path memo holds at the end of a run; and the largest peak
+RSS of the runs' child processes. `--src` runs another checkout's `src/` (say, a `git
 archive` of the parent revision), so two revisions can be compared on one
 host. `--only NAME` times that config alone and writes no file unless
 `--out` is given, so `BENCH_scale.json` keeps every config. Nothing is
@@ -44,7 +47,7 @@ CONFIGS = {
 }
 SCHEDULER = "hybrid"
 SEED = 0
-RUNS = 5  # per config, in one child process
+RUNS = 5  # per config, each in a child process of its own
 TIMES = ("topology_build_s", "path_at_s", "run_one_rest_s", "run_report_s",
          "report_write_s")
 
@@ -100,13 +103,11 @@ def measure(experiment, fields: dict, scratch: Path) -> dict:
     }
 
 
-def measure_runs(experiment, fields: dict) -> dict:
-    """`measure` RUNS times: each time as its median, min and max; the
-    counts, equal in every run, and the peak RSS as of the last run."""
-    with tempfile.TemporaryDirectory() as scratch:
-        runs = [measure(experiment, fields, Path(scratch))
-                for _ in range(RUNS)]
-    result = dict(runs[-1], runs=RUNS)
+def summarize(runs: list) -> dict:
+    """One config's runs: each time as its median, min and max; the counts,
+    equal in every run, as of the last; the largest peak RSS."""
+    result = dict(runs[-1], runs=len(runs),
+                  peak_rss_mb=max(r["peak_rss_mb"] for r in runs))
     for key in TIMES:
         values = [r[key] for r in runs]
         result[key] = {"median": statistics.median(values),
@@ -132,10 +133,12 @@ def main(argv=None) -> int:
     p.add_argument("--config", choices=CONFIGS, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.config is not None:
-        # the child: run one config and print its figures as JSON
+        # the child: run one config once and print its figures as JSON
         sys.path.insert(0, args.src)
         from fatflow import experiment
-        print(json.dumps(measure_runs(experiment, CONFIGS[args.config])))
+        with tempfile.TemporaryDirectory() as scratch:
+            print(json.dumps(measure(experiment, CONFIGS[args.config],
+                                     Path(scratch))))
         return 0
 
     results = {
@@ -143,8 +146,13 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "runs": {},
     }
-    for name in [args.only] if args.only else CONFIGS:
-        r = results["runs"][name] = run_child(args.src, name)
+    names = [args.only] if args.only else list(CONFIGS)
+    runs: dict = {name: [] for name in names}
+    for _ in range(RUNS):
+        for name in names:
+            runs[name].append(run_child(args.src, name))
+    for name in names:
+        r = results["runs"][name] = summarize(runs[name])
 
         def secs(key):
             t = r[key]

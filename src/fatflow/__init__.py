@@ -5,7 +5,7 @@ from .experiment import ExperimentConfig, run_experiment, run_one
 from .schedulers import SchedulerDecision, SchedulerKind
 from .topology import (Link, NodeId, Path, Topology, build_fat_tree,
                        build_nonblocking)
-from .traffic import Flow, WorkloadSpec, generate_workload, probe_schedule
+from .traffic import Flow, WorkloadSpec, generate_workload
 
 __all__ = [
     "Engine", "EngineParams", "waterfill",
@@ -13,7 +13,7 @@ __all__ = [
     "SchedulerDecision", "SchedulerKind",
     "Link", "NodeId", "Path", "Topology",
     "build_fat_tree", "build_nonblocking",
-    "Flow", "WorkloadSpec", "generate_workload", "probe_schedule",
+    "Flow", "WorkloadSpec", "generate_workload",
 ]
 
 __version__ = "0.1.0"

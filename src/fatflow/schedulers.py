@@ -1,9 +1,11 @@
 """Path-selection strategies and the proactive/controller dispatch.
 
-Selectors are pure functions of snapshot inputs. `dispatch` is the one entry
-point the engine calls per new flow; for the hybrid scheduler it flips a
-seeded fair coin per flow between stateless ECMP hashing and the controller
-selection, emulating an even two-bucket split at the edge.
+Each controller policy is a pure key function of a candidate's polled
+loads, and `controller_rank` picks the candidate with the least key.
+`dispatch` is the one entry point the engine calls per new flow; for the
+hybrid scheduler it flips a seeded fair coin per flow between stateless ECMP
+hashing and the controller selection, emulating an even two-bucket split at
+the edge.
 
 `hedera-gff` follows Hedera's published control loop (Al-Fares et al.,
 NSDI 2010): flows start on ECMP, and every scheduling period the engine hands
@@ -79,16 +81,6 @@ class SchedulerDecision:
     candidates_considered: int
 
 
-@dataclass(frozen=True)
-class PathView:
-    """Load snapshot of one candidate path at decision time."""
-
-    path: Path
-    min_residual: float  # bits/second, min over the path's links
-    uplink_elephants: int  # elephants on the aggregate-to-core upstream hop
-    hop_count: int
-
-
 def _mix64(x: int) -> int:
     # 64-bit avalanche finalizer (murmur-style); fixed constants, no seed
     x &= _MASK64
@@ -113,24 +105,17 @@ def _ecmp_rank(topo: Topology, flow: Flow, count: int) -> int:
     return h % count
 
 
-def select_ecmp(topo: Topology, flow: Flow, candidates: Sequence[Path]) -> Path:
-    """Hash the flow onto one of the equal-cost candidates, oblivious to load."""
-    if not candidates:
-        raise SchedulerError("no candidate paths")
-    return candidates[_ecmp_rank(topo, flow, len(candidates))]
+# A controller policy maps a candidate's (uplink elephants, min residual,
+# rank) to a key; the candidate with the least key wins. A pair's candidates
+# share one hop count, so no key reads it. Every key ends with the rank, the
+# candidate's canonical position, which is unique, so it settles every tie
+# and names the winner.
+Policy = Callable[[int, float, int], tuple]
 
 
-# A controller policy maps a candidate's (hop count, uplink elephants, min
-# residual, order) to a key; the candidate with the least key wins. Every key
-# ends with `order`, the candidate's canonical position, which is unique, so
-# it settles every tie and names the winner. The selectors pass
-# `Path.sort_key`, `dispatch` passes the candidate's rank.
-Policy = Callable[[int, int, float, object], tuple]
-
-
-def lexicographic_key(hops: int, elephants: int, residual: float, order) -> tuple:
-    """Shortest, then fewest core-uplink elephants, then widest residual."""
-    return hops, elephants, -residual, order
+def lexicographic_key(elephants: int, residual: float, order: int) -> tuple:
+    """Fewest core-uplink elephants, then widest residual."""
+    return elephants, -residual, order
 
 
 def scalarized_key(alpha: float) -> Policy:
@@ -138,7 +123,7 @@ def scalarized_key(alpha: float) -> Policy:
     if alpha != alpha or alpha == float("inf"):
         raise SchedulerError(f"alpha must be finite, got {alpha!r}")
 
-    def key(hops, elephants, residual, order):
+    def key(elephants, residual, order):
         return -(residual / 1e6 - alpha * elephants), order
     return key
 
@@ -155,46 +140,18 @@ def hedera_key(topo: Topology, flow: Flow,
         return None
     demand = flow.demand
 
-    def key(hops, elephants, residual, order):
+    def key(elephants, residual, order):
         fits = residual >= demand
         return not fits, 0.0 if fits else -residual, order
     return key
 
 
-def _best(views: Sequence[PathView], policy: Policy) -> Path:
-    return min(views, key=lambda v: policy(v.hop_count, v.uplink_elephants,
-                                           v.min_residual, v.path.sort_key)).path
-
-
-def select_lexicographic(views: Sequence[PathView]) -> Path:
-    """Shortest, then fewest core-uplink elephants, then widest residual.
-
-    Ties fall to the canonical path order, so the result does not depend on
-    how the view list happens to be arranged.
-    """
-    if not views:
-        raise SchedulerError("no candidate paths")
-    return _best(views, lexicographic_key)
-
-
-def select_scalarized(views: Sequence[PathView], alpha: float) -> Path:
-    """Maximize residual (in Mb/s) minus alpha per core-uplink elephant;
-    ties fall to the canonical path order."""
-    if not views:
-        raise SchedulerError("no candidate paths")
-    return _best(views, scalarized_key(alpha))
-
-
-def select_hedera(topo: Topology, flow: Flow, views: Sequence[PathView],
-                  threshold_fraction: float) -> tuple[Path, str]:
-    """Hedera-style greedy placement (see `hedera_key`); ties fall to the
-    canonical path order."""
-    if not views:
-        raise SchedulerError("no candidate paths")
-    policy = hedera_key(topo, flow, threshold_fraction)
-    if policy is None:
-        return select_ecmp(topo, flow, [v.path for v in views]), MECH_PROACTIVE
-    return _best(views, policy), MECH_CONTROLLER
+def controller_rank(loads: Sequence[tuple[float, int]], policy: Policy) -> int:
+    """The rank of the candidate `policy` picks. `loads` holds each
+    candidate's (min residual, uplink elephants) by rank, as
+    `Topology.candidate_loads` returns them."""
+    return min(policy(elephants, residual, rank)
+               for rank, (residual, elephants) in enumerate(loads))[-1]
 
 
 def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float]:
@@ -249,30 +206,19 @@ def estimate_demands(pairs: dict[int, tuple[NodeId, NodeId]]) -> dict[int, float
     return demand
 
 
-def global_first_fit(candidates: Sequence[Path], need: float,
-                     room: Sequence[float]) -> Optional[Path]:
-    """First path, in canonical order, whose least `room` covers `need`.
-
-    `room` is capacity * (1 + 1e-9) less the link's reservations, not its
-    measured load; the slack lets NIC estimates that sum to one fit. Testing
-    `reserved + need <= capacity * (1 + 1e-9)` differs only within ulps.
-    """
-    return min((p for p in candidates
-                if min(room[lid] for lid in p.link_ids) >= need),
-               key=lambda p: p.sort_key, default=None)
-
-
 def hedera_schedule(topo: Topology, large: Sequence[Flow],
                     placed: dict[int, tuple[float, Path]]
                     ) -> list[tuple[Flow, Path, float]]:
     """One Hedera scheduling round over the flows measured large.
 
     `placed` maps flow id to (reservation in bits/s, path), and the round
-    takes them afresh, in flow-id order, off `global_first_fit`'s room. Each
-    large flow not yet placed, in flow-id order, then takes the least rank
-    whose room covers its estimated demand; only that path is built. Returns
-    (flow, path, reservation) per flow placed; one that fits nowhere stays
-    where it is and is tried again next round.
+    takes them afresh, in flow-id order, off each link's room: capacity *
+    (1 + 1e-9) less its reservations, not its measured load; the slack lets
+    NIC estimates that sum to one fit. Each large flow not yet placed, in
+    flow-id order, then takes the least rank whose least room covers its
+    estimated demand (Global First Fit over the canonical order); only that
+    path is built. Returns (flow, path, reservation) per flow placed; one that
+    fits nowhere stays where it is and is tried again next round.
     """
     estimates = estimate_demands({f.id: (f.src, f.dst) for f in large})
     room = [topo.link_capacity * (1.0 + 1e-9)] * len(topo.links)
@@ -301,30 +247,13 @@ def hedera_period_polls(poll_interval: float) -> int:
     return max(1, round(HEDERA_PERIOD_S / poll_interval))
 
 
-def path_views(state, candidates: Sequence[Path]) -> list[PathView]:
-    """Snapshot the link-state fields each controller selector reads.
-
-    They come from the engine's last stats poll (`polled_residual` and
-    `polled_elephants`), not from live data-plane state.
-    """
-    residual, elephants = state.polled_residual, state.polled_elephants
-    views = []
-    for p in candidates:
-        uplink = p.uplink_id
-        views.append(PathView(p, min(residual[lid] for lid in p.link_ids),
-                              0 if uplink is None else elephants[uplink],
-                              len(p.hops)))
-    return views
-
-
 def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
     """Choose a path for a newly arrived, unassigned flow. `nonblocking`
     hashes like ECMP, onto the one path a star has per host pair.
 
     Only the chosen candidate is built as a `Path`. The controller reads the
-    candidates' loads off the topology's link tables by rank; a pair's
-    candidates share one hop count and come in canonical order, so it
-    passes hop count 0 and the rank as the order.
+    candidates' loads off the topology's link tables by rank, which is their
+    canonical order.
     """
     topo: Topology = state.topology
     src, dst = flow.src, flow.dst
@@ -342,7 +271,6 @@ def dispatch(state, flow: Flow, kind: SchedulerKind) -> SchedulerDecision:
                                  MECH_PROACTIVE, n)
     loads = topo.candidate_loads(src, dst, state.polled_residual,
                                  state.polled_elephants)
-    rank = min(policy(0, elephants, residual, r)
-               for r, (residual, elephants) in enumerate(loads))[-1]
-    return SchedulerDecision(topo.path_at(src, dst, rank), MECH_CONTROLLER,
-                             len(loads))
+    return SchedulerDecision(
+        topo.path_at(src, dst, controller_rank(loads, policy)),
+        MECH_CONTROLLER, len(loads))

@@ -8,7 +8,6 @@ downstream of it reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -86,14 +85,6 @@ class Path:
 
     def __post_init__(self):
         object.__setattr__(self, "link_ids", tuple(l.id for l in self.hops))
-
-    @functools.cached_property
-    def uplink_id(self) -> Optional[int]:
-        """The aggregate-to-core upstream link's id, None below the core."""
-        for l in self.hops:
-            if l.kind == LinkKind.AGG_CORE and l.up:
-                return l.id
-        return None
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:

@@ -147,31 +147,9 @@ def generate_workload(topo: Topology, spec: WorkloadSpec) -> list[Flow]:
     return flows
 
 
-def probe_schedule(flow: Flow, horizon: float) -> list[float]:
-    """Evenly spaced probe emission times for a mice stream.
-
-    Emissions run from start_time to start_time + duration every
-    `flow.probe_interval`; a duration of 0 emits a single probe. Flows with
-    open-ended duration probe until the horizon. The engine computes the
-    same times one at a time as it draws them; this list is their reference.
-    """
-    if flow.is_elephant:
-        raise WorkloadError("probe_schedule applies to mice flows only")
-    check_fields(flow, WorkloadError, prefix=f"flow {flow.id}: ")
-    end = horizon if flow.duration is None else flow.start_time + flow.duration
-    return even_times(flow.start_time, min(end, horizon), flow.probe_interval)
-
-
 def even_count(start: float, end: float, interval: float) -> int:
     """How many of start, start + interval, ... lie within end; at least 1."""
     span = max(0.0, end - start)
     # guard the floor against float noise (5 / 0.2 -> 24.999...)
     return int(math.floor(span / interval + 1e-9)) + 1
 
-
-def even_times(start: float, end: float, interval: float) -> list[float]:
-    """`start`, then every `interval` up to `end`. Each time is start +
-    i * interval, not a running sum, so it cannot drift, and a time that
-    rounds a few ulps past `end` is clamped to it."""
-    return [start] + [min(start + i * interval, end)
-                      for i in range(1, even_count(start, end, interval))]

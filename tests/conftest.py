@@ -11,7 +11,7 @@ _ACCEPTANCE = {}
 _TITLES = {
     1: "topology closed forms for k in {2,4,6,8}",
     2: "max-min allocation matches the exact oracle on 200 random instances",
-    3: "lexicographic selection matches brute force on 1,000 view sets",
+    3: "lexicographic selection matches brute force on 1,000 candidate lists",
     4: "scalarized objective properties (alpha=0, joint scaling, flip case)",
     5: "load-balance efficiency closed forms and scale invariance",
     6: "uniform ECMP workload balances uplink elephant detection within 10%",

@@ -18,9 +18,9 @@ import pytest
 from fatflow import metrics
 from fatflow.engine import Engine, waterfill
 from fatflow.experiment import ExperimentConfig, run_experiment, run_one, run_report
-from fatflow.schedulers import (MECH_CONTROLLER, PathView, SchedulerKind,
-                                dispatch, select_lexicographic,
-                                select_scalarized)
+from fatflow.schedulers import (MECH_CONTROLLER, SchedulerKind,
+                                controller_rank, dispatch, lexicographic_key,
+                                scalarized_key)
 from fatflow.topology import build_fat_tree
 from fatflow.traffic import Flow, WorkloadSpec, generate_workload
 
@@ -65,55 +65,48 @@ def test_criterion_2_maxmin_oracle_equivalence():
 # -- criterion 3: lexicographic oracle -------------------------------------------
 
 def test_criterion_3_lexicographic_oracle():
+    # the controller's pick over (residual, elephants) candidate loads by
+    # rank, against sort-and-take-first
     start = time.time()
-    topo = build_fat_tree(4, 10e6)
-    paths = topo.equal_cost_paths(topo.hosts[0], topo.hosts[15])
     rng = random.Random(777)
     for _ in range(1000):
         n = rng.randint(1, 4)
-        views = [
-            PathView(paths[i], float(rng.choice([0, 1e6, 2e6, 5e6, 5e6, 10e6])),
-                     rng.randint(0, 3), rng.choice([4, 6, 6]))
-            for i in range(n)
-        ]
-        rng.shuffle(views)
-        want = sorted(views, key=lambda v: (
-            v.hop_count, v.uplink_elephants, -v.min_residual,
-            v.path.sort_key))[0].path
-        assert select_lexicographic(views) is want
+        loads = [(float(rng.choice([0, 1e6, 2e6, 5e6, 5e6, 10e6])),
+                  rng.randint(0, 3)) for _ in range(n)]
+        want = sorted(range(n), key=lambda r: (
+            loads[r][1], -loads[r][0], r))[0]
+        assert controller_rank(loads, lexicographic_key) == want
     assert time.time() - start < 1.0
 
 
 # -- criterion 4: scalarized objective properties ---------------------------------
 
 def test_criterion_4_scalarized_properties():
-    topo = build_fat_tree(4, 10e6)
-    paths = topo.equal_cost_paths(topo.hosts[0], topo.hosts[15])
     rng = random.Random(31)
 
-    # alpha = 0 reduces to pure max-residual
+    # alpha = 0 reduces to pure max-residual, ties to the lowest rank
     for _ in range(200):
-        views = [PathView(p, float(rng.randrange(0, 10_000_001)),
-                          rng.randint(0, 5), 6) for p in paths]
-        best = max(v.min_residual for v in views)
-        want = [v.path for v in views if v.min_residual == best][0]
-        assert select_scalarized(views, 0.0) is want
+        loads = [(float(rng.randrange(0, 10_000_001)), rng.randint(0, 5))
+                 for _ in range(4)]
+        best = max(residual for residual, _ in loads)
+        want = [r for r, (residual, _) in enumerate(loads)
+                if residual == best][0]
+        assert controller_rank(loads, scalarized_key(0.0)) == want
 
-    # joint scaling of residuals and alpha preserves the chosen path
+    # joint scaling of residuals and alpha preserves the chosen rank
     for _ in range(200):
-        views = [PathView(p, float(rng.choice([0, 1e6, 3e6, 8e6])),
-                          rng.randint(0, 4), 6) for p in paths]
+        loads = [(float(rng.choice([0, 1e6, 3e6, 8e6])), rng.randint(0, 4))
+                 for _ in range(4)]
         alpha = rng.choice([0.5, 1.0, 2.0])
-        want = select_scalarized(views, alpha)
+        want = controller_rank(loads, scalarized_key(alpha))
         for c in (2.0, 0.5, 4.0):
-            scaled = [PathView(v.path, v.min_residual * c, v.uplink_elephants,
-                               v.hop_count) for v in views]
-            assert select_scalarized(scaled, alpha * c) is want
+            scaled = [(residual * c, elephants) for residual, elephants in loads]
+            assert controller_rank(scaled, scalarized_key(alpha * c)) == want
 
     # hand-computed flip case: residuals {5, 9} Mb/s, elephants {0, 1}
-    views = [PathView(paths[0], 5e6, 0, 6), PathView(paths[1], 9e6, 1, 6)]
-    assert select_scalarized(views, 1.0) is paths[1]
-    assert select_scalarized(views, 5.0) is paths[0]
+    loads = [(5e6, 0), (9e6, 1)]
+    assert controller_rank(loads, scalarized_key(1.0)) == 1  # 9 - 1 > 5 - 0
+    assert controller_rank(loads, scalarized_key(5.0)) == 0  # 5 > 9 - 5
 
 
 # -- criterion 5: balance efficiency ----------------------------------------------

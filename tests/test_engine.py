@@ -22,8 +22,7 @@ from fatflow.experiment import ExperimentConfig, build_topology, run_one
 from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
 from fatflow.topology import (CORE, EDGE, NodeId, Topology, TopologyError,
                               build_fat_tree)
-from fatflow.traffic import (ELEPHANT, MICE, Flow, WorkloadSpec, even_times,
-                             generate_workload, probe_schedule)
+from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
 
 def maxmin_oracle(demands, paths, capacities):
@@ -399,6 +398,22 @@ def run_engine(flows, horizon=10.0, scheduler="ecmp", seed=0, topo=None,
     return eng
 
 
+def per_element_min_times(start, end, interval):
+    """`start`, then start + i * interval up to `end`, every time through its
+    own `min`: the reference for the times of a poll or probe stream."""
+    span = max(0.0, end - start)
+    count = int(math.floor(span / interval + 1e-9)) + 1
+    return [start] + [min(start + i * interval, end) for i in range(1, count)]
+
+
+def probe_times(m, horizon):
+    """Mouse `m`'s probe times: every period from its start until it departs
+    or the run ends, whichever comes first."""
+    end = horizon if m.duration is None else min(m.start_time + m.duration,
+                                                 horizon)
+    return per_element_min_times(m.start_time, end, m.probe_interval)
+
+
 def elephant(fid, topo, demand=10e6, start=0.0, duration=None, src=0, dst=15):
     return Flow(fid, topo.hosts[src], topo.hosts[dst], demand,
                 start, duration)
@@ -642,12 +657,12 @@ def test_poll_schedule_does_not_drift(interval, horizon):
                            and (fid is None or rec["flow"] == fid))).tobytes()
 
     assert times_of("poll") == array(
-        "d", even_times(0.0, horizon, interval)[1:]).tobytes()
+        "d", per_element_min_times(0.0, horizon, interval)[1:]).tobytes()
     for m in mice:
         assert times_of("probe", m.id) == array(
-            "d", probe_schedule(m, horizon)).tobytes()
-    assert len(probe_schedule(mice[0], horizon)) == round(horizon / interval) + 1
-    assert 3 * 1.1 > 3.3 and probe_schedule(mice[1], horizon)[-1] == 3.3
+            "d", probe_times(m, horizon)).tobytes()
+    assert len(probe_times(mice[0], horizon)) == round(horizon / interval) + 1
+    assert 3 * 1.1 > 3.3 and probe_times(mice[1], horizon)[-1] == 3.3
     assert times_of("departure") == array(
         "d", [3.3] if horizon > 3.3 else []).tobytes()
 
@@ -670,7 +685,7 @@ def test_a_mouse_is_one_probe_entry_however_long_it_probes():
     assert eng.step()["type"] == "arrival"
     (entry,) = eng._probes
     assert not any(isinstance(x, (list, tuple)) for x in entry)
-    assert eng.pending_events() == (len(probe_schedule(m, 1e4))
+    assert eng.pending_events() == (len(probe_times(m, 1e4))
                                     + eng._poll_count)
 
 
@@ -684,7 +699,7 @@ def test_mice_from_the_spec_are_probed_without_an_engine_setting():
     assert len(mice) == 8
     eng = Engine(topo, SchedulerKind("hybrid"), flows, horizon=10.0,
                  seed=1).run()
-    assert len(eng.probe_rtts) == sum(len(probe_schedule(m, 10.0))
+    assert len(eng.probe_rtts) == sum(len(probe_times(m, 10.0))
                                       for m in mice) > 0
 
 
@@ -799,7 +814,7 @@ def test_a_flow_with_a_period_is_probed_and_one_without_takes_a_rate():
         == [ELEPHANT, MICE, ELEPHANT]
     probed = {rec["flow"] for rec in eng.event_log if rec["type"] == "probe"}
     assert probed == {1}
-    assert len(eng.probe_rtts) == len(probe_schedule(m, 4.0)) == 9
+    assert len(eng.probe_rtts) == len(probe_times(m, 4.0)) == 9
     assert eng.active[1].achieved_rate == 0.0
     # flow 2 takes its whole (mouse-sized) demand as its rate
     assert (eng.active[0].achieved_rate, eng.active[2].achieved_rate) == (
@@ -1272,12 +1287,13 @@ def test_resolve_fills_from_the_link_index_as_waterfill_would(
 class UncachedProbeEngine(Engine):
     """Evaluates every probe fresh from the per-link factors, one at a time,
     with no cache and no batching, and takes each probe's time from the
-    mouse's `probe_schedule` list: the reference for `_run_probes`."""
+    mouse's `probe_times` list, each time through its own `min`: the
+    reference for `_run_probes`."""
 
     def _run_probes(self, stop):
         while self._probes and self._probes[0] < stop:
             t, seq, st, i, count, end = heapq.heappop(self._probes)
-            times = probe_schedule(st.spec, self.horizon)
+            times = probe_times(st.spec, self.horizon)
             assert (t, count) == (times[i], len(times))
             if i + 1 < count:
                 heapq.heappush(self._probes,

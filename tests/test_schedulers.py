@@ -7,21 +7,20 @@ import pytest
 
 from fatflow import engine as engine_module
 from fatflow.engine import Engine, EngineError
-from fatflow.experiment import ExperimentConfig, build_topology, run_experiment
+from fatflow.experiment import run_experiment
 from fatflow.schedulers import (ECMP, HEDERA, HEDERA_GFF, HYBRID, HYBRID_SCALAR,
-                                MECH_CONTROLLER, MECH_PROACTIVE,
-                                SCHEDULER_NAMES, PathView, SchedulerError,
-                                SchedulerKind, dispatch, estimate_demands,
-                                flow_hash, global_first_fit,
-                                hedera_period_polls, hedera_schedule,
-                                path_views, select_ecmp,
-                                select_hedera, select_lexicographic,
-                                select_scalarized)
-from fatflow.topology import LinkKind, build_fat_tree, build_nonblocking
+                                MECH_CONTROLLER, MECH_PROACTIVE, NONBLOCKING,
+                                SCHEDULER_NAMES, SchedulerError, SchedulerKind,
+                                controller_rank, dispatch, estimate_demands,
+                                flow_hash, hedera_key, hedera_period_polls,
+                                hedera_schedule, lexicographic_key,
+                                scalarized_key)
+from fatflow.topology import build_fat_tree, build_nonblocking
 from fatflow.traffic import Flow, WorkloadSpec, generate_workload
 
 from test_cli import fast_config, tree_digest
 from test_engine import RESOLVE_CONFIGS, default_engine
+from test_topology import scanned_loads
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +28,45 @@ def k4():
     return build_fat_tree(4, 10e6)
 
 
-def fake_views(stats, paths):
-    # stats: list of (hops, elephants, residual)
-    return [PathView(p, float(r), e, h) for (h, e, r), p in zip(stats, paths)]
+def lex_oracle(loads):
+    # brute-force sort-and-take-first over (residual, elephants) by rank
+    return sorted(range(len(loads)), key=lambda r: (
+        loads[r][1], -loads[r][0], r))[0]
 
 
-def lex_oracle(views):
-    # brute-force sort-and-filter, independent of the staged implementation
-    ranked = sorted(views, key=lambda v: (
-        v.hop_count, v.uplink_elephants, -v.min_residual, v.path.sort_key))
-    return ranked[0].path
+def hashed(topo, flow):
+    """The candidate ECMP hashes `flow` onto, out of the materialised list."""
+    candidates = topo.equal_cost_paths(flow.src, flow.dst)
+    h = flow_hash(topo.host_number(flow.src), topo.host_number(flow.dst),
+                  flow.id)
+    return candidates[h % len(candidates)]
+
+
+class FixedCoin:
+    """A dispatch coin that always lands on `value`: under 0.5 sends a
+    hybrid flow to the controller, 0.5 and up to ECMP."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class Unpolled:
+    """Stands in for the engine in `dispatch`; reading its polled link
+    state fails the test."""
+
+    def __init__(self, topology, coin):
+        self.topology, self.dispatch_rng = topology, FixedCoin(coin)
+
+    @property
+    def polled_residual(self):
+        raise AssertionError("read polled_residual")
+
+    @property
+    def polled_elephants(self):
+        raise AssertionError("read polled_elephants")
 
 
 # -- hashing / ECMP -----------------------------------------------------------
@@ -49,16 +77,20 @@ def test_flow_hash_deterministic():
 
 
 def test_ecmp_same_flow_same_path(k4):
+    kind = SchedulerKind("ecmp")
+    eng = Engine(k4, kind, [], horizon=1.0, seed=0)
     f = Flow(42, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
-    candidates = k4.equal_cost_paths(f.src, f.dst)
-    assert select_ecmp(k4, f, candidates) is select_ecmp(k4, f, candidates)
+    assert dispatch(eng, f, kind).path is dispatch(eng, f, kind).path
 
 
 def test_ecmp_single_candidate(k4):
+    kind = SchedulerKind("ecmp")
+    eng = Engine(k4, kind, [], horizon=1.0, seed=0)
     f = Flow(7, k4.hosts[0], k4.hosts[1], 10e6, 0.0, None)
-    candidates = k4.equal_cost_paths(f.src, f.dst)
-    assert len(candidates) == 1
-    assert select_ecmp(k4, f, candidates) is candidates[0]
+    (only,) = k4.equal_cost_paths(f.src, f.dst)
+    d = dispatch(eng, f, kind)
+    assert d.path is only
+    assert (d.mechanism, d.candidates_considered) == (MECH_PROACTIVE, 1)
 
 
 def test_ecmp_uniformity_over_10k_flows(k4):
@@ -75,161 +107,135 @@ def test_ecmp_uniformity_over_10k_flows(k4):
 
 
 def test_ecmp_reads_no_link_state(k4):
-    import inspect
-    params = inspect.signature(select_ecmp).parameters
-    assert "state" not in params  # oblivious by construction
-
-
-def test_ecmp_rejects_empty():
-    with pytest.raises(SchedulerError):
-        select_ecmp(build_fat_tree(2, 1.0), None, [])
+    # a hashed decision reads no polled state: ecmp, nonblocking, hedera-gff
+    # at arrival, hedera's small flows and the hybrids' coin going to ECMP
+    star = build_nonblocking(4, 10e6)
+    decided = Counter()
+    for name, topo, coin in ((ECMP, k4, 0.0), (NONBLOCKING, star, 0.0),
+                             (HEDERA_GFF, k4, 0.0), (HEDERA, k4, 0.0),
+                             (HYBRID, k4, 0.5), (HYBRID_SCALAR, k4, 0.99)):
+        kind = SchedulerKind(name)
+        flows = generate_workload(topo, WorkloadSpec(elephants=20, seed=4))
+        if name == HEDERA:
+            # mice are under its cutoff; its elephants are not
+            flows = [f for f in flows if not f.is_elephant]
+        for f in flows:
+            d = dispatch(Unpolled(topo, coin), f, kind)
+            assert d.mechanism == MECH_PROACTIVE
+            assert d.path is hashed(topo, f)
+            decided[name] += 1
+    assert len(decided) == 6 and min(decided.values()) == 20
+    # the stand-in does fail a decision that reads the poll
+    f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
+    for name in (HYBRID, HYBRID_SCALAR, HEDERA):
+        with pytest.raises(AssertionError, match="read polled_"):
+            dispatch(Unpolled(k4, 0.0), f, SchedulerKind(name))
 
 
 # -- lexicographic controller ---------------------------------------------------
 
-def test_lex_spec_example(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    views = fake_views(
-        [(6, 2, 4e6), (6, 0, 3e6), (6, 0, 5e6), (6, 1, 9e6)], paths)
-    assert select_lexicographic(views) is paths[2]
+def test_lex_spec_example():
+    loads = [(4e6, 2), (3e6, 0), (5e6, 0), (9e6, 1)]
+    assert controller_rank(loads, lexicographic_key) == 2
 
 
-def test_lex_all_tied_takes_first_in_path_order(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    views = fake_views([(6, 1, 5e6)] * 4, paths)
-    assert select_lexicographic(views) is paths[0]
+def test_lex_all_tied_takes_first_in_path_order():
+    assert controller_rank([(5e6, 1)] * 4, lexicographic_key) == 0
 
 
-def test_lex_singleton(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[1])
-    views = fake_views([(2, 0, 1e6)], paths)
-    assert select_lexicographic(views) is paths[0]
+def test_lex_singleton():
+    assert controller_rank([(1e6, 0)], lexicographic_key) == 0
 
 
-def test_lex_permutation_invariance(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    rng = random.Random(0)
-    for _ in range(200):
-        stats = [(rng.choice([4, 6]), rng.randint(0, 3),
-                  rng.choice([0.0, 2e6, 5e6, 5e6, 9e6])) for _ in paths]
-        views = fake_views(stats, paths)
-        want = select_lexicographic(views)
-        shuffled = views[:]
-        rng.shuffle(shuffled)
-        assert select_lexicographic(shuffled) is want
-
-
-def test_lex_matches_bruteforce_oracle(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
+def test_lex_matches_bruteforce_oracle():
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(1, 4)
-        stats = [(rng.choice([4, 6, 6]), rng.randint(0, 3),
-                  float(rng.choice([0, 1e6, 2e6, 5e6, 5e6, 10e6])))
-                 for _ in range(n)]
-        views = fake_views(stats, paths[:n])
-        assert select_lexicographic(views) is lex_oracle(views)
-
-
-def test_lex_rejects_empty():
-    with pytest.raises(SchedulerError):
-        select_lexicographic([])
+        loads = [(float(rng.choice([0, 1e6, 2e6, 5e6, 5e6, 10e6])),
+                  rng.randint(0, 3)) for _ in range(n)]
+        assert controller_rank(loads, lexicographic_key) == lex_oracle(loads)
 
 
 # -- scalarized controller ------------------------------------------------------
 
-def test_scalarized_alpha_zero_is_max_residual(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
+def test_scalarized_alpha_zero_is_max_residual():
     rng = random.Random(3)
     for _ in range(100):
-        stats = [(6, rng.randint(0, 5), float(rng.randrange(0, 10_000_001)))
-                 for _ in paths]
-        views = fake_views(stats, paths)
-        best = max(v.min_residual for v in views)
-        want = [v.path for v in views if v.min_residual == best][0]
-        assert select_scalarized(views, 0.0) is want
+        loads = [(float(rng.randrange(0, 10_000_001)), rng.randint(0, 5))
+                 for _ in range(4)]
+        best = max(residual for residual, _ in loads)
+        want = [r for r, (residual, _) in enumerate(loads)
+                if residual == best][0]
+        assert controller_rank(loads, scalarized_key(0.0)) == want
 
 
-def test_scalarized_flip_case(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    views = fake_views([(6, 0, 5e6), (6, 1, 9e6)], paths)
-    assert select_scalarized(views, 1.0) is paths[1]  # 9-1 > 5-0 in Mb/s
-    assert select_scalarized(views, 5.0) is paths[0]  # 5 > 9-5
+def test_scalarized_flip_case():
+    loads = [(5e6, 0), (9e6, 1)]
+    assert controller_rank(loads, scalarized_key(1.0)) == 1  # 9-1 > 5-0 in Mb/s
+    assert controller_rank(loads, scalarized_key(5.0)) == 0  # 5 > 9-5
 
 
-def test_scalarized_joint_scaling_invariance(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
+def test_scalarized_joint_scaling_invariance():
     rng = random.Random(17)
     for _ in range(200):
-        stats = [(6, rng.randint(0, 4), float(rng.choice([0, 1e6, 3e6, 8e6])))
-                 for _ in paths]
+        loads = [(float(rng.choice([0, 1e6, 3e6, 8e6])), rng.randint(0, 4))
+                 for _ in range(4)]
         alpha = rng.choice([0.5, 1.0, 2.0])
-        views = fake_views(stats, paths)
-        want = select_scalarized(views, alpha)
+        want = controller_rank(loads, scalarized_key(alpha))
         for c in (2.0, 4.0, 0.5):  # powers of two scale exactly in floats
-            scaled = [PathView(v.path, v.min_residual * c, v.uplink_elephants,
-                               v.hop_count) for v in views]
-            assert select_scalarized(scaled, alpha * c) is want
+            scaled = [(residual * c, elephants) for residual, elephants in loads]
+            assert controller_rank(scaled, scalarized_key(alpha * c)) == want
 
 
-def test_scalarized_constant_elephants_reduces_to_residual(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    views = fake_views([(6, 2, 3e6), (6, 2, 8e6), (6, 2, 5e6), (6, 2, 1e6)], paths)
+def test_scalarized_constant_elephants_reduces_to_residual():
+    loads = [(3e6, 2), (8e6, 2), (5e6, 2), (1e6, 2)]
     for alpha in (0.0, 1.0, 10.0):
-        assert select_scalarized(views, alpha) is paths[1]
+        assert controller_rank(loads, scalarized_key(alpha)) == 1
 
 
-def test_lex_agrees_with_scalarized_on_dominant_instances(k4):
-    # whenever one shortest path both maximizes residual and minimizes
-    # elephants, every selector must pick it
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
+def test_lex_agrees_with_scalarized_on_dominant_instances():
+    # whenever one candidate both maximizes residual and minimizes
+    # elephants, every policy must pick it
     rng = random.Random(23)
     for _ in range(300):
-        stats = [(6, rng.randint(1, 4), float(rng.choice([1e6, 3e6, 6e6])))
-                 for _ in paths]
-        i = rng.randrange(len(paths))
-        stats[i] = (6, 0, 9e6)  # dominates on both criteria
-        views = fake_views(stats, paths)
-        assert select_lexicographic(views) is paths[i]
+        loads = [(float(rng.choice([1e6, 3e6, 6e6])), rng.randint(1, 4))
+                 for _ in range(4)]
+        i = rng.randrange(4)
+        loads[i] = (9e6, 0)  # dominates on both criteria
+        assert controller_rank(loads, lexicographic_key) == i
         for alpha in (0.0, 1.0, 3.0):
-            assert select_scalarized(views, alpha) is paths[i]
+            assert controller_rank(loads, scalarized_key(alpha)) == i
 
 
-def test_scalarized_rejects_bad_alpha(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    views = fake_views([(6, 0, 5e6)], paths)
-    with pytest.raises(SchedulerError):
-        select_scalarized(views, float("inf"))
-    with pytest.raises(SchedulerError):
-        select_scalarized([], 1.0)
+def test_scalarized_rejects_bad_alpha():
+    for alpha in (float("inf"), float("nan")):
+        with pytest.raises(SchedulerError, match="alpha must be finite"):
+            scalarized_key(alpha)
 
 
 # -- hedera -------------------------------------------------------------------
 
 def test_hedera_mice_scale_goes_to_ecmp(k4):
     f = Flow(3, k4.hosts[0], k4.hosts[15], 1000.0, 0.0, None, 1.0)
-    candidates = k4.equal_cost_paths(f.src, f.dst)
-    views = fake_views([(6, 0, 10e6)] * 4, candidates)
-    path, mech = select_hedera(k4, f, views, 0.1)
-    assert mech == MECH_PROACTIVE
-    assert path is select_ecmp(k4, f, candidates)
+    assert hedera_key(k4, f, 0.1) is None
+    kind = SchedulerKind("hedera")
+    d = dispatch(Engine(k4, kind, [], horizon=1.0, seed=0), f, kind)
+    assert d.mechanism == MECH_PROACTIVE
+    assert d.path is hashed(k4, f)
 
 
 def test_hedera_first_fit(k4):
     f = Flow(3, k4.hosts[0], k4.hosts[15], 6e6, 0.0, None)
-    paths = k4.equal_cost_paths(f.src, f.dst)
-    views = fake_views([(6, 0, 5e6), (6, 0, 7e6), (6, 0, 10e6), (6, 0, 10e6)], paths)
-    path, mech = select_hedera(k4, f, views, 0.1)
-    assert mech == MECH_CONTROLLER
-    assert path is paths[1]  # first candidate with room for the whole demand
+    loads = [(5e6, 0), (7e6, 0), (10e6, 0), (10e6, 0)]
+    # the first candidate with room for the whole demand
+    assert controller_rank(loads, hedera_key(k4, f, 0.1)) == 1
 
 
 def test_hedera_fallback_max_residual(k4):
     f = Flow(3, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
-    paths = k4.equal_cost_paths(f.src, f.dst)
-    views = fake_views([(6, 0, 2e6), (6, 0, 7e6), (6, 0, 5e6)], paths[:3])
-    path, _ = select_hedera(k4, f, views, 0.1)
-    assert path is paths[1]  # nothing fits demand 10, widest residual wins
+    loads = [(2e6, 0), (7e6, 0), (5e6, 0)]
+    # nothing fits demand 10, widest residual wins
+    assert controller_rank(loads, hedera_key(k4, f, 0.1)) == 1
 
 
 # -- hedera-gff -------------------------------------------------------------------
@@ -256,14 +262,29 @@ def test_estimator_sender_reclaims_what_a_receiver_limits(k4):
 
 
 def test_first_fit_honours_reservations_and_canonical_order(k4):
-    paths = k4.equal_cost_paths(k4.hosts[0], k4.hosts[15])
-    room = [k4.link_capacity * (1.0 + 1e-9)] * len(k4.links)
-    room[paths[0].link_ids[2]] -= 6e6  # paths[0]'s agg-to-core hop
-    shuffled = [paths[3], paths[1], paths[0], paths[2]]
-    assert global_first_fit(shuffled, 5e6, room) == paths[1]
-    assert global_first_fit(shuffled, 4e6, room) == paths[0]
-    room[paths[0].link_ids[0]] -= 6e6  # the shared host uplink
-    assert global_first_fit(shuffled, 5e6, room) is None
+    # a lone large flow is estimated at its whole NIC
+    h = k4.hosts
+    flow = Flow(0, h[0], h[15], 10e6, 0.0, None)
+    paths = k4.equal_cost_paths(h[0], h[15])
+    assert hedera_schedule(k4, [flow], {}) == [(flow, paths[0], 10e6)]
+    # a reservation on paths[0]'s agg-to-core hop alone sends it one rank on
+    core_hop = k4.equal_cost_paths(h[2], h[8])[0]
+    assert set(core_hop.link_ids) & set(paths[0].link_ids) == {
+        paths[0].link_ids[2]}
+    placed = {1: (1e6, core_hop)}
+    assert hedera_schedule(k4, [flow], placed) == [(flow, paths[1], 10e6)]
+    # one on the host uplink every candidate shares leaves it nowhere
+    placed[2] = (1e6, k4.equal_cost_paths(h[0], h[1])[0])
+    assert hedera_schedule(k4, [flow], placed) == []
+
+
+def first_fit(candidates, need, room):
+    # Global First Fit, written out: the first candidate in canonical order
+    # whose least room covers the need
+    for p in sorted(candidates, key=lambda p: p.sort_key):
+        if min(room[lid] for lid in p.link_ids) >= need:
+            return p
+    return None
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
@@ -303,7 +324,7 @@ def test_gff_round_places_by_rank_as_first_fit_over_every_candidate(k):
             reservation, path = placed[fid]
             for lid in path.link_ids:
                 room[lid] -= reservation
-        want = global_first_fit(candidates, need, room)
+        want = first_fit(candidates, need, room)
         assert hedera_schedule(topo, [flow], placed) == (
             [] if want is None else [(flow, want, need)])
         least = [min(room[lid] for lid in p.link_ids) for p in candidates]
@@ -363,7 +384,7 @@ def test_gff_places_arrivals_by_ecmp(k4):
         d = dispatch(eng, f, kind)
         candidates = k4.equal_cost_paths(f.src, f.dst)
         assert d.mechanism == MECH_PROACTIVE
-        assert d.path == select_ecmp(k4, f, candidates)
+        assert d.path is hashed(k4, f)
         assert d.candidates_considered == len(candidates)
 
 
@@ -426,74 +447,23 @@ def test_non_blocking_permutation_gets_full_capacity():
 
 # -- the controller's snapshot ---------------------------------------------------
 
-def scanned_uplink(path):
-    up = [l.id for l in path.hops if l.kind == LinkKind.AGG_CORE and l.up]
-    assert len(up) <= 1
-    return up[0] if up else None
-
-
-@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
-                                     (build_fat_tree, 6), (build_fat_tree, 8),
-                                     (build_nonblocking, 4)])
-def test_path_uplink_id_is_the_up_agg_core_hop(build, k):
-    topo = build(k, 10e6)
-    found = 0
-    for src in (topo.hosts[0], topo.hosts[-1]):
-        for dst in topo.hosts:
-            if dst != src:
-                for p in topo.equal_cost_paths(src, dst):
-                    assert p.uplink_id == scanned_uplink(p)
-                    found += p.uplink_id is not None
-    assert (found > 0) == (topo.layout == "fat-tree")
-
-
-def recomputed_views(eng, candidates):
-    views = []
-    for p in candidates:
-        uplink = scanned_uplink(p)
-        views.append(PathView(
-            p, min(eng.polled_residual[l.id] for l in p.hops),
-            0 if uplink is None else eng.polled_elephants[uplink], len(p.hops)))
-    return views
-
-
-def test_path_views_read_the_poll_snapshot():
-    config = ExperimentConfig()
-    topo = build_topology(config, "hybrid")
-    eng = Engine(topo, config.scheduler_kind("hybrid"),
-                 generate_workload(topo, config.workload_spec(0)),
-                 horizon=config.duration, params=config.engine_params(),
-                 seed=0)
-    hosts = topo.hosts
-    pairs = [(hosts[0], hosts[1]), (hosts[0], hosts[2]), (hosts[0], hosts[-1]),
-             (hosts[5], hosts[9]), (hosts[-1], hosts[3])]
-    loaded = crowded = 0
-    while eng.pending_events():
-        if eng.step()["type"] not in ("arrival", "poll"):
-            continue
-        for src, dst in pairs:
-            candidates = topo.equal_cost_paths(src, dst)
-            views = path_views(eng, candidates)
-            assert views == recomputed_views(eng, candidates)
-            loaded += any(v.min_residual < topo.link_capacity for v in views)
-            crowded += any(v.uplink_elephants for v in views)
-    assert loaded and crowded
-
-
-def test_path_views_change_only_at_a_poll(k4):
+def test_controller_loads_change_only_at_a_poll(k4):
     f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.5, None)
     eng = Engine(k4, SchedulerKind("ecmp"), [f], horizon=3.0, seed=0)
-    candidates = k4.equal_cost_paths(f.src, f.dst)
-    before = path_views(eng, candidates)
+
+    def loads():
+        return k4.candidate_loads(f.src, f.dst, eng.polled_residual,
+                                  eng.polled_elephants)
+
+    before = loads()
     assert eng.step()["type"] == "arrival"
     assert max(eng.allocated) == 10e6
-    assert path_views(eng, candidates) == before
+    assert loads() == before
     assert eng.step()["type"] == "poll"
-    after = {v.path: v for v in path_views(eng, candidates)}
-    view = after[eng.active[0].path]
-    assert view.min_residual == 0.0
-    assert view.uplink_elephants == 1
-    assert sum(v.uplink_elephants for v in after.values()) == 1
+    after = loads()
+    rank = k4.equal_cost_paths(f.src, f.dst).index(eng.active[0].path)
+    assert after[rank] == (0.0, 1)
+    assert sum(elephants for _, elephants in after) == 1
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -521,18 +491,12 @@ def test_dispatch_ecmp_always_proactive(k4):
 
 def test_dispatch_controller_branch_equals_lex(k4):
     eng = Engine(k4, SchedulerKind("hybrid"), [], horizon=1.0, seed=0)
-
-    class AlwaysController:
-        def random(self):
-            return 0.0
-
-    eng.dispatch_rng = AlwaysController()
+    eng.dispatch_rng = FixedCoin(0.0)
     f = Flow(0, k4.hosts[0], k4.hosts[15], 10e6, 0.0, None)
     d = dispatch(eng, f, SchedulerKind("hybrid"))
     assert d.mechanism == MECH_CONTROLLER
-    from fatflow.schedulers import path_views
-    want = select_lexicographic(path_views(eng, k4.equal_cost_paths(f.src, f.dst)))
-    assert d.path == want
+    candidates = k4.equal_cost_paths(f.src, f.dst)
+    assert d.path is candidates[lex_oracle(scanned_loads(eng, candidates))]
 
 
 def test_dispatch_chooses_among_equal_cost_paths(k4):
@@ -547,12 +511,30 @@ def test_dispatch_chooses_among_equal_cost_paths(k4):
             assert d.candidates_considered == len(candidates)
 
 
+def brute_force_pick(kind, flow, candidates, loads):
+    """The controller's choice written out: candidates keyed on
+    `Path.sort_key`, each policy as a plain comparison of their loads."""
+    order = sorted(range(len(candidates)), key=lambda r: candidates[r].sort_key)
+    if kind.name == HYBRID:
+        # fewest uplink elephants, then widest residual
+        best = min(order, key=lambda r: (loads[r][1], -loads[r][0]))
+    elif kind.name == HYBRID_SCALAR:
+        best = max(order, key=lambda r: loads[r][0] / 1e6
+                   - kind.alpha * loads[r][1])
+    else:
+        # Hedera's greedy: the first that fits the demand, else the widest
+        assert kind.name == HEDERA
+        fits = [r for r in order if loads[r][0] >= flow.demand]
+        best = fits[0] if fits else max(order, key=lambda r: loads[r][0])
+    return candidates[best]
+
+
 @pytest.mark.parametrize("config", ["default", "k8"])
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_dispatch_matches_the_selectors_over_every_candidate(scheduler, config,
                                                              monkeypatch):
-    # at every arrival of a full run, dispatch's pick by rank is the public
-    # selector's pick over the materialised candidates and their views
+    # at every arrival of a full run, dispatch's pick by rank is the brute
+    # force pick over the materialised candidates and their scanned loads
     eng = default_engine(Engine, scheduler, **RESOLVE_CONFIGS[config])
     topo, kind = eng.topology, eng.scheduler
     mechanisms = Counter()
@@ -560,26 +542,22 @@ def test_dispatch_matches_the_selectors_over_every_candidate(scheduler, config,
     def checked(state, flow, kind):
         d = dispatch(state, flow, kind)
         candidates = topo.equal_cost_paths(flow.src, flow.dst)
-        views = path_views(state, candidates)
+        loads = scanned_loads(state, candidates)
         if kind.name == HEDERA:
-            want, mechanism = select_hedera(topo, flow, views,
-                                            kind.elephant_threshold)
-            assert d.mechanism == mechanism
-        elif d.mechanism == MECH_PROACTIVE:
-            want = select_ecmp(topo, flow, candidates)
-        elif kind.name == HYBRID:
-            want = select_lexicographic(views)
+            small = flow.demand < kind.elephant_threshold * topo.link_capacity
+            assert d.mechanism == (MECH_PROACTIVE if small else MECH_CONTROLLER)
+        if d.mechanism == MECH_PROACTIVE:
+            want = hashed(topo, flow)
         else:
-            assert kind.name == HYBRID_SCALAR
-            want = select_scalarized(views, kind.alpha)
+            want = brute_force_pick(kind, flow, candidates, loads)
         assert d.path is want
         assert d.candidates_considered == len(candidates)
         mechanisms[d.mechanism] += 1
         if d.mechanism == MECH_CONTROLLER:
             # a decision the loads could sway
-            mechanisms["loaded"] += any(v.uplink_elephants or
-                                        v.min_residual < topo.link_capacity
-                                        for v in views)
+            mechanisms["loaded"] += any(
+                elephants or residual < topo.link_capacity
+                for residual, elephants in loads)
         return d
 
     monkeypatch.setattr(engine_module, "dispatch", checked)

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import networkx as nx
 import pytest
 
-from fatflow.schedulers import path_views
 from fatflow.topology import (AGG, CORE, EDGE, Link, LinkKind, NodeId, Path,
                               TopologyError, build_fat_tree, build_nonblocking)
 
@@ -336,6 +335,23 @@ def bits(x):
     return struct.pack("<d", x)
 
 
+def scanned_uplink(path):
+    up = [l.id for l in path.hops if l.kind == LinkKind.AGG_CORE and l.up]
+    assert len(up) <= 1
+    return up[0] if up else None
+
+
+def scanned_loads(state, paths):
+    """Each path's least polled residual and the polled elephants on its
+    aggregate-to-core up link (0 below the core), read off its own links."""
+    loads = []
+    for p in paths:
+        uplink = scanned_uplink(p)
+        loads.append((min(state.polled_residual[lid] for lid in p.link_ids),
+                      0 if uplink is None else state.polled_elephants[uplink]))
+    return loads
+
+
 def random_link_state(topo, rng):
     # few distinct values, so equal minima (+0.0 next to -0.0 among them)
     # are common, plus arbitrary floats
@@ -375,10 +391,9 @@ def test_candidate_reads_match_the_materialised_paths_for_every_pair(build, k):
 
             loads = t.candidate_loads(src, dst, state.polled_residual,
                                       state.polled_elephants)
-            views = path_views(state, got)
-            assert [e for _, e in loads] == [v.uplink_elephants for v in views]
-            assert [bits(r) for r, _ in loads] == \
-                [bits(v.min_residual) for v in views]
+            want = scanned_loads(state, got)
+            assert [e for _, e in loads] == [e for _, e in want]
+            assert [bits(r) for r, _ in loads] == [bits(r) for r, _ in want]
 
 
 def test_path_at_rejects_a_rank_outside_the_pair():

@@ -1,4 +1,3 @@
-import itertools
 import math
 from array import array
 
@@ -6,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatflow.engine import Engine, EngineError
+from fatflow.schedulers import SchedulerKind
 from fatflow.topology import build_fat_tree, build_nonblocking
 from fatflow.traffic import (Flow, WorkloadError, WorkloadSpec,
-                             crosses_bisection, even_count, even_times,
-                             generate_workload, probe_schedule)
+                             crosses_bisection, generate_workload)
+
+from test_engine import per_element_min_times
 
 
 @pytest.fixture(scope="module")
@@ -109,27 +111,34 @@ def test_demand_none_is_the_link_capacity(build):
     assert all(f.demand == topo.link_capacity for f in elephants)
 
 
-def probe_flow(duration, start=0.0, interval=1.0):
-    return Flow(0, None, None, 1000.0, start, duration, interval)
+def drawn_probe_times(duration, horizon, start=0.0, interval=1.0,
+                      demand=1000.0):
+    """The times of the probes an engine draws for one flow, read from its
+    event log."""
+    topo = build_fat_tree(4, 10e6)
+    flow = Flow(0, topo.hosts[0], topo.hosts[15], demand, start, duration,
+                interval)
+    eng = Engine(topo, SchedulerKind("ecmp"), [flow], horizon=horizon).run()
+    return [rec["t"] for rec in eng.event_log if rec["type"] == "probe"]
 
 
 def test_probe_schedule_basic():
-    assert probe_schedule(probe_flow(10.0), horizon=100.0) == [
+    assert drawn_probe_times(10.0, horizon=100.0) == [
         float(i) for i in range(11)
     ]
 
 
 def test_probe_schedule_zero_duration():
-    assert probe_schedule(probe_flow(0.0, start=3.5), horizon=10.0) == [3.5]
+    assert drawn_probe_times(0.0, start=3.5, horizon=10.0) == [3.5]
 
 
 def test_probe_schedule_fractional_interval():
-    times = probe_schedule(probe_flow(5.0, interval=0.2), horizon=100.0)
-    assert len(times) == 26  # floor(5 / 0.2) + 1
+    times = drawn_probe_times(5.0, interval=0.2, horizon=100.0)
+    assert len(times) == 26  # floor(5 / 0.2) + 1; 5 / 0.2 is 24.999...
 
 
 def test_probe_schedule_open_ended_capped_at_horizon():
-    times = probe_schedule(probe_flow(None, start=1.0), horizon=4.0)
+    times = drawn_probe_times(None, start=1.0, horizon=4.0)
     assert times == [1.0, 2.0, 3.0, 4.0]
 
 
@@ -144,60 +153,33 @@ def test_probe_schedule_stays_inside_the_stream(interval, horizon_tenths,
     horizon = horizon_tenths / 10
     start = min(start_tenths, horizon_tenths) / 10
     duration = None if duration_tenths is None else duration_tenths / 10
-    times = probe_schedule(probe_flow(duration, start, interval), horizon)
+    times = drawn_probe_times(duration, horizon, start, interval)
+    if start == horizon:
+        assert times == []  # a flow due at the horizon never arrives
+        return
     end = horizon if duration is None else min(start + duration, horizon)
     assert times[0] == start
     assert all(start <= t <= end for t in times)
     assert all(a < b for a, b in zip(times, times[1:]))
-
-
-def per_element_min_times(start, end, interval):
-    """The reference form of `even_times`: every time through its own `min`."""
-    span = max(0.0, end - start)
-    count = int(math.floor(span / interval + 1e-9)) + 1
-    return [start] + [min(start + i * interval, end) for i in range(1, count)]
-
-
-def test_even_times_clamps_only_the_tail_bit_for_bit():
-    # the last multiple rounds past the end: 0.1 + 2 * 0.1 is
-    # 0.30000000000000004
-    assert 0.1 + 2 * 0.1 > 0.3
-    assert even_times(0.1, 0.3, 0.1) == [0.1, 0.2, 0.3]
-    triples = [(0.1, 0.3, 0.1), (0.0, 3.3, 1.1), (-0.0, 0.0, 1.0),
-               (2.0, 1.0, 0.5)]
-    for a, b, interval in itertools.product(
-            range(40), range(40), [0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 1 / 3]):
-        triples += [(a / 10, b / 10, interval), (a * 0.37, b * 1.13, interval)]
-    for start, end, interval in triples:
-        got = even_times(start, end, interval)
-        want = per_element_min_times(start, end, interval)
-        assert array("d", got).tobytes() == array("d", want).tobytes(), \
-            (start, end, interval)
-
-
-def test_even_count_is_the_length_of_even_times():
-    assert even_count(0.0, 5.0, 0.2) == 26  # 5 / 0.2 is 24.999...
-    assert even_count(2.0, 1.0, 0.5) == 1  # an empty span still has start
-    for a, b, interval in itertools.product(range(20), range(20),
-                                            [0.1, 0.3, 1.1, 1 / 3]):
-        start, end = a * 0.37, b * 0.41
-        assert even_count(start, end, interval) == len(
-            even_times(start, end, interval))
+    # bit for bit: only a time that rounds past the end is clamped to it
+    assert array("d", times).tobytes() == array(
+        "d", per_element_min_times(start, end, interval)).tobytes()
 
 
 def test_probe_schedule_rejects_bad_interval():
-    # a flow without a period is an elephant, rejected below
+    # a flow without a period is an elephant, below
     for interval in (0.0, -1.0, math.nan):
-        with pytest.raises(WorkloadError) as raised:
-            probe_schedule(probe_flow(5.0, interval=interval), horizon=10.0)
+        with pytest.raises(EngineError) as raised:
+            drawn_probe_times(5.0, horizon=10.0, interval=interval)
         assert str(raised.value) == ("flow 0: probe_interval must be none or "
                                      f"finite and > 0, got {interval!r}")
 
 
 def test_probe_schedule_elephant_rejected():
-    f = Flow(0, None, None, 1e7, 0.0, 5.0)
-    with pytest.raises(WorkloadError):
-        probe_schedule(f, horizon=10.0)
+    # the same flow without a probe period is an elephant: it takes a rate
+    # and no probe is ever drawn for it
+    assert drawn_probe_times(5.0, horizon=10.0, interval=None,
+                             demand=1e7) == []
 
 
 def test_spec_validation():
