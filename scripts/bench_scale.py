@@ -3,13 +3,20 @@
 Usage (from anywhere in the repository):
     python3 scripts/bench_scale.py [--out FILE] [--src DIR] [--only NAME]
 
-Runs each pinned config five times (`hybrid`, seed 0), each run in a fresh
-child process of its own, and interleaves the configs' runs (k8-256,
-k16-1024, k8-256, ...). A slow or fast phase of the host then falls on
-runs of both configs rather than on all five runs of one, and the median,
-min and max show the spread. The configs:
-- k8-256: `ExperimentConfig(k=8, elephants=256, arrival_rate=25.0)`;
-- k16-1024: `ExperimentConfig(k=16, elephants=1024, arrival_rate=100.0)`.
+Runs each pinned config five times (seed 0), each run in a fresh child
+process of its own, and interleaves the configs' runs (k8-256, k16-1024,
+k24-3456, criterion6, k8-256, ...). A slow or fast phase of the host then
+falls on runs of several configs rather than on all five runs of one, and
+the median, min and max show the spread. The configs:
+- k8-256: `ExperimentConfig(k=8, elephants=256, arrival_rate=25.0)`, `hybrid`;
+- k16-1024: `ExperimentConfig(k=16, elephants=1024, arrival_rate=100.0)`,
+  `hybrid`;
+- k24-3456: `ExperimentConfig(k=24, elephants=3456, arrival_rate=337.5)`,
+  `hybrid` (46-55 s per run on a 2-CPU Xeon VM, Python 3.11);
+- criterion6: the workload of acceptance criterion 6
+  (`tests/test_acceptance.py`), the slowest acceptance test: on a k=4
+  fat-tree, 10,000 cross-half 5 Mb/s elephants of 1.5 s arriving at 50/s
+  from round-robin sources, under `ecmp`, until 3 s after the last arrival.
 
 Per config it records the seconds spent building the topology, in
 `Topology.path_at` (inclusive, memo hits counted), in the rest of
@@ -22,7 +29,8 @@ RSS of the runs' child processes. `--src` runs another checkout's `src/` (say, a
 archive` of the parent revision), so two revisions can be compared on one
 host. `--only NAME` times that config alone and writes no file unless
 `--out` is given, so `BENCH_scale.json` keeps every config. Nothing is
-written into a bundle.
+written into a bundle. criterion6's `run_one_rest_s` covers building its
+flows and engine and running it, as `run_one` does for the others.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -41,23 +50,48 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# name -> (ExperimentConfig fields, scheduler)
 CONFIGS = {
-    "k8-256": dict(k=8, elephants=256, arrival_rate=25.0),
-    "k16-1024": dict(k=16, elephants=1024, arrival_rate=100.0),
+    "k8-256": (dict(k=8, elephants=256, arrival_rate=25.0), "hybrid"),
+    "k16-1024": (dict(k=16, elephants=1024, arrival_rate=100.0), "hybrid"),
+    "k24-3456": (dict(k=24, elephants=3456, arrival_rate=337.5), "hybrid"),
+    # the config gives only the topology; `criterion6_engine` the workload
+    "criterion6": (dict(k=4), "ecmp"),
 }
-SCHEDULER = "hybrid"
 SEED = 0
 RUNS = 5  # per config, each in a child process of its own
 TIMES = ("topology_build_s", "path_at_s", "run_one_rest_s", "run_report_s",
          "report_write_s")
 
 
-def measure(experiment, fields: dict, scratch: Path) -> dict:
+def criterion6_engine(topo):
+    """Criterion 6's run, built as `tests/test_acceptance.py` builds it."""
+    from fatflow.engine import Engine
+    from fatflow.schedulers import SchedulerKind
+    from fatflow.traffic import Flow
+
+    hosts = list(topo.hosts)
+    left = [h for h in hosts if h.pod < 2]
+    right = [h for h in hosts if h.pod >= 2]
+    rng = random.Random(40)
+    flows = []
+    t = 0.0
+    for fid in range(10_000):
+        t += rng.expovariate(50.0)
+        src = hosts[fid % 16]
+        dst = rng.choice(right if src in left else left)
+        flows.append(Flow(fid, src, dst, 5e6, t, 1.5))
+    return Engine(topo, SchedulerKind("ecmp"), flows, horizon=t + 3.0,
+                  seed=SEED).run()
+
+
+def measure(experiment, name: str, scratch: Path) -> dict:
+    fields, scheduler = CONFIGS[name]
     config = experiment.ExperimentConfig(**fields)
     config.validate()
 
     t0 = perf_counter()
-    topo = experiment.build_topology(config, SCHEDULER)
+    topo = experiment.build_topology(config, scheduler)
     build_s = perf_counter() - t0
 
     # time every path_at call through an instance attribute, which shadows
@@ -78,7 +112,8 @@ def measure(experiment, fields: dict, scratch: Path) -> dict:
 
     topo.path_at = timed_path_at
     t0 = perf_counter()
-    engine = experiment.run_one(config, SCHEDULER, SEED, topo)
+    engine = (criterion6_engine(topo) if name == "criterion6" else
+              experiment.run_one(config, scheduler, SEED, topo))
     run_s = perf_counter() - t0
     t0 = perf_counter()
     report = experiment.run_report(engine)
@@ -88,7 +123,7 @@ def measure(experiment, fields: dict, scratch: Path) -> dict:
     write_s = perf_counter() - t0
     return {
         "config": fields,
-        "scheduler": SCHEDULER,
+        "scheduler": scheduler,
         "seed": SEED,
         "topology_build_s": build_s,
         "path_at_s": paths_s,
@@ -137,7 +172,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, args.src)
         from fatflow import experiment
         with tempfile.TemporaryDirectory() as scratch:
-            print(json.dumps(measure(experiment, CONFIGS[args.config],
+            print(json.dumps(measure(experiment, args.config,
                                      Path(scratch))))
         return 0
 

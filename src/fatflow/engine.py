@@ -34,7 +34,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .rules import NON_NEGATIVE, OPEN_FRACTION, POSITIVE, check_fields, setting
 from .schedulers import (HEDERA_GFF, MECH_CONTROLLER, SchedulerKind, dispatch,
@@ -269,12 +269,17 @@ def _check_flows(flows: Sequence[Flow], topo: Topology) -> None:
 
 
 class Engine:
-    """One seeded simulation run over a fixed topology and workload."""
+    """One seeded simulation run over a fixed topology and workload.
+
+    With a `sink`, each processed event's log record is passed to it as the
+    event is processed, and the engine keeps none of them; with none, no
+    record is built.
+    """
 
     def __init__(self, topo: Topology, scheduler: SchedulerKind,
                  flows: list[Flow], horizon: float,
                  params: EngineParams = EngineParams(), seed: int = 0,
-                 log_events: bool = True):
+                 sink: Optional[Callable[[dict], object]] = None):
         POSITIVE.check("horizon", horizon, EngineError)
         layout = layout_for(scheduler.name)
         if topo.layout != layout:
@@ -285,7 +290,7 @@ class Engine:
         self.horizon = horizon
         self.seed = seed
         self.params = params
-        self.log_events = log_events
+        self._sink = sink
         self.dispatch_rng = random.Random(f"{seed}/dispatch")
         self._probe_rng = random.Random(f"{seed}/probe")
 
@@ -343,7 +348,6 @@ class Engine:
         self.probe_rtts: list[Optional[float]] = []
         # per monitored link, its polled utilization summed over the polls
         self.util_sums = [0.0] * len(topo.monitored_link_ids)
-        self.event_log: list[dict] = []  # kept only when `log_events` is on
         self.events_processed = 0
 
         # state-changing events, and per mouse the time and sequence number
@@ -382,12 +386,11 @@ class Engine:
 
     def step(self) -> dict:
         """Process exactly one event in (time, sequence) order and return its
-        log record, or only `{"type": kind}` when `log_events` is off."""
+        log record, or only `{"type": kind}` when the engine has no sink."""
         queue, probes = self._queue, self._probes
         if probes and (not queue or probes[0] < queue[0]):
             t, seq = probes[0][:2]
-            self._run_probes((t, seq + 1))
-            return self.event_log[-1] if self.log_events else {"type": "probe"}
+            return self._run_probes((t, seq + 1)) or {"type": "probe"}
         if not queue:
             raise EngineError("event queue is empty")
         t, seq, kind, payload = heapq.heappop(queue)
@@ -407,7 +410,7 @@ class Engine:
         if record is None:
             return {"type": kind}
         record.update(seq=seq, t=t, type=kind)
-        self.event_log.append(record)
+        self._sink(record)
         return record
 
     def run(self) -> "Engine":
@@ -420,9 +423,10 @@ class Engine:
         self._advance(self.horizon)
         return self
 
-    def _run_probes(self, stop: tuple) -> None:
+    def _run_probes(self, stop: tuple) -> Optional[dict]:
         """Draw every queued probe whose (time, sequence) key comes before
-        `stop`, in that order.
+        `stop`, in that order; return the last one's log record, None
+        without a sink.
 
         No state changes between them, so each mouse's cached outcome stays
         valid across the batch and the clock moves once, to the last probe.
@@ -433,7 +437,7 @@ class Engine:
         pop, replace = heapq.heappop, heapq.heapreplace
         keep, delay, epoch = self._probe_keep, self._probe_delay, self._epoch
         draw, append = self._probe_rng.random, self.probe_rtts.append
-        log = self.event_log.append if self.log_events else None
+        sink, record = self._sink, None
         t, n = self.clock, 0
         while probes and probes[0] < stop:
             t, seq, st, i, count, end = probes[0]
@@ -458,11 +462,13 @@ class Engine:
             # one draw per probe, hit or miss, keeps the random stream in order
             rtt = st.probe_rtt if draw() < st.probe_keep else None
             append(rtt)
-            if log is not None:
-                log({"flow": st.spec.id, "delivered": rtt is not None,
-                     "rtt": rtt, "seq": seq, "t": t, "type": "probe"})
+            if sink is not None:
+                record = {"flow": st.spec.id, "delivered": rtt is not None,
+                          "rtt": rtt, "seq": seq, "t": t, "type": "probe"}
+                sink(record)
         self._advance(t)
         self.events_processed += n
+        return record
 
     def _advance(self, t: float) -> None:
         if t < self.clock:
@@ -491,7 +497,7 @@ class Engine:
             heapq.heappush(self._probes, (flow.start_time, self._reserve(count),
                                           st, 0, count, end))
         self._reallocate_for(st)
-        if not self.log_events:
+        if self._sink is None:
             return None
         return {
             "flow": flow.id,
@@ -511,7 +517,7 @@ class Engine:
                 self.elephants[lid] -= 1
         self.reservations.pop(fid, None)
         self._reallocate_for(st)
-        if not self.log_events:
+        if self._sink is None:
             return None
         return {"flow": fid, "bisection_rate": self.bisection_rate}
 
@@ -547,7 +553,7 @@ class Engine:
         self.util_sums = list(map(operator.add, self.util_sums,
                                   self._polled_util))
         record = ({"classified": newly, "port_reads": self.port_stat_reads}
-                  if self.log_events else None)
+                  if self._sink is not None else None)
         if self._round_polls and self.polls % self._round_polls == 0:
             moved = self._hedera_round()
             if record is not None:

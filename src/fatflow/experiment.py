@@ -10,15 +10,21 @@ event-log line) is what `json.dumps(obj, sort_keys=True, allow_nan=False)`
 writes, one line per file or event, from one `json.JSONEncoder`. A float
 that is not finite raises ValueError naming the file and the key.
 
+A grid keeps nothing it has written: once a run's report is on disk, only
+the fields `summarize` and `emit_plot_data` read stay in memory
+(`summary_record`), and with `write_events` each event is encoded to its
+run's log as the engine processes it.
+
 Event-log record format (one JSON object per processed engine event; the
-engine builds records only when `write_events` is on, which `run_one` passes
-as `log_events`): {"seq": int, "t": seconds, "type":
+engine builds records only when given a sink, which `run_experiment` passes
+when `write_events` is on): {"seq": int, "t": seconds, "type":
 "arrival"|"departure"|"probe"|"poll", ...} with per-type payload fields as
 produced by Engine.step().
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,7 +32,7 @@ import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from . import metrics
 from .engine import Engine, EngineParams
@@ -115,14 +121,17 @@ def build_topology(config: ExperimentConfig, scheduler: str) -> Topology:
 
 
 def run_one(config: ExperimentConfig, scheduler: str, seed: int,
-            topo: Optional[Topology] = None) -> Engine:
+            topo: Optional[Topology] = None,
+            sink: Optional[Callable[[dict], object]] = None) -> Engine:
     """Run a single seeded simulation and return the finished engine.
 
     `topo` is the scheduler's topology from `build_topology`, built here when
     omitted. Runs can share one: its links never change, and the only
     state it gains is a memo of the candidate `Path`s flows took, built on
     first use. ConfigError names the field of a `topo` built for another
-    k, capacity or layout.
+    k, capacity or layout. `sink` receives each event's log record as the
+    engine processes it; the engine keeps none, and builds none without a
+    sink (`write_events` alone logs nothing here).
     """
     if topo is None:
         topo = build_topology(config, scheduler)
@@ -134,7 +143,7 @@ def run_one(config: ExperimentConfig, scheduler: str, seed: int,
     flows = generate_workload(topo, config.workload_spec(seed))
     engine = Engine(topo, config.scheduler_kind(scheduler), flows,
                     horizon=config.duration, params=config.engine_params(),
-                    seed=seed, log_events=config.write_events)
+                    seed=seed, sink=sink)
     return engine.run()
 
 
@@ -157,9 +166,9 @@ def run_report(engine: Engine) -> dict:
         "k": topo.k,
         "capacity_bps": topo.link_capacity,
         "horizon_s": engine.horizon,
-        "bisection": {"mean_bps": mean_bis, "series": [[t, v] for t, v in series]},
+        "bisection": {"mean_bps": mean_bis, "series": series},
         "link_utilization_mean": util_vector,
-        "utilization_cdf": None if cdf is None else [[u, f] for u, f in cdf],
+        "utilization_cdf": cdf,
         "cdf_p50": None if cdf is None else metrics.cdf_value_at(cdf, 0.5),
         "mice": mice,
         "decisions": {
@@ -207,6 +216,41 @@ def _dump_json(bundle: Path, name: str, obj) -> None:
     _write_atomic(bundle / name, text + "\n")
 
 
+@contextlib.contextmanager
+def _event_log(bundle: Path, name: str) -> Iterator[Callable[[dict], None]]:
+    """Yield a sink that writes each event record as one line of the file
+    `name` of the bundle directory `bundle`, under a temporary name, and
+    move the file into place when the block ends.
+
+    A record with a float that is not finite is left out, and the block's
+    end raises ValueError naming the file, the line and the key, so an
+    error raised inside the block (a report's, say) comes first. A failed
+    block leaves no file.
+    """
+    path = bundle / name
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    lines, bad = 0, None
+    try:
+        with tmp.open("w") as file:
+            write = file.write
+
+            def sink(record: dict) -> None:
+                nonlocal lines, bad
+                lines += 1
+                try:
+                    write(_encode(record) + "\n")
+                except ValueError:
+                    if bad is None:
+                        bad = f"line {lines}: {next(_non_finite(record))}"
+
+            yield sink
+        if bad is not None:
+            raise ValueError(f"{name}: {bad}")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _by_scheduler(reports: list[dict]) -> dict[str, tuple[list[dict], Optional[list]]]:
     """Each scheduler's runs in seed order, by scheduler name, with the
     utilization CDF pooled over them (the per-link means averaged across
@@ -221,6 +265,15 @@ def _by_scheduler(reports: list[dict]) -> dict[str, tuple[list[dict], Optional[l
         pooled[name] = runs, (metrics.utilization_cdf(metrics.column_means(vectors))
                               if vectors else None)
     return pooled
+
+
+def summary_record(report: dict) -> dict:
+    """The fields of a run's report that `summarize` and `emit_plot_data`
+    read, in the report's own shape, so both take either."""
+    return {"scheduler": report["scheduler"], "seed": report["seed"],
+            "bisection": {"mean_bps": report["bisection"]["mean_bps"]},
+            "link_utilization_mean": report["link_utilization_mean"],
+            "mice": report["mice"], "decisions": report["decisions"]}
 
 
 def summarize(reports: list[dict]) -> dict:
@@ -315,7 +368,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Run the full (scheduler x seed) grid and write the result bundle.
 
     The bundle's own entries in the directory are removed first, and again
-    when the run fails; every other file there is left alone.
+    when the run fails; every other file there is left alone. Each run's
+    report is written as soon as the run ends, and only its
+    `summary_record` is kept for the summary and the plots. With
+    `write_events`, each run's event log is written as the run goes
+    (`_event_log`), and a record that cannot be written fails the grid
+    after the run's report has been checked.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -332,21 +390,22 @@ def run_experiment(config: ExperimentConfig) -> Path:
         echo.pop("out_dir")  # where the bundle lives is not part of its identity
         _dump_json(out, "config.json", echo)
 
-        reports = []
+        records = []
         for scheduler in config.schedulers:
             topo = build_topology(config, scheduler)
             for seed in config.seeds:
-                engine = run_one(config, scheduler, seed, topo)
-                report = run_report(engine)
-                reports.append(report)
-                _dump_json(out, f"reports/{scheduler}_seed{seed}.json", report)
-                if config.write_events:
-                    _write_atomic(out / "events" / f"{scheduler}_seed{seed}.jsonl",
-                                  "\n".join(map(_encode, engine.event_log)) + "\n")
+                run = f"{scheduler}_seed{seed}"
+                with (_event_log(out, f"events/{run}.jsonl")
+                      if config.write_events
+                      else contextlib.nullcontext()) as sink:
+                    report = run_report(run_one(config, scheduler, seed, topo,
+                                                sink))
+                    _dump_json(out, f"reports/{run}.json", report)
+                records.append(summary_record(report))
 
-        summary = summarize(reports)
+        summary = summarize(records)
         _dump_json(out, "summary.json", summary)
-        emit_plot_data(out, reports, summary)
+        emit_plot_data(out, records, summary)
     except BaseException:
         _remove_bundle(out)
         raise

@@ -7,6 +7,7 @@ import math
 import operator
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,105 @@ def test_events_flag_writes_jsonl(tmp_path):
     assert times == sorted(times)  # processed strictly in time order
 
 
+def test_the_grid_keeps_only_what_the_summary_reads(tmp_path, monkeypatch):
+    handed = []
+
+    def capture(fn, at):
+        """`fn`, keeping the reports it is handed as its argument `at`."""
+        def wrapper(*args):
+            handed.append(args[at])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "summarize", capture(summarize, 0))
+    monkeypatch.setattr(experiment, "emit_plot_data",
+                        capture(emit_plot_data, 1))
+    out = run_experiment(fast_config(schedulers=["hybrid", "nonblocking"],
+                                     write_events=True,
+                                     out_dir=str(tmp_path / "b")))
+    assert len(handed) == 2 and all(len(records) == 4 for records in handed)
+    for record in handed[0] + handed[1]:
+        assert "series" not in record["bisection"]
+        assert "utilization_cdf" not in record and "bounds" not in record
+        # each record is its report's, field for field
+        report = json.loads((out / "reports" / (
+            f"{record['scheduler']}_seed{record['seed']}.json")).read_text())
+        assert json.loads(BUNDLE_JSON(record)) == \
+            experiment.summary_record(report)
+
+
+class FailingPollEngine(Engine):
+    """Raises at the third poll of seed 2's run, after some of its events."""
+
+    def _on_poll(self):
+        if self.seed == 2 and self.polls == 2:
+            raise RuntimeError("poll failed")
+        return super()._on_poll()
+
+
+def test_a_run_that_fails_leaves_no_event_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "Engine", FailingPollEngine)
+    out = tmp_path / "b"
+    with pytest.raises(RuntimeError, match="^poll failed$"):
+        run_experiment(fast_config(schedulers=["ecmp"], seeds=[1, 2],
+                                   write_events=True, out_dir=str(out)))
+    # neither seed 1's finished log nor seed 2's partial one, nor its
+    # temporary file, is left
+    assert list(out.rglob("*")) == []
+
+
+class NanPollEngine(Engine):
+    """Puts a NaN into the record of the second poll of seed 1's run."""
+
+    def _on_poll(self):
+        record = super()._on_poll()
+        if self.seed == 1 and self.polls == 2:
+            record["load"] = {"x": math.nan}
+        return record
+
+
+def test_a_non_finite_event_record_fails_after_the_report(tmp_path,
+                                                          monkeypatch):
+    cfg = fast_config(schedulers=["ecmp"], seeds=[0, 1, 2], write_events=True,
+                      out_dir=str(tmp_path / "clean"))
+    lines = (run_experiment(cfg) / "events" / "ecmp_seed1.jsonl").read_text()
+    line = [i for i, text in enumerate(lines.splitlines(), 1)
+            if '"type": "poll"' in text][1]
+    written, dump_json = [], experiment._dump_json
+
+    def dump(bundle, name, obj):
+        written.append(name)
+        return dump_json(bundle, name, obj)
+
+    monkeypatch.setattr(experiment, "_dump_json", dump)
+    monkeypatch.setattr(experiment, "Engine", NanPollEngine)
+    out = tmp_path / "b"
+    with pytest.raises(ValueError) as raised:
+        run_experiment(dataclasses.replace(cfg, out_dir=str(out)))
+    assert str(raised.value) == \
+        f"events/ecmp_seed1.jsonl: line {line}: load.x is nan"
+    # the run's report was checked and written first, and the grid stopped
+    assert written[-1] == "reports/ecmp_seed1.json"
+    assert list(out.rglob("*")) == []
+
+
+def test_a_streamed_event_log_takes_no_memory_per_event(tmp_path):
+    cfg = ExperimentConfig(duration=400.0)
+    peaks = []
+    for events in (False, True):
+        tracemalloc.start()
+        if events:
+            with experiment._event_log(tmp_path, "e.jsonl") as sink:
+                run_one(cfg, "hybrid", 0, sink=sink)
+        else:
+            run_one(cfg, "hybrid", 0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    lines = (tmp_path / "e.jsonl").read_text().count("\n")
+    assert lines > 10_000
+    assert peaks[1] < 2 * peaks[0]
+
+
 class RowKeepingEngine(Engine):
     """Keeps every poll's per-link utilization row, in monitored-link order."""
 
@@ -420,26 +520,22 @@ class StepKeepingEngine(Engine):
 def test_run_without_events_logs_nothing_and_reports_the_same(
         scheduler, overrides, monkeypatch):
     monkeypatch.setattr(experiment, "Engine", StepKeepingEngine)
-    engines, texts = {}, {}
-    for write_events in (True, False):
-        cfg = ExperimentConfig(write_events=write_events, **overrides)
-        engines[write_events] = eng = run_one(cfg, scheduler, 3)
-        texts[write_events] = json.dumps(run_report(eng),
-                                         sort_keys=True, indent=2)
-    logged, quiet = engines[True], engines[False]
-    assert logged.event_log and logged.returned == logged.event_log
-    assert quiet.event_log == []
+    cfg = ExperimentConfig(**overrides)
+    log = []
+    logged = run_one(cfg, scheduler, 3, sink=log.append)
+    quiet = run_one(cfg, scheduler, 3)
+    text = json.dumps(run_report(logged), sort_keys=True, indent=2)
+    assert log and logged.returned == log
     # every step still names its event, in a dict of its own
-    assert quiet.returned == [{"type": rec["type"]} for rec in logged.event_log]
+    assert quiet.returned == [{"type": rec["type"]} for rec in log]
     assert len({id(rec) for rec in quiet.returned}) == len(quiet.returned)
-    assert quiet.events_processed == len(logged.event_log)
+    assert quiet.events_processed == len(log)
     assert quiet.state_fingerprint() == logged.state_fingerprint()
-    assert texts[False] == texts[True]
+    assert json.dumps(run_report(quiet), sort_keys=True, indent=2) == text
     # and `run` itself, which draws probes in bulk, writes the same report
     monkeypatch.setattr(experiment, "Engine", Engine)
-    cfg = ExperimentConfig(write_events=False, **overrides)
     assert json.dumps(run_report(run_one(cfg, scheduler, 3)),
-                      sort_keys=True, indent=2) == texts[True]
+                      sort_keys=True, indent=2) == text
 
 
 @pytest.mark.parametrize("flag,value,field", [

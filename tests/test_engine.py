@@ -391,10 +391,13 @@ def test_traversal_delay_formula():
 # -- engine event loop ---------------------------------------------------------
 
 def run_engine(flows, horizon=10.0, scheduler="ecmp", seed=0, topo=None,
-               params=EngineParams()):
+               params=EngineParams(), log=None):
+    """An engine that appends its event records to the list `log`, if one
+    is given."""
     topo = topo or build_fat_tree(4, 10e6)
     eng = Engine(topo, SchedulerKind(scheduler), flows, horizon=horizon,
-                 params=params, seed=seed)
+                 params=params, seed=seed,
+                 sink=None if log is None else log.append)
     return eng
 
 
@@ -527,9 +530,10 @@ def test_replay_is_deterministic():
     runs = []
     for _ in range(2):
         flows = generate_workload(topo, spec)
-        eng = run_engine(flows, topo=topo, scheduler="hybrid", seed=11)
+        log = []
+        eng = run_engine(flows, topo=topo, scheduler="hybrid", seed=11, log=log)
         eng.run()
-        runs.append((eng.state_fingerprint(), eng.event_log,
+        runs.append((eng.state_fingerprint(), log,
                      eng.probe_rtts, eng.bisection_series))
     assert runs[0] == runs[1]
 
@@ -642,17 +646,18 @@ def test_poll_schedule_does_not_drift(interval, horizon):
     # whose last probe, 3 * 1.1 s, rounds past its departure
     mice = [mouse(0, topo, interval),
             mouse(1, topo, 1.1, duration=3.3, src=1, dst=14)]
+    log = []
     eng = run_engine(mice, topo=topo, horizon=horizon,
-                     params=EngineParams(poll_interval=interval))
+                     params=EngineParams(poll_interval=interval), log=log)
     eng.run()
     assert eng.polls == round(horizon / interval)
     assert eng.pending_events() == 0
-    assert eng.event_log[-1]["t"] == pytest.approx(horizon)
-    assert all(rec["t"] <= horizon for rec in eng.event_log)
+    assert log[-1]["t"] == pytest.approx(horizon)
+    assert all(rec["t"] <= horizon for rec in log)
 
     # the streams' times are the reference lists' own floats
     def times_of(kind, fid=None):
-        return array("d", (rec["t"] for rec in eng.event_log
+        return array("d", (rec["t"] for rec in log
                            if rec["type"] == kind
                            and (fid is None or rec["flow"] == fid))).tobytes()
 
@@ -808,11 +813,12 @@ def test_a_flow_with_a_period_is_probed_and_one_without_takes_a_rate():
     flows = [elephant(0, topo), m,
              dataclasses.replace(m, id=2, src=topo.hosts[2], dst=topo.hosts[13],
                                  probe_interval=None)]
-    eng = run_engine(flows, topo=topo, horizon=4.0)
+    log = []
+    eng = run_engine(flows, topo=topo, horizon=4.0, log=log)
     eng.run()
-    assert [rec["kind"] for rec in eng.event_log if rec["type"] == "arrival"] \
+    assert [rec["kind"] for rec in log if rec["type"] == "arrival"] \
         == [ELEPHANT, MICE, ELEPHANT]
-    probed = {rec["flow"] for rec in eng.event_log if rec["type"] == "probe"}
+    probed = {rec["flow"] for rec in log if rec["type"] == "probe"}
     assert probed == {1}
     assert len(eng.probe_rtts) == len(probe_times(m, 4.0)) == 9
     assert eng.active[1].achieved_rate == 0.0
@@ -945,22 +951,24 @@ CONFIGS = {"default": {}, "departures": {"flow_duration": 6.0},
            "off-poll-horizon": {"duration": 39.5}}
 
 
-def default_engine(cls, scheduler, seed=3, **overrides):
+def default_engine(cls, scheduler, seed=3, log=None, **overrides):
+    """A `cls` engine on the config of `overrides` that appends its event
+    records to the list `log`, if one is given."""
     config = ExperimentConfig(**overrides)
     topo = build_topology(config, scheduler)
     flows = generate_workload(topo, config.workload_spec(seed))
     return cls(topo, config.scheduler_kind(scheduler), flows,
                horizon=config.duration, params=config.engine_params(),
-               seed=seed)
+               seed=seed, sink=None if log is None else log.append)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_lazy_integration_matches_eager_reference(scheduler, config):
-    eng = step_through(default_engine(RecordingEngine, scheduler,
+    log = []
+    eng = step_through(default_engine(RecordingEngine, scheduler, log=log,
                                       **CONFIGS[config]))
-    assert sum(rec["type"] == "probe" for rec in eng.event_log) > \
-        len(eng.event_log) / 2
+    assert sum(rec["type"] == "probe" for rec in log) > len(log) / 2
     params = eng.params
 
     # integrate event by event from the recorded rates, and classify at each
@@ -970,7 +978,7 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
     bits: dict[int, float] = {}
     classified: set[int] = set()
     prev = None
-    for (t, o, rates), rec in zip(eng.rate_trace, eng.event_log):
+    for (t, o, rates), rec in zip(eng.rate_trace, log):
         if prev is not None:
             dt = t - prev[0]
             for lid in range(nlinks):
@@ -1009,9 +1017,10 @@ def test_lazy_integration_matches_eager_reference(scheduler, config):
 
     # integrating on every event changes no decision: same classifications,
     # same Hedera reroutes, same probe outcomes
-    eager = step_through(default_engine(EagerEngine, scheduler,
+    eager_log = []
+    eager = step_through(default_engine(EagerEngine, scheduler, log=eager_log,
                                         **CONFIGS[config]))
-    assert eager.event_log == eng.event_log
+    assert eager_log == log
     eager_offered = eager.mean_offered_by_link()
     for lid in range(nlinks):
         assert eager_offered[lid] == pytest.approx(mean_offered[lid],
@@ -1044,7 +1053,7 @@ def test_mouse_arrival_changes_no_rate(monkeypatch):
     topo = build_fat_tree(4, 10e6)
     flows = [elephant(0, topo), elephant(1, topo, start=0.2, src=1, dst=14),
              mouse(2, topo, 1.0, start=0.5)]
-    eng = run_engine(flows, topo=topo)
+    eng = run_engine(flows, topo=topo, log=[])
     while eng._queue[0][3] is not flows[2]:
         eng.step()
     before = (list(eng.allocated), list(eng.offered),
@@ -1148,7 +1157,7 @@ def check_quiet_polls(eng, ref):
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_quiet_polls_match_a_snapshot_at_every_poll(scheduler, config):
     quiet, _ = check_quiet_polls(
-        *(default_engine(cls, scheduler, **CONFIGS[config])
+        *(default_engine(cls, scheduler, log=[], **CONFIGS[config])
           for cls in (Engine, SnapshotEveryPollEngine)))
     assert quiet > 0
 
@@ -1157,12 +1166,15 @@ def test_a_quiet_poll_that_classifies_copies_the_elephant_counts():
     # 60 kb/s from t=0.5: 30 kb by the first poll, under the 50 kb/s
     # threshold, then 60 kb by the second, which no re-solve precedes
     topo = build_fat_tree(4, 10e6)
+    log = []
     engines = [cls(topo, SchedulerKind("hybrid"),
-                   [elephant(0, topo, demand=60e3, start=0.5)], horizon=3.0)
-               for cls in (Engine, SnapshotEveryPollEngine)]
+                   [elephant(0, topo, demand=60e3, start=0.5)], horizon=3.0,
+                   sink=sink)
+               for cls, sink in ((Engine, log.append),
+                                 (SnapshotEveryPollEngine, [].append))]
     assert check_quiet_polls(*engines) == (2, 1)
     eng = engines[0]
-    assert [rec["classified"] for rec in eng.event_log
+    assert [rec["classified"] for rec in log
             if rec["type"] == "poll"] == [[], [0], []]
     assert sum(eng.polled_elephants) == len(eng.active[0].path.link_ids)
 
@@ -1239,8 +1251,9 @@ RESOLVE_CONFIGS = {
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_incremental_resolve_matches_full_resolve(scheduler, config,
                                                   monkeypatch):
-    eng = default_engine(Engine, scheduler, **RESOLVE_CONFIGS[config])
-    ref = default_engine(FullResolveEngine, scheduler, **RESOLVE_CONFIGS[config])
+    eng = default_engine(Engine, scheduler, log=[], **RESOLVE_CONFIGS[config])
+    ref = default_engine(FullResolveEngine, scheduler, log=[],
+                         **RESOLVE_CONFIGS[config])
     # (flows solved, elephants routed) of every re-solve of `eng`
     solves = []
     watch_fills(monkeypatch, eng, lambda d, p, m, r: solves.append(
@@ -1291,6 +1304,7 @@ class UncachedProbeEngine(Engine):
     reference for `_run_probes`."""
 
     def _run_probes(self, stop):
+        record = None
         while self._probes and self._probes[0] < stop:
             t, seq, st, i, count, end = heapq.heappop(self._probes)
             times = probe_times(st.spec, self.horizon)
@@ -1310,9 +1324,11 @@ class UncachedProbeEngine(Engine):
                 for lid in links:
                     rtt += self._probe_delay[lid]
             self.probe_rtts.append(rtt)
-            self.event_log.append({"flow": st.spec.id,
-                                   "delivered": rtt is not None, "rtt": rtt,
-                                   "seq": seq, "t": t, "type": "probe"})
+            if self._sink is not None:
+                record = {"flow": st.spec.id, "delivered": rtt is not None,
+                          "rtt": rtt, "seq": seq, "t": t, "type": "probe"}
+                self._sink(record)
+        return record
 
 
 def rtt_bits(rtts):
@@ -1331,8 +1347,9 @@ PROBE_CACHE_CONFIGS = {"default": RESOLVE_CONFIGS["default"],
 @pytest.mark.parametrize("config", sorted(PROBE_CACHE_CONFIGS))
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_cached_probes_match_uncached_reference(scheduler, config):
-    eng = default_engine(Engine, scheduler, **PROBE_CACHE_CONFIGS[config])
-    ref = default_engine(UncachedProbeEngine, scheduler,
+    eng = default_engine(Engine, scheduler, log=[],
+                         **PROBE_CACHE_CONFIGS[config])
+    ref = default_engine(UncachedProbeEngine, scheduler, log=[],
                          **PROBE_CACHE_CONFIGS[config])
     hits = 0
     while eng.pending_events():
@@ -1352,17 +1369,18 @@ def test_cached_probes_match_uncached_reference(scheduler, config):
 @pytest.mark.parametrize("config", sorted(PROBE_CACHE_CONFIGS))
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_run_matches_a_step_loop(scheduler, config):
-    ran = default_engine(Engine, scheduler, **PROBE_CACHE_CONFIGS[config]).run()
-    stepped = step_through(default_engine(Engine, scheduler,
+    ran_log, stepped_log = [], []
+    ran = default_engine(Engine, scheduler, log=ran_log,
+                         **PROBE_CACHE_CONFIGS[config]).run()
+    stepped = step_through(default_engine(Engine, scheduler, log=stepped_log,
                                           **PROBE_CACHE_CONFIGS[config]))
-    assert sum(rec["type"] == "probe" for rec in ran.event_log) > \
-        len(ran.event_log) / 2
+    assert sum(rec["type"] == "probe" for rec in ran_log) > len(ran_log) / 2
     # every queued event ran once, numbered in push order, in (t, seq) order
-    keys = [(rec["t"], rec["seq"]) for rec in ran.event_log]
+    keys = [(rec["t"], rec["seq"]) for rec in ran_log]
     assert keys == sorted(keys)
     assert sorted(seq for _, seq in keys) == list(range(len(keys)))
     # repr round-trips every float exactly, so these compare bit for bit
-    assert repr(ran.event_log) == repr(stepped.event_log)
+    assert repr(ran_log) == repr(stepped_log)
     assert rtt_bits(ran.probe_rtts) == rtt_bits(stepped.probe_rtts)
     assert repr(ran.util_sums) == repr(stepped.util_sums)
     assert repr(ran.state_fingerprint()) == repr(stepped.state_fingerprint())
@@ -1376,16 +1394,17 @@ def test_departure_comes_before_the_last_probe_at_its_time():
     topo = build_fat_tree(4, 10e6)
     logs = []
     for finish in (Engine.run, step_through):
+        log = []
         eng = run_engine([mouse(0, topo, 0.5, duration=2.0)], topo=topo,
-                         horizon=3.0)
+                         horizon=3.0, log=log)
         assert eng.step()["type"] == "arrival"
         # the polls at 1, 2 and 3 s, the departure and the five probes
         assert eng.pending_events() == 3 + 1 + 5
         finish(eng)
-        at_end = [rec["type"] for rec in eng.event_log if rec["t"] == 2.0]
+        at_end = [rec["type"] for rec in log if rec["t"] == 2.0]
         assert at_end == ["poll", "departure", "probe"]
         assert len(eng.probe_rtts) == 5
-        logs.append(eng.event_log)
+        logs.append(log)
     assert logs[0] == logs[1]
 
 
@@ -1399,7 +1418,8 @@ def test_incremental_resolve_sums_in_flow_id_order():
         flows = [dataclasses.replace(f, id=len(flows) - 1 - f.id) for f in flows]
         engines.append(cls(topo, config.scheduler_kind("hybrid"), flows,
                            horizon=config.duration,
-                           params=config.engine_params(), seed=3))
+                           params=config.engine_params(), seed=3,
+                           sink=[].append))
     step_in_lockstep(*engines)
 
 
@@ -1415,9 +1435,9 @@ def test_arrival_merges_and_departure_splits_components(monkeypatch):
                 elephant(3, topo, start=0.3, src=4, dst=5)]
 
     topo = build_fat_tree(4, 10e6)
-    eng = run_engine(flows(topo), topo=topo, horizon=3.0)
+    eng = run_engine(flows(topo), topo=topo, horizon=3.0, log=[])
     ref = FullResolveEngine(topo, SchedulerKind("ecmp"), flows(topo),
-                            horizon=3.0)
+                            horizon=3.0, sink=[].append)
     solved = []
     watch_fills(monkeypatch, eng, lambda d, p, m, r: solved.append(sorted(d)))
     rates = []

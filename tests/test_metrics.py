@@ -312,10 +312,12 @@ def test_bisection_rejects_unordered():
 def test_bisection_from_event_log_matches_series(k4):
     flows = [Flow(i, k4.hosts[i], k4.hosts[15 - i], 10e6,
                   0.5 * i, 2.0) for i in range(5)]
-    eng = Engine(k4, SchedulerKind("ecmp"), flows, horizon=6.0, seed=2)
+    log = []
+    eng = Engine(k4, SchedulerKind("ecmp"), flows, horizon=6.0, seed=2,
+                 sink=log.append)
     eng.run()
     from_log = [(0.0, 0.0)] + [(rec["t"], rec["bisection_rate"])
-                               for rec in eng.event_log
+                               for rec in log
                                if "bisection_rate" in rec]
     _, mean_log = metrics.bisection_bandwidth(from_log, eng.horizon)
     _, mean_eng = metrics.bisection_bandwidth(eng.bisection_series, eng.horizon)

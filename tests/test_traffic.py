@@ -118,8 +118,10 @@ def drawn_probe_times(duration, horizon, start=0.0, interval=1.0,
     topo = build_fat_tree(4, 10e6)
     flow = Flow(0, topo.hosts[0], topo.hosts[15], demand, start, duration,
                 interval)
-    eng = Engine(topo, SchedulerKind("ecmp"), [flow], horizon=horizon).run()
-    return [rec["t"] for rec in eng.event_log if rec["type"] == "probe"]
+    log = []
+    Engine(topo, SchedulerKind("ecmp"), [flow], horizon=horizon,
+           sink=log.append).run()
+    return [rec["t"] for rec in log if rec["type"] == "probe"]
 
 
 def test_probe_schedule_basic():
