@@ -25,8 +25,9 @@ print(f"\n{topo.hosts[0]} -> {topo.hosts[1]}: {len(same_edge)} path:",
       same_edge[0])
 
 # upstream aggregate-to-core links are where elephants get counted
-ups = topo.aggregate_upstream_links()
-print(f"\n{len(ups)} aggregate upstream links (= k^3/4), e.g. {ups[0]}")
+ups = topo.agg_upstream_link_ids
+print(f"\n{len(ups)} aggregate upstream links (= k^3/4), "
+      f"e.g. {topo.links[ups[0]]}")
 
 # the ideal baseline: every host on one non-blocking hub
 star = build_nonblocking(4, 10e6)

@@ -24,7 +24,10 @@ configs are:
 - a `--events` `hedera-gff` config at k=8 with demands at the link
   capacity (`--demand none`), seeds 0-2, whose rounds move dozens of flows
   and fill over a hundred links to exactly their capacity, where Global
-  First Fit's slack decides.
+  First Fit's slack decides;
+- a `--events` `hedera` config at `--elephant-threshold 1e-5`, seeds 0-2,
+  a cutoff below the mice's placeholder demand, so it shows whether mice
+  still leave the greedy for ECMP.
 
 Then it runs each side's own `demos/*.py` under that side's `src/`, pairs
 them by file name and compares their stdout, printing "demos: identical
@@ -80,6 +83,9 @@ CONFIGS = {
         "--arrival-rate", "10", "--flow-duration", "6", "--duration", "25",
         "--scheduler", "hedera-gff", "--seed", "0", "--seed", "1",
         "--seed", "2"],
+    "hedera low cutoff": [
+        "--events", "--scheduler", "hedera", "--elephant-threshold", "1e-5",
+        "--seed", "0", "--seed", "1", "--seed", "2"],
 }
 
 

@@ -331,8 +331,6 @@ class Engine:
         self.bisection_rate = 0.0
         self.bisection_series: list[tuple[float, float]] = [(0.0, 0.0)]
 
-        self.port_stat_reads = 0
-        self.uplink_stat_reads = 0
         self.polls = 0
         self.controller_decisions = 0
         self.proactive_decisions = 0
@@ -350,9 +348,10 @@ class Engine:
         self.util_sums = [0.0] * len(topo.monitored_link_ids)
         self.events_processed = 0
 
-        # state-changing events, and per mouse the time and sequence number
-        # of its next probe, its state, the probe's index, and the stream's
-        # probe count and last time; `_seq` numbers both, breaking ties.
+        # state-changing events (arrivals, departures and polls only), and per
+        # mouse the time and sequence number of its next probe, its state, the
+        # probe's index, and the stream's probe count and last time; `_seq`
+        # numbers both, breaking ties.
         self._seq = itertools.count()
         self._queue: list[tuple[float, int, str, object]] = []
         self._probes: list[tuple[float, int, FlowState, int, int, float]] = []
@@ -400,13 +399,11 @@ class Engine:
             record = self._on_arrival(payload)
         elif kind == "departure":
             record = self._on_departure(payload)
-        elif kind == "poll":
+        else:  # a poll
             if payload < self._poll_count:  # the stream's next poll
                 nxt = min((payload + 1) * self.params.poll_interval, self.horizon)
                 heapq.heappush(queue, (nxt, seq + 1, "poll", payload + 1))
             record = self._on_poll()
-        else:  # pragma: no cover - queue is engine-private
-            raise EngineError(f"unknown event kind {kind!r}")
         if record is None:
             return {"type": kind}
         record.update(seq=seq, t=t, type=kind)
@@ -536,8 +533,6 @@ class Engine:
                     self.elephants[lid] += 1
                     self.cumulative_elephants[lid] += 1
             st.round_bits += bits
-        self.port_stat_reads += self.topology.total_switch_ports
-        self.uplink_stat_reads += len(self.topology.agg_upstream_link_ids)
         self.polls += 1
         # reuse the last snapshot if no re-solve came since: then only this
         # poll's classifications can have moved `elephants`
@@ -552,7 +547,8 @@ class Engine:
             self.polled_elephants = self.elephants[:]
         self.util_sums = list(map(operator.add, self.util_sums,
                                   self._polled_util))
-        record = ({"classified": newly, "port_reads": self.port_stat_reads}
+        record = ({"classified": newly, "port_reads":
+                   self.polls * self.topology.total_switch_ports}
                   if self._sink is not None else None)
         if self._round_polls and self.polls % self._round_polls == 0:
             moved = self._hedera_round()
@@ -741,6 +737,6 @@ class Engine:
             tuple(self.offered),
             tuple(self.elephants),
             self.bisection_rate,
-            self.port_stat_reads,
+            self.polls,
             self.events_processed,
         )

@@ -177,8 +177,8 @@ def run_report(engine: Engine) -> dict:
         },
         "monitoring": {
             "polls": engine.polls,
-            "port_stat_reads": engine.port_stat_reads,
-            "uplink_stat_reads": engine.uplink_stat_reads,
+            "port_stat_reads": polls * topo.total_switch_ports,
+            "uplink_stat_reads": polls * len(topo.agg_upstream_link_ids),
         },
         "bounds": metrics.load_bounds(topo, engine.mean_offered_by_link()),
     }

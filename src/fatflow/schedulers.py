@@ -58,8 +58,9 @@ class SchedulerKind:
     alpha trades residual bandwidth (in Mb/s) against the elephant count on
     a path's core uplink in the scalarized controller. elephant_threshold is
     the cutoff (fraction of link capacity) below which the Hedera baselines
-    leave a flow to ECMP: `hedera` compares it with the declared demand,
-    `hedera-gff` with the rate measured over a scheduling period.
+    leave a flow to ECMP: `hedera` compares it with an elephant's declared
+    demand and leaves every mouse to ECMP, `hedera-gff` compares it with the
+    rate measured over a scheduling period, which only elephants send.
     """
 
     name: str = setting(MISSING, "scheduler to run", SCHEDULER)
@@ -132,11 +133,14 @@ def hedera_key(topo: Topology, flow: Flow,
                threshold_fraction: float) -> Optional[Policy]:
     """Hedera's greedy placement of a large flow, None for a small one.
 
-    Small flows (demand under threshold_fraction of link capacity) stay on
-    ECMP. A large flow takes the first candidate whose every link still fits
-    the whole demand; when nothing fits, the widest path wins.
+    A mouse (a flow with a probe period) is small whatever its demand, and
+    so is an elephant whose declared demand is under threshold_fraction of
+    link capacity; small flows stay on ECMP. A large flow takes the first
+    candidate whose every link still fits the whole demand; when nothing
+    fits, the widest path wins.
     """
-    if flow.demand < threshold_fraction * topo.link_capacity:
+    if (not flow.is_elephant
+            or flow.demand < threshold_fraction * topo.link_capacity):
         return None
     demand = flow.demand
 

@@ -9,7 +9,6 @@ downstream of it reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 from .rules import EVEN_K, POSITIVE
@@ -19,12 +18,6 @@ HOST = "host"
 EDGE = "edge"
 AGG = "agg"
 CORE = "core"
-
-
-class LinkKind(Enum):
-    HOST_EDGE = "host-edge"
-    EDGE_AGG = "edge-agg"
-    AGG_CORE = "agg-core"
 
 
 class TopologyError(ValueError):
@@ -55,12 +48,13 @@ class NodeId(NamedTuple):
 
 @dataclass(frozen=True)
 class Link:
-    """One direction of a cable. `up` means toward the core."""
+    """One direction of a cable. `up` means toward the core. What kind of
+    cable it is (host-edge, edge-agg or agg-core) is read off the tiers of
+    `src` and `dst`, which are always adjacent."""
 
     id: int
     src: NodeId
     dst: NodeId
-    kind: LinkKind
     up: bool
 
     def __repr__(self) -> str:
@@ -131,13 +125,14 @@ class Topology:
             link_by_pair[(l.dst, l.src)].id for l in self.links
         )
         self.agg_upstream_link_ids = tuple(
-            l.id for l in self.links if l.kind == LinkKind.AGG_CORE and l.up
-        )
+            l.id for l in self.links if l.src.tier == AGG and l.dst.tier == CORE)
         # what the utilization CDF ranges over: switch-to-switch links on the
         # fat-tree; the star has none, so its access links stand in
         self.monitored_link_ids = tuple(
-            l.id for l in self.links if l.kind != LinkKind.HOST_EDGE
+            l.id for l in self.links if HOST not in (l.src.tier, l.dst.tier)
         ) or tuple(l.id for l in self.links)
+        # a switch's ports are the links it sends on
+        self.total_switch_ports = sum(l.src.tier != HOST for l in self.links)
 
         # per-node link tables: each host's access link up and down, each
         # switch's links up and down, in link-id order, which is the far
@@ -153,10 +148,6 @@ class Topology:
             if l.dst.tier == HOST:
                 self._access_down[l.dst] = l
             (self._up if l.up else self._down).setdefault(l.src, []).append(l)
-        self.ports_per_switch = {
-            n: len(self._up.get(n, ())) + len(self._down.get(n, ()))
-            for n in self.switches}
-        self.total_switch_ports = sum(self.ports_per_switch.values())
         # (src, dst, rank) -> that candidate's Path, built on first request
         self._path_memo: dict[tuple[NodeId, NodeId, int], Path] = {}
 
@@ -268,10 +259,6 @@ class Topology:
         return [self.path_at(src, dst, r)
                 for r in range(self.candidate_count(src, dst))]
 
-    def aggregate_upstream_links(self) -> tuple[Link, ...]:
-        """The aggregate-to-core upstream links, ordered by link id."""
-        return tuple(self.links[i] for i in self.agg_upstream_link_ids)
-
     def edge_uplink_ids(self, edge: NodeId) -> tuple[int, ...]:
         """Ids of an edge switch's upstream links; () for any other node."""
         if edge.tier != EDGE:
@@ -298,10 +285,10 @@ def build_fat_tree(k: int, link_capacity: float) -> Topology:
     cores = [NodeId(CORE, None, c) for c in range(half * half)]
     nodes.extend(cores)
 
-    def add_pair(a: NodeId, b: NodeId, kind: LinkKind) -> None:
+    def add_pair(a: NodeId, b: NodeId) -> None:
         # a is the lower-tier endpoint; a->b is the upstream direction
-        links.append(Link(len(links), a, b, kind, True))
-        links.append(Link(len(links), b, a, kind, False))
+        links.append(Link(len(links), a, b, True))
+        links.append(Link(len(links), b, a, False))
 
     for pod in range(k):
         edges = [NodeId(EDGE, pod, i) for i in range(half)]
@@ -312,13 +299,13 @@ def build_fat_tree(k: int, link_capacity: float) -> Topology:
             for h in range(half):
                 host = NodeId(HOST, pod, i * half + h)
                 nodes.append(host)
-                add_pair(host, e, LinkKind.HOST_EDGE)
+                add_pair(host, e)
             for a in aggs:
-                add_pair(e, a, LinkKind.EDGE_AGG)
+                add_pair(e, a)
         for j, a in enumerate(aggs):
             # aggregate j reaches cores [j*half, (j+1)*half)
             for m in range(half):
-                add_pair(a, cores[j * half + m], LinkKind.AGG_CORE)
+                add_pair(a, cores[j * half + m])
 
     return Topology(k, link_capacity, "fat-tree", nodes, links)
 
@@ -337,6 +324,6 @@ def build_nonblocking(k: int, link_capacity: float) -> Topology:
         for i in range(half * half):
             host = NodeId(HOST, pod, i)
             nodes.append(host)
-            links.append(Link(len(links), host, hub, LinkKind.HOST_EDGE, True))
-            links.append(Link(len(links), hub, host, LinkKind.HOST_EDGE, False))
+            links.append(Link(len(links), host, hub, True))
+            links.append(Link(len(links), hub, host, False))
     return Topology(k, link_capacity, "star", nodes, links)

@@ -18,8 +18,8 @@ from .topology import NodeId, Topology
 ELEPHANT = "elephant"  # ELEPHANT and MICE: a flow's kind in the event log
 MICE = "mice"
 
-# probe streams only sample loss and delay; this demand is ignored by the
-# rate allocator but must stay > 0 and far below any elephant demand
+# probe streams only sample loss and delay; no code reads a mouse's demand,
+# which is here only because `Flow.demand` must be > 0
 MICE_DEMAND = 1_000.0
 
 PATTERNS = ("random_bisection", "random_permutation", "stride")

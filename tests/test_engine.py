@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from fatflow import engine as engine_module
 from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
-from fatflow.experiment import ExperimentConfig, build_topology, run_one
+from fatflow.experiment import (ExperimentConfig, build_topology, run_one,
+                               run_report)
 from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
 from fatflow.topology import (CORE, EDGE, NodeId, Topology, TopologyError,
                               build_fat_tree)
@@ -872,8 +873,9 @@ def test_monitoring_counters():
     eng = run_engine([elephant(0, topo)], topo=topo, horizon=5.0)
     eng.run()
     assert eng.polls == 5
-    assert eng.port_stat_reads == 5 * 80
-    assert eng.uplink_stat_reads == 5 * 16
+    monitoring = run_report(eng)["monitoring"]
+    assert monitoring["port_stat_reads"] == 5 * 80
+    assert monitoring["uplink_stat_reads"] == 5 * 16
     assert len(eng.util_sums) == len(topo.monitored_link_ids) == 64
 
 

@@ -224,6 +224,21 @@ def test_hedera_mice_scale_goes_to_ecmp(k4):
     assert d.path is hashed(k4, f)
 
 
+@pytest.mark.parametrize("threshold", [0.1, 1e-4, 1e-9])
+def test_hedera_leaves_every_mouse_to_ecmp_at_any_cutoff(k4, threshold):
+    # a mouse's demand is a placeholder; at 1e-4 it equals the cutoff
+    mice = [f for f in generate_workload(k4, WorkloadSpec())
+            if not f.is_elephant]
+    assert len(mice) == 28
+    kind = SchedulerKind("hedera", elephant_threshold=threshold)
+    eng = Engine(k4, kind, [], horizon=1.0, seed=0)
+    for f in mice:
+        assert hedera_key(k4, f, threshold) is None
+        d = dispatch(eng, f, kind)
+        assert d.mechanism == MECH_PROACTIVE
+        assert d.path is hashed(k4, f)
+
+
 def test_hedera_first_fit(k4):
     f = Flow(3, k4.hosts[0], k4.hosts[15], 6e6, 0.0, None)
     loads = [(5e6, 0), (7e6, 0), (10e6, 0), (10e6, 0)]

@@ -8,8 +8,10 @@ from types import SimpleNamespace
 import networkx as nx
 import pytest
 
-from fatflow.topology import (AGG, CORE, EDGE, Link, LinkKind, NodeId, Path,
+from fatflow.topology import (AGG, CORE, EDGE, HOST, Link, NodeId, Path,
                               TopologyError, build_fat_tree, build_nonblocking)
+
+TIERS = (HOST, EDGE, AGG, CORE)  # bottom to top
 
 
 def undirected_graph(topo):
@@ -38,7 +40,7 @@ def test_k4_counts_match_paper_testbed():
     assert t.link_capacity == 10e6
     # the topology's one capacity; a link holds none of its own
     assert [f.name for f in dataclasses.fields(Link)] == [
-        "id", "src", "dst", "kind", "up"]
+        "id", "src", "dst", "up"]
 
 
 def test_k2_minimum():
@@ -86,9 +88,9 @@ def test_interpod_paths_have_six_links():
     for p in t.equal_cost_paths(t.hosts[0], t.hosts[-1]):
         assert len(p.hops) == 6
         assert p.core_index is not None
-        kinds = [l.kind for l in p.hops]
-        assert kinds == [LinkKind.HOST_EDGE, LinkKind.EDGE_AGG, LinkKind.AGG_CORE,
-                         LinkKind.AGG_CORE, LinkKind.EDGE_AGG, LinkKind.HOST_EDGE]
+        tiers = [(l.src.tier, l.dst.tier) for l in p.hops]
+        assert tiers == [(HOST, EDGE), (EDGE, AGG), (AGG, CORE),
+                         (CORE, AGG), (AGG, EDGE), (EDGE, HOST)]
         ups = [l.up for l in p.hops]
         assert ups == [True, True, True, False, False, False]
 
@@ -125,10 +127,11 @@ def test_path_ordering_by_agg_then_core():
 @pytest.mark.parametrize("k,expected", [(2, 2), (4, 16), (6, 54)])
 def test_aggregate_upstream_link_count(k, expected):
     t = build_fat_tree(k, 10e6)
-    ups = t.aggregate_upstream_links()
+    ups = t.agg_upstream_link_ids
     assert len(ups) == expected == k ** 3 // 4
-    for l in ups:
-        assert l.kind == LinkKind.AGG_CORE and l.up
+    assert list(ups) == sorted(ups)
+    for l in (t.links[i] for i in ups):
+        assert l.up
         assert l.src.tier == AGG
         assert l.dst.tier == CORE
 
@@ -136,7 +139,7 @@ def test_aggregate_upstream_link_count(k, expected):
 def test_edge_agg_links_stay_in_pod():
     t = build_fat_tree(4, 10e6)
     for l in t.links:
-        if l.kind == LinkKind.EDGE_AGG:
+        if {l.src.tier, l.dst.tier} == {EDGE, AGG}:
             assert l.src.pod == l.dst.pod
 
 
@@ -168,8 +171,33 @@ def test_unknown_host_rejected():
 
 def test_ports_per_switch():
     t = build_fat_tree(4, 10e6)
-    assert set(t.ports_per_switch.values()) == {4}
-    assert t.total_switch_ports == 80
+    # a switch's ports are the links it sends on: k of them per switch
+    ports = dict.fromkeys(t.switches, 0)
+    for l in t.links:
+        if l.src.tier != HOST:
+            ports[l.src] += 1
+    assert set(ports.values()) == {4}
+    assert t.total_switch_ports == sum(ports.values()) == 80
+
+
+@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
+                                     (build_fat_tree, 6), (build_fat_tree, 8),
+                                     (build_nonblocking, 4)])
+def test_link_classes_read_off_the_endpoints_in_closed_form(build, k):
+    t = build(k, 10e6)
+    star = t.layout == "star"
+    ups = [l for l in t.links if l.src.tier == AGG and l.dst.tier == CORE]
+    assert t.agg_upstream_link_ids == tuple(l.id for l in ups)
+    assert len(ups) == (0 if star else k ** 3 // 4)
+    assert len(t.monitored_link_ids) == (k ** 3 // 2 if star else k ** 3)
+    assert t.monitored_link_ids == tuple(
+        l.id for l in t.links if star or HOST not in (l.src.tier, l.dst.tier))
+    assert t.total_switch_ports == (k ** 3 // 4 if star else 5 * k ** 3 // 4)
+    for l in t.links:
+        # every link joins two adjacent tiers, and `up` climbs
+        lo, hi = sorted((TIERS.index(l.src.tier), TIERS.index(l.dst.tier)))
+        assert hi - lo == 1
+        assert l.up == (TIERS.index(l.dst.tier) == hi)
 
 
 def test_star_topology():
@@ -190,7 +218,8 @@ def test_star_topology():
                                      (build_nonblocking, 4)])
 def test_switch_link_indexes_match_a_link_scan(build, k):
     t = build(k, 10e6)
-    edge_agg_up = [l for l in t.links if l.kind == LinkKind.EDGE_AGG and l.up]
+    edge_agg_up = [l for l in t.links
+                   if (l.src.tier, l.dst.tier) == (EDGE, AGG)]
     for node in t.nodes:
         assert t.edge_uplink_ids(node) == tuple(
             l.id for l in edge_agg_up if l.src == node)
@@ -336,7 +365,8 @@ def bits(x):
 
 
 def scanned_uplink(path):
-    up = [l.id for l in path.hops if l.kind == LinkKind.AGG_CORE and l.up]
+    up = [l.id for l in path.hops
+          if (l.src.tier, l.dst.tier) == (AGG, CORE)]
     assert len(up) <= 1
     return up[0] if up else None
 
