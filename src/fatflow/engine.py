@@ -320,7 +320,7 @@ class Engine:
         # the chance to survive the traversal and the traversal delay
         self._probe_keep = [1.0] * nlinks
         self._probe_delay = [traversal_delay(0.0, params)] * nlinks
-        self._epoch = 0  # re-solves so far; only they move the probe factors
+        self._epoch = 0  # re-solves so far, each begun by `_resolve`
         # what the controller knows: link state as of the last stats poll,
         # which path selection reads instead of live data-plane state
         self.polled_residual = list(self._cap)
@@ -488,12 +488,16 @@ class Engine:
         if flow.duration is not None and flow.start_time + flow.duration < end:
             end = flow.start_time + flow.duration
             self._push(end, "departure", flow.id)
-        if not flow.is_elephant:
+        if flow.is_elephant:
+            self._attach(st)
+            self._resolve(st.path.link_ids)
+        else:
             # probe i: min(start_time + i * probe_interval, end), seq first + i
             count = even_count(flow.start_time, end, flow.probe_interval)
             heapq.heappush(self._probes, (flow.start_time, self._reserve(count),
                                           st, 0, count, end))
-        self._reallocate_for(st)
+            # a mouse carries no rate, so every rate stays as it was
+            self.bisection_series.append((self.clock, self.bisection_rate))
         if self._sink is None:
             return None
         return {
@@ -509,11 +513,12 @@ class Engine:
         if fid not in self.active:
             raise EngineError(f"departure for unknown flow id {fid}")
         st = self.active.pop(fid)
-        if st.classified:
-            for lid in st.path.link_ids:
-                self.elephants[lid] -= 1
         self.reservations.pop(fid, None)
-        self._reallocate_for(st)
+        if st.spec.is_elephant:
+            self._detach(st)
+            self._resolve(st.path.link_ids)
+        else:
+            self.bisection_series.append((self.clock, self.bisection_rate))
         if self._sink is None:
             return None
         return {"flow": fid, "bisection_rate": self.bisection_rate}
@@ -560,7 +565,7 @@ class Engine:
         """Place the flows that averaged a large rate over the last period.
 
         A placed flow keeps its path and reservation until it departs; a
-        moved flow carries its elephant counts over to the new path.
+        moved flow is detached, routed and attached again.
         """
         period = self._round_polls * self.params.poll_interval
         cutoff = self.scheduler.elephant_threshold * self.topology.link_capacity
@@ -579,19 +584,13 @@ class Engine:
             st = self._routed[flow.id]
             if path == st.path:
                 continue
-            if st.classified:
-                for lid in st.path.link_ids:
-                    self.elephants[lid] -= 1
-                for lid in path.link_ids:
-                    self.elephants[lid] += 1
-            self._unindex(flow.id, st.path.link_ids)
-            self._index(flow.id, path.link_ids)
             changed += st.path.link_ids + path.link_ids
+            self._detach(st)
             self._route(st, path)
+            self._attach(st)
             moved.append(flow.id)
         if moved:
             self.reroutes += len(moved)
-            self._epoch += 1
             self._resolve(changed)
         return moved
 
@@ -605,28 +604,34 @@ class Engine:
                                          ids))
         st.probe_epoch = -1
 
-    def _reallocate_for(self, st: FlowState) -> None:
-        """Re-solve after a flow arrived or left, unless it carries no rate.
-
-        A mouse never enters the allocation, so its arrival or departure
-        leaves every rate as it was.
-        """
-        if not st.spec.is_elephant:
-            self.bisection_series.append((self.clock, self.bisection_rate))
-            return
+    def _attach(self, st: FlowState) -> None:
+        """Put the elephant `st` on its path's links. Only this and `_detach`
+        write `_routed`, `_link_flows`, `_crossing` and, but for `_on_poll`'s
+        classification, `elephants`."""
         fid, links = st.spec.id, st.path.link_ids
-        if fid in self.active:
-            self._routed[fid] = st
-            self._index(fid, links)
-            if st.crosses:
-                bisect.insort(self._crossing, fid)
-        else:
-            del self._routed[fid]
-            self._unindex(fid, links)
-            if st.crosses:
-                self._crossing.remove(fid)
-        self._epoch += 1
-        self._resolve(links)
+        self._routed[fid] = st
+        for lid in links:
+            bisect.insort(self._link_flows.setdefault(lid, []), fid)
+        if st.crosses:
+            bisect.insort(self._crossing, fid)
+        if st.classified:
+            for lid in links:
+                self.elephants[lid] += 1
+
+    def _detach(self, st: FlowState) -> None:
+        """Take the elephant `st` off its path's links: `_attach` undone."""
+        fid, links = st.spec.id, st.path.link_ids
+        del self._routed[fid]
+        for lid in links:
+            members = self._link_flows[lid]
+            members.remove(fid)
+            if not members:
+                del self._link_flows[lid]
+        if st.crosses:
+            self._crossing.remove(fid)
+        if st.classified:
+            for lid in links:
+                self.elephants[lid] -= 1
 
     def _set_rate(self, st: FlowState, rate: float) -> None:
         """Give `st` a new rate, first adding the bits its old rate sent."""
@@ -635,19 +640,9 @@ class Engine:
             st.since = self.clock
             st.achieved_rate = rate
 
-    def _index(self, fid: int, links: tuple[int, ...]) -> None:
-        for lid in links:
-            bisect.insort(self._link_flows.setdefault(lid, []), fid)
-
-    def _unindex(self, fid: int, links: tuple[int, ...]) -> None:
-        for lid in links:
-            members = self._link_flows[lid]
-            members.remove(fid)
-            if not members:
-                del self._link_flows[lid]
-
     def _resolve(self, changed: Sequence[int]) -> None:
-        """Re-solve the flow-link components that reach the `changed` links.
+        """Start a new epoch, which stales every probe cache and the poll
+        snapshot, and re-solve the flow-link components that reach `changed`.
 
         `changed` holds the links whose set of elephants changed. Max-min
         rates on disjoint components are independent, and every per-link sum
@@ -666,6 +661,7 @@ class Engine:
         demand by `Flow`'s declared rule, `Topology` checked the capacities
         when it was built, and a topology path lists each link once.
         """
+        self._epoch += 1
         link_flows, routed = self._link_flows, self._routed
         allocated, unfrozen = self.allocated, self._unfrozen
         links = []

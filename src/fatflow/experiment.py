@@ -186,8 +186,11 @@ def run_report(engine: Engine) -> dict:
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # no `indent`: with one, `json` falls back to its pure-Python encoder

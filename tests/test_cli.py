@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import re
 import sys
 import tracemalloc
@@ -418,6 +419,22 @@ def test_a_run_that_fails_leaves_no_event_log(tmp_path, monkeypatch):
                                    write_events=True, out_dir=str(out)))
     # neither seed 1's finished log nor seed 2's partial one, nor its
     # temporary file, is left
+    assert list(out.rglob("*")) == []
+
+
+def test_a_failed_bundle_write_leaves_no_temporary_file(tmp_path,
+                                                        monkeypatch):
+    replace = os.replace
+
+    def disk_full_at_the_summary(src, dst):
+        if Path(dst).name == "summary.json":
+            raise OSError(28, "No space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(experiment.os, "replace", disk_full_at_the_summary)
+    out = tmp_path / "b"
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(fast_config(schedulers=["ecmp"], out_dir=str(out)))
     assert list(out.rglob("*")) == []
 
 

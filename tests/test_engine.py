@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import heapq
 import math
 import os
@@ -20,9 +21,10 @@ from fatflow.engine import (Engine, EngineError, EngineParams,
                             link_loss_probability, traversal_delay, waterfill)
 from fatflow.experiment import (ExperimentConfig, build_topology, run_one,
                                run_report)
-from fatflow.schedulers import HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind
+from fatflow.schedulers import (HEDERA_GFF, SCHEDULER_NAMES, SchedulerKind,
+                                layout_for)
 from fatflow.topology import (CORE, EDGE, NodeId, Topology, TopologyError,
-                              build_fat_tree)
+                              build_fat_tree, build_nonblocking)
 from fatflow.traffic import ELEPHANT, MICE, Flow, WorkloadSpec, generate_workload
 
 
@@ -1187,6 +1189,7 @@ class FullResolveEngine(Engine):
     """Re-solves every routed elephant whenever any of them changes."""
 
     def _resolve(self, changed):
+        self._epoch += 1  # as `Engine._resolve`, which this replaces
         nlinks = len(self._cap)
         demands, paths = {}, {}
         for fid in sorted(self.active):
@@ -1265,6 +1268,59 @@ def test_incremental_resolve_matches_full_resolve(scheduler, config,
         assert eng.reroutes > 0
     if config != "default":
         assert any(solved < routed for solved, routed in solves)
+
+
+@functools.lru_cache(maxsize=None)
+def lockstep_topology(layout, k, capacity):
+    """Each topology of `lockstep_runs`, built once."""
+    build = build_nonblocking if layout == "star" else build_fat_tree
+    return build(k, capacity)
+
+
+@st.composite
+def lockstep_runs(draw):
+    """A hand-built run: scheduler, topology, flows, horizon and params.
+
+    Demands hit capacity, its halves, thirds and sevenths, 0.55 of it and
+    twice it, so fair shares tie and saturate; start times tie; durations
+    of 0 arrive and leave at once; mice mix in; polls may or may not divide
+    the horizon; and `hedera-gff` runs last two scheduling rounds."""
+    scheduler = draw(st.sampled_from(SCHEDULER_NAMES))
+    capacity = draw(st.sampled_from([1.0, 3.0, 10e6]))
+    topo = lockstep_topology(layout_for(scheduler),
+                             draw(st.sampled_from([2, 4, 6])), capacity)
+    horizon = draw(st.sampled_from([12.0, 13.5] if scheduler == HEDERA_GFF
+                                   else [3.0, 4.5, 6.0]))
+    params = EngineParams(
+        poll_interval=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        detection_threshold=capacity * draw(st.sampled_from([0.01, 0.3])))
+    hosts = range(len(topo.hosts))
+    shares = [capacity * x for x in (1, 1 / 2, 1 / 3, 0.55, 1 / 7, 2)]
+    flows = []
+    # ids out of arrival order, negative ones too
+    for fid in draw(st.permutations(range(-3, 13)))[:draw(st.integers(1, 12))]:
+        src, dst = draw(st.lists(st.sampled_from(hosts), min_size=2,
+                                 max_size=2, unique=True))
+        flows.append(Flow(
+            fid, topo.hosts[src], topo.hosts[dst],
+            draw(st.sampled_from(shares)
+                 | st.floats(capacity * 1e-3, capacity * 3)),
+            draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])
+                 | st.floats(0.0, horizon)),
+            draw(st.sampled_from([None, None, 0.0])
+                 | st.floats(0.1, horizon)),
+            draw(st.sampled_from([None, None, None, 0.3, 0.45]))))
+    return scheduler, topo, flows, horizon, params
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lockstep_runs())
+def test_incremental_resolve_matches_full_resolve_on_random_runs(run):
+    scheduler, topo, flows, horizon, params = run
+    step_in_lockstep(*(cls(topo, SchedulerKind(scheduler), flows,
+                           horizon=horizon, params=params, seed=len(flows),
+                           sink=[].append)
+                       for cls in (Engine, FullResolveEngine)))
 
 
 @pytest.mark.parametrize("config", ["default", "k8"])

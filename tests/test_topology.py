@@ -314,28 +314,6 @@ def reference_paths(topo):
     return build_paths
 
 
-@pytest.mark.parametrize("build,k", [(build_fat_tree, 2), (build_fat_tree, 4),
-                                     (build_fat_tree, 6), (build_fat_tree, 8),
-                                     (build_nonblocking, 4)])
-def test_paths_match_the_reference_for_every_pair(build, k):
-    t = build(k, 10e6)
-    reference = reference_paths(t)
-    pairs = 0
-    for src in t.hosts:
-        for dst in t.hosts:
-            if src == dst:
-                continue
-            want = reference(src, dst)
-            got = t.equal_cost_paths(src, dst)
-            assert [(p.agg_index, p.core_index) for p in got] == \
-                [(p.agg_index, p.core_index) for p in want]
-            for p, q in zip(got, want):
-                assert len(p.hops) == len(q.hops)
-                assert all(a is b for a, b in zip(p.hops, q.hops))
-            pairs += 1
-    assert pairs == len(t.hosts) * (len(t.hosts) - 1)
-
-
 def test_node_id_hash_is_the_field_tuple_hash_and_survives_pickling():
     for n in build_fat_tree(4, 10e6).nodes:
         assert hash(n) == hash((n.tier, n.pod, n.index))
@@ -400,18 +378,22 @@ def test_candidate_reads_match_the_materialised_paths_for_every_pair(build, k):
     reference = reference_paths(t)
     rng = random.Random(k)
     state = SimpleNamespace()
+    pairs = 0
     for src in t.hosts:
         state.polled_residual, state.polled_elephants = random_link_state(t, rng)
         for dst in t.hosts:
             if src == dst:
                 continue
+            pairs += 1
             want = reference(src, dst)
             count = t.candidate_count(src, dst)
             assert count == len(want)
             got = [t.path_at(src, dst, r) for r in range(count)]
             assert got == want
-            for p in got:
+            for p, q in zip(got, want):
                 assert p.link_ids == tuple(l.id for l in p.hops)
+                # the topology's own `Link` objects, not equal copies
+                assert all(a is b for a, b in zip(p.hops, q.hops))
             # built once: the materialising call hands out the same objects
             assert all(a is b for a, b in zip(t.equal_cost_paths(src, dst), got))
             # what lets dispatch break ties on rank
@@ -424,6 +406,7 @@ def test_candidate_reads_match_the_materialised_paths_for_every_pair(build, k):
             want = scanned_loads(state, got)
             assert [e for _, e in loads] == [e for _, e in want]
             assert [bits(r) for r, _ in loads] == [bits(r) for r, _ in want]
+    assert pairs == len(t.hosts) * (len(t.hosts) - 1)
 
 
 def test_path_at_rejects_a_rank_outside_the_pair():
