@@ -27,7 +27,10 @@ configs are:
   First Fit's slack decides;
 - a `--events` `hedera` config at `--elephant-threshold 1e-5`, seeds 0-2,
   a cutoff below the mice's placeholder demand, so it shows whether mice
-  still leave the greedy for ECMP.
+  still leave the greedy for ECMP;
+- a `--events` config at k=16 with 1024 elephants arriving at 100/s,
+  `hybrid` and `ecmp`, seeds 0-1: the scale at which speed-ups of the
+  solver are measured, where a re-solve reaches hundreds of links.
 
 Then it runs each side's own `demos/*.py` under that side's `src/`, pairs
 them by file name and compares their stdout, printing "demos: identical
@@ -86,6 +89,10 @@ CONFIGS = {
     "hedera low cutoff": [
         "--events", "--scheduler", "hedera", "--elephant-threshold", "1e-5",
         "--seed", "0", "--seed", "1", "--seed", "2"],
+    "k=16 scale": [
+        "--events", "--k", "16", "--elephants", "1024", "--arrival-rate",
+        "100", "--scheduler", "hybrid", "--scheduler", "ecmp", "--seed", "0",
+        "--seed", "1"],
 }
 
 

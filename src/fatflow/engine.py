@@ -232,10 +232,10 @@ class FlowState:
                  "probe_epoch", "achieved_rate", "bits", "since",
                  "round_bits", "crosses", "classified")
 
-    def __init__(self, spec: Flow, crosses: bool):
+    def __init__(self, spec: Flow, path: Path, crosses: bool):
         self.spec = spec
-        self.path: Path  # set with `probe_links` by `Engine._route`
-        self.probe_links: tuple[int, ...] = ()  # forward then reverse ids
+        self.path = path  # moved only by a `hedera-gff` round
+        self.probe_links: tuple[int, ...] = ()  # a mouse's links, out and back
         # a probe's survival chance and RTT over `probe_links` as of the
         # engine's re-solve epoch `probe_epoch` (-1: not computed yet)
         self.probe_keep = self.probe_rtt = 0.0
@@ -480,8 +480,8 @@ class Engine:
             self.controller_decisions += 1
         else:
             self.proactive_decisions += 1
-        st = FlowState(flow, crosses_bisection(self.topology, flow.src, flow.dst))
-        self._route(st, decision.path)
+        st = FlowState(flow, decision.path,
+                       crosses_bisection(self.topology, flow.src, flow.dst))
         self.active[flow.id] = st
 
         end = self.horizon
@@ -492,6 +492,9 @@ class Engine:
             self._attach(st)
             self._resolve(st.path.link_ids)
         else:
+            ids = st.path.link_ids
+            back = map(self.topology.reverse_ids.__getitem__, ids)
+            st.probe_links = ids + tuple(back)
             # probe i: min(start_time + i * probe_interval, end), seq first + i
             count = even_count(flow.start_time, end, flow.probe_interval)
             heapq.heappush(self._probes, (flow.start_time, self._reserve(count),
@@ -565,7 +568,7 @@ class Engine:
         """Place the flows that averaged a large rate over the last period.
 
         A placed flow keeps its path and reservation until it departs; a
-        moved flow is detached, routed and attached again.
+        moved flow is detached, given its new path and attached again.
         """
         period = self._round_polls * self.params.poll_interval
         cutoff = self.scheduler.elephant_threshold * self.topology.link_capacity
@@ -586,7 +589,7 @@ class Engine:
                 continue
             changed += st.path.link_ids + path.link_ids
             self._detach(st)
-            self._route(st, path)
+            st.path = path
             self._attach(st)
             moved.append(flow.id)
         if moved:
@@ -595,14 +598,6 @@ class Engine:
         return moved
 
     # -- rate allocation ---------------------------------------------------------
-
-    def _route(self, st: FlowState, path: Path) -> None:
-        """Put the flow on `path`; its probes go out along it and back."""
-        st.path = path
-        ids = path.link_ids
-        st.probe_links = ids + tuple(map(self.topology.reverse_ids.__getitem__,
-                                         ids))
-        st.probe_epoch = -1
 
     def _attach(self, st: FlowState) -> None:
         """Put the elephant `st` on its path's links. Only this and `_detach`

@@ -184,13 +184,21 @@ def run_report(engine: Engine) -> dict:
     }
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """Yield `path` with ".tmp" appended for the block to write, and move
+    that file onto `path` when the block ends; a failure removes it."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        tmp.write_text(text)
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text)
 
 
 # no `indent`: with one, `json` falls back to its pure-Python encoder
@@ -230,28 +238,22 @@ def _event_log(bundle: Path, name: str) -> Iterator[Callable[[dict], None]]:
     error raised inside the block (a report's, say) comes first. A failed
     block leaves no file.
     """
-    path = bundle / name
-    tmp = path.with_suffix(path.suffix + ".tmp")
     lines, bad = 0, None
-    try:
-        with tmp.open("w") as file:
-            write = file.write
+    with _replacing(bundle / name) as tmp, tmp.open("w") as file:
+        write = file.write
 
-            def sink(record: dict) -> None:
-                nonlocal lines, bad
-                lines += 1
-                try:
-                    write(_encode(record) + "\n")
-                except ValueError:
-                    if bad is None:
-                        bad = f"line {lines}: {next(_non_finite(record))}"
+        def sink(record: dict) -> None:
+            nonlocal lines, bad
+            lines += 1
+            try:
+                write(_encode(record) + "\n")
+            except ValueError:
+                if bad is None:
+                    bad = f"line {lines}: {next(_non_finite(record))}"
 
-            yield sink
+        yield sink
         if bad is not None:
             raise ValueError(f"{name}: {bad}")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _by_scheduler(reports: list[dict]) -> dict[str, tuple[list[dict], Optional[list]]]:

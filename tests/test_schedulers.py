@@ -389,7 +389,7 @@ def check_flow_link_graph(eng):
 
 def step_checking_the_flow_link_graph(k4, scheduler):
     """Run a workload with departures, checking the flow-link graph after
-    every event. `FullResolveEngine` inherits `_attach` and `_detach`, so the
+    every event. `ReferenceEngine` inherits `_attach` and `_detach`, so the
     lockstep tests against it cannot see a list or a count that slips."""
     flows = generate_workload(k4, WorkloadSpec(
         elephants=28, seed=3, arrival_rate=2.0, demand=5.5e6,
