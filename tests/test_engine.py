@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import heapq
@@ -1241,31 +1242,60 @@ RESOLVE_CONFIGS = {
 }
 
 
+# a mouse probes again after a re-solve: elephant arrivals in all three,
+# departures in "departures" and hedera-gff reroutes in "default"
+PROBE_CACHE_CONFIGS = {"default": RESOLVE_CONFIGS["default"],
+                       "k8": RESOLVE_CONFIGS["k8"],
+                       "departures": CONFIGS["departures"]}
+
 # the two sets share "default"
 LOCKSTEP_CONFIGS = {**CONFIGS, **RESOLVE_CONFIGS}
 
+LockstepRun = collections.namedtuple(
+    "LockstepRun", "quiet hits probes reroutes smaller_solve")
 
-@pytest.mark.parametrize("config", sorted(LOCKSTEP_CONFIGS))
-@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
-def test_incremental_resolve_matches_full_resolve(scheduler, config,
-                                                  monkeypatch):
+
+@functools.lru_cache(maxsize=None)
+def lockstep_run(scheduler, config):
+    """Step an `Engine` and a `ReferenceEngine` on `LOCKSTEP_CONFIGS[config]`
+    in lockstep, once per scheduler and config however many tests read it:
+    the quiet polls and cache hits of `step_in_lockstep`, the engine's
+    probes and reroutes, and whether some re-solve solved fewer flows than
+    there were elephants routed."""
     eng, ref = (default_engine(cls, scheduler, log=[],
                                **LOCKSTEP_CONFIGS[config])
                 for cls in (Engine, ReferenceEngine))
-    # (flows solved, elephants routed) of every re-solve of `eng`
-    solves = []
-    watch_fills(monkeypatch, eng, lambda d, p, m, r: solves.append(
-        (len(d), len(eng._routed))))
-    quiet, _, hits = step_in_lockstep(eng, ref)
-    assert any(solved < routed for solved, routed in solves)
+    smaller = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        watch_fills(monkeypatch, eng, lambda d, p, m, r: smaller.append(
+            len(d) < len(eng._routed)))
+        quiet, _, hits = step_in_lockstep(eng, ref)
+    return LockstepRun(quiet, hits, len(eng.probe_rtts), eng.reroutes,
+                       any(smaller))
+
+
+@pytest.mark.parametrize("config", sorted(RESOLVE_CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_incremental_resolve_matches_full_resolve(scheduler, config):
+    run = lockstep_run(scheduler, config)
+    assert run.smaller_solve
     if scheduler == HEDERA_GFF and config == "default":
-        assert eng.reroutes > 0
-    # "churn"'s mice depart before their second probe, "large" has none and
-    # re-solves between every two polls
-    if config not in ("churn", "large"):
-        assert 0 < hits < len(eng.probe_rtts)
-    if config != "large":
-        assert quiet > 0
+        assert run.reroutes > 0
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_quiet_polls_match_a_snapshot_at_every_poll(scheduler, config):
+    assert lockstep_run(scheduler, config).quiet > 0
+
+
+@pytest.mark.parametrize("config", sorted(PROBE_CACHE_CONFIGS))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_cached_probes_match_uncached_reference(scheduler, config):
+    run = lockstep_run(scheduler, config)
+    assert 0 < run.hits < run.probes
+    if scheduler == HEDERA_GFF and config == "default":
+        assert run.reroutes > 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -1372,13 +1402,6 @@ def test_resolve_fills_from_the_link_index_as_waterfill_would(
     assert max(fills) > 1
     if scheduler == HEDERA_GFF:
         assert eng.reroutes > 0
-
-
-# a mouse probes again after a re-solve: elephant arrivals in all three,
-# departures in "departures" and hedera-gff reroutes in "default"
-PROBE_CACHE_CONFIGS = {"default": RESOLVE_CONFIGS["default"],
-                       "k8": RESOLVE_CONFIGS["k8"],
-                       "departures": CONFIGS["departures"]}
 
 
 @pytest.mark.parametrize("config", sorted(PROBE_CACHE_CONFIGS))
